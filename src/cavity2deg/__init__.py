@@ -12,7 +12,7 @@ Layers, bottom up:
 - ``eft``: continuum of modes; running coupling, Landau pole, renormalized
   mass, Casimir energy/pressure, dressed jellium, 1D/3D cross-checks.
 - ``manymode``: exact diagonalization of M coupled modes via a hand-rolled
-  cyclic Jacobi eigensolver; truncation and coupling-growth scans.
+  round-robin Jacobi eigensolver; truncation and coupling-growth scans.
 - ``cli``: ``cavity2deg`` command emitting deterministic CSV/JSON datasets.
 
 Unit modes: configs are SI end to end, or dimensionless "ratio" mode where

@@ -10,10 +10,14 @@ W = U Omega^2 U^T yields the normal-mode frequencies; polarizations rotate as
 eps~_g = sum_a eps_a U[a, g], and the electronic spectrum keeps the
 single-mode structure with the rotated quantities.
 
-The eigensolver is a hand-implemented cyclic Jacobi sweep with a skip
-threshold, as high relative accuracy on symmetric matrices matters more here
-than raw speed.  A numba-compiled kernel is used when available; ``backend``
-selects the pure-numpy sweep or the platform eigensolver instead.
+The eigensolver is a hand-implemented Jacobi method with a skip threshold,
+as high relative accuracy on symmetric matrices matters more here than raw
+speed.  It visits the pairs in a round-robin (tournament) order, a parallel
+ordering in the sense of Brent & Luk (SIAM J. Sci. Stat. Comput. 6, 1985):
+each round rotates about n/2 disjoint pairs, so one set of vectorized numpy
+updates applies the whole round.  There is one Jacobi kernel and no compiled
+variant; ``backend="lapack"`` selects the platform eigensolver instead, as a
+cross-check.
 """
 
 from __future__ import annotations
@@ -132,86 +136,90 @@ def build_w(modes: ModeSet, omega_p: float) -> np.ndarray:
     return np.diag(modes.omega**2 + omega_p**2) + omega_p**2 * overlap
 
 
-def _jacobi_cycle_python(a: np.ndarray, v: np.ndarray, skip_thr: float,
-                         tol_fro: float, max_sweeps: int) -> int:
-    """Cyclic-by-row Jacobi sweeps; mutates a, v.  Returns sweeps or -1."""
-    n = a.shape[0]
-    for sweep in range(max_sweeps + 1):
-        off = 0.0
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                off += 2.0 * a[i, j] * a[i, j]
-        if math.sqrt(off) <= tol_fro:
-            return sweep
-        if sweep == max_sweeps:
-            return -1
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip_thr:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                for k in range(n):
-                    akp = a[k, p]
-                    akq = a[k, q]
-                    a[k, p] = c * akp - s * akq
-                    a[k, q] = s * akp + c * akq
-                for k in range(n):
-                    apk = a[p, k]
-                    aqk = a[q, k]
-                    a[p, k] = c * apk - s * aqk
-                    a[q, k] = s * apk + c * aqk
-                for k in range(n):
-                    vkp = v[k, p]
-                    vkq = v[k, q]
-                    v[k, p] = c * vkp - s * vkq
-                    v[k, q] = s * vkp + c * vkq
-    return -1
+def _round_robin_rounds(n: int):
+    """Yield the rounds of one Jacobi sweep over the indices 0..n-1.
+
+    Each round is an array mapping every index to its partner, so a round
+    holds about n/2 disjoint pairs, and over the sweep every pair i < j meets
+    exactly once.  This is the circle method: index 0 keeps its seat while
+    1..m-1 (m = n, or n + 1 with a dummy index n for odd n) move round a
+    circle of k = m - 1 seats, which in round r pairs x >= 1 with
+    1 + (2r - 1 - x) mod k, or with 0 at the one x where that formula gives
+    x back.  The index paired with the dummy maps to itself and sits the
+    round out, so a sweep is n - 1 rounds for even n and n for odd n.
+    """
+    m = n + n % 2
+    k = m - 1
+    minus_idx = -np.arange(m)
+    for r in range(k):
+        partner = (minus_idx + (2 * r - 1)) % k + 1
+        fixed = 1 + (r - 1) % k
+        partner[0], partner[fixed] = fixed, 0
+        if m > n:
+            idle = partner[n]
+            partner = partner[:n]
+            partner[idle] = idle
+        yield partner
 
 
-try:  # optional compiled kernel; algorithmically identical to the python one
-    import numba as _numba
-
-    _jacobi_cycle_numba = _numba.njit(cache=True)(_jacobi_cycle_python)
-except ImportError:  # pragma: no cover - exercised only without numba
-    _jacobi_cycle_numba = None
-
-
-def _jacobi_cycle_numpy(a: np.ndarray, v: np.ndarray, skip_thr: float,
+def _jacobi_round_robin(a: np.ndarray, vt: np.ndarray, skip_thr: float,
                         tol_fro: float, max_sweeps: int) -> int:
-    """Vectorized row/column updates; same rotation order as the scalar kernel."""
+    """Round-robin Jacobi sweeps; mutates a and vt (V transposed, starting
+    from the identity).  Returns sweeps or -1.
+
+    The rotations of one round act on disjoint pairs and commute, so the
+    round takes all its angles from the current a and applies them at once:
+    row i becomes c x_i + s x_partner, with c = 1, s = 0 for an idle index
+    and for a pair whose |a[p, q]| <= skip_thr.  The row update gives J^T a
+    and J^T vt; the column update of a is the same row update applied to
+    the transpose.
+    """
     n = a.shape[0]
+    # scratch for the upper triangle, the gathered partner rows and the
+    # transpose; allocated once, as per-round temporaries raise peak memory
+    work = np.empty((n, n))
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    idx = np.arange(n)
+    cur = a
+    sweeps = -1
     for sweep in range(max_sweeps + 1):
-        off = math.sqrt(2.0) * np.linalg.norm(a[np.triu_indices(n, k=1)])
+        np.multiply(cur, upper, out=work)
+        off = math.sqrt(2.0) * np.linalg.norm(work)
         if off <= tol_fro:
-            return sweep
+            sweeps = sweep
+            break
         if sweep == max_sweeps:
-            return -1
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip_thr:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    return -1
+            break
+        for partner in _round_robin_rounds(n):
+            lo = np.minimum(idx, partner)
+            hi = np.maximum(idx, partner)
+            apq = cur[lo, hi]
+            rotate = np.abs(apq) > skip_thr
+            rotate &= lo != hi
+            if not rotate.any():
+                continue
+            diag = cur.diagonal()
+            tau = (diag[hi] - diag[lo]) / (2.0 * np.where(rotate, apq, 1.0))
+            t = np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(1.0, tau))
+            t *= rotate
+            c = 1.0 / np.hypot(1.0, t)
+            s = t * c
+            s = np.where(idx == lo, -s, s)[:, None]
+            c = c[:, None]
+            for x in (cur, vt):
+                np.take(x, partner, axis=0, out=work, mode="clip")
+                x *= c
+                work *= s
+                x += work
+            np.copyto(work, cur.T)
+            np.take(work, partner, axis=0, out=cur, mode="clip")
+            work *= c
+            cur *= s
+            work += cur
+            cur, work = work, cur
+    if cur is not a:
+        a[...] = cur
+    return sweeps
 
 
 def diagonalize_w(w_matrix: np.ndarray, tol_factor: float = OFFDIAG_TOL_FACTOR,
@@ -219,40 +227,42 @@ def diagonalize_w(w_matrix: np.ndarray, tol_factor: float = OFFDIAG_TOL_FACTOR,
                   backend: str = "auto") -> NormalModes:
     """Orthogonal eigendecomposition of a symmetric W, deterministic output.
 
-    Eigenvalues are sorted ascending; each eigenvector is sign-fixed so its
-    largest-magnitude component is positive.  ``backend`` picks the compiled
-    Jacobi kernel ("numba"), the vectorized one ("numpy"), the platform
-    eigensolver ("lapack"), or the fastest available Jacobi ("auto").
+    The Jacobi solver sweeps the pairs in round-robin order: each sweep is
+    n - 1 rounds (n for odd n) of about n/2 disjoint rotations, applied
+    together; a pair with |W[p, q]| below the skip threshold sits its round
+    out, and sweeps stop once the off-diagonal Frobenius norm is below
+    ``tol_factor * ||W||_F``.  Eigenvalues are sorted ascending; each
+    eigenvector is sign-fixed so its largest-magnitude component is
+    positive.  ``backend`` picks the Jacobi solver ("auto" or "numpy", the
+    same kernel) or the platform eigensolver ("lapack").  Non-finite
+    entries raise ``DomainError``.
     """
     a = np.array(w_matrix, dtype=float, copy=True, order="C")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError(f"W must be square, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise DomainError("W must be finite")
     norm_fro = float(np.linalg.norm(a))
     if norm_fro > 0 and float(np.linalg.norm(a - a.T)) > 1e-12 * norm_fro:
         raise DomainError("W must be symmetric")
     a = 0.5 * (a + a.T)
     n = a.shape[0]
-    v = np.eye(n)
     if backend == "lapack":
         eigvals, v = np.linalg.eigh(a)
         sweeps = 0
     else:
         tol_fro = tol_factor * norm_fro
         skip_thr = tol_fro / (2.0 * n)
-        if backend == "numba" and _jacobi_cycle_numba is None:
-            raise DomainError("numba backend requested but numba is unavailable")
-        if backend in ("auto", "numba") and _jacobi_cycle_numba is not None:
-            kernel = _jacobi_cycle_numba
-        elif backend in ("auto", "numpy"):
-            kernel = _jacobi_cycle_numpy
-        else:
+        if backend not in ("auto", "numpy"):
             raise DomainError(f"unknown backend {backend!r}")
-        sweeps = kernel(a, v, skip_thr, tol_fro, max_sweeps)
+        v = np.eye(n)   # V^T while the kernel runs
+        sweeps = _jacobi_round_robin(a, v, skip_thr, tol_fro, max_sweeps)
         if sweeps < 0:
             raise ConvergenceError(
                 f"Jacobi did not reach tol {tol_factor:g}*||W||_F "
                 f"in {max_sweeps} sweeps (M = {n})")
         eigvals = np.diag(a).copy()
+        v = v.T
     order = np.argsort(eigvals, kind="stable")
     eigvals = eigvals[order]
     v = v[:, order]
@@ -334,10 +344,10 @@ def lowest_mode_scan(ratios: Sequence[float], n_modes: int = 100,
     the parallel ladder in fundamental-frequency units.
     """
     rows = np.empty((len(ratios), 2))
+    modes = ModeSet.ladder_1d(n_modes, 1.0)
     for i, ratio in enumerate(ratios):
         if ratio < 0:
             raise DomainError(f"ratio must be non-negative, got {ratio}")
-        modes = ModeSet.ladder_1d(n_modes, 1.0)
         nm = diagonalize_w(build_w(modes, float(ratio)), backend=backend)
         omega_lowest = math.sqrt(float(nm.omega_sq[0]))
         edge = math.sqrt(1.0 + ratio * ratio)

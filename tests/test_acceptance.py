@@ -5,9 +5,7 @@ Every criterion re-derives its reference from an independent route
 finite differences, LAPACK, curve fits) rather than trusting the
 library's own algebra.  Criteria with a wall-clock budget assert it;
 the clock starts after a warm-up fixture has run the default Jacobi
-kernel once.  Where numba is installed that compiles the kernel, so the
-budgets measure the physics and not the JIT; without numba the kernel is
-the vectorized numpy one and the warm-up costs next to nothing.
+kernel once, so first-call costs stay out of the budgets.
 
 Each test ends with a single machine-greppable line
 
@@ -99,12 +97,10 @@ def _finish(number, label, t0, budget=None):
 
 @pytest.fixture(scope="module", autouse=True)
 def _warm_kernels():
-    # with numba installed, the first call through the default Jacobi
-    # path triggers JIT compilation; exclude that from the per-criterion
-    # budgets (without numba there is nothing to compile)
+    # run the default Jacobi path once so that first-call costs stay out
+    # of the per-criterion budgets
     seed = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 3.0]])
     diagonalize_w(seed)
-    exact_coupling_1d(3, 1.0, 0.5)
 
 
 def test_criterion_1_single_mode_reduction_and_consistency():
@@ -437,7 +433,7 @@ def test_criterion_8_many_mode_suite():
     t0 = time.perf_counter()
     rng = np.random.default_rng(8451)
 
-    # hand-rolled cyclic Jacobi on dense symmetric matrices up to 500
+    # hand-rolled round-robin Jacobi on dense symmetric matrices up to 500
     # modes: reconstruction and trace both at the 1e-8 level or better
     for n in (40, 120, 500):
         a = rng.normal(size=(n, n))

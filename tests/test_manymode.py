@@ -38,12 +38,8 @@ from cavity2deg import (
     rotated_polarizations,
 )
 from cavity2deg.io_utils import read_csv
-from cavity2deg.manymode import write_coupling_run_csv, write_lowest_scan_csv
-
-try:  # the compiled Jacobi kernel is optional
-    import numba
-except ImportError:
-    numba = None
+from cavity2deg.manymode import (_round_robin_rounds, write_coupling_run_csv,
+                                 write_lowest_scan_csv)
 
 HBAR = CODATA2018.hbar
 M_E = CODATA2018.m_e
@@ -142,12 +138,9 @@ class TestDiagonalizeW:
     def test_backends_agree(self, rng):
         w = random_symmetric(rng, 12)
         backends = ("numpy", "lapack", "auto")
-        if numba is not None:
-            backends += ("numba",)
-        else:
-            # documented refusal when the optional kernel is missing
-            with pytest.raises(DomainError, match="numba"):
-                diagonalize_w(w, backend="numba")
+        # there is no compiled kernel any more
+        with pytest.raises(DomainError, match="numba"):
+            diagonalize_w(w, backend="numba")
         eigs = {}
         for backend in backends:
             nm = diagonalize_w(w, backend=backend)
@@ -156,6 +149,31 @@ class TestDiagonalizeW:
         for backend in backends[1:]:
             assert np.allclose(eigs["numpy"], eigs[backend], rtol=1e-12,
                                atol=1e-14 * np.linalg.norm(w))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        # refused up front, not after max_sweeps as a ConvergenceError
+        w = np.eye(4)
+        w[1, 2] = w[2, 1] = bad
+        with pytest.raises(DomainError, match="finite"):
+            diagonalize_w(w)
+
+    @pytest.mark.parametrize("n", range(1, 34))
+    def test_round_robin_schedule(self, n):
+        # disjoint pairs p < q in each round, every pair once per sweep;
+        # an odd n leaves one index idle (its own partner) per round
+        rounds = list(_round_robin_rounds(n))
+        assert len(rounds) == (n - 1 if n % 2 == 0 else n)
+        met = []
+        for partner in rounds:
+            idx = np.arange(n)
+            assert np.array_equal(partner[partner], idx)
+            assert np.count_nonzero(partner == idx) == n % 2
+            pairs = [(p, q) for p, q in enumerate(partner.tolist()) if p < q]
+            assert len({i for pair in pairs for i in pair}) == 2 * len(pairs)
+            met += pairs
+        assert sorted(met) == [(p, q) for p in range(n)
+                               for q in range(p + 1, n)]
 
     def test_unknown_backend(self):
         with pytest.raises(DomainError):
@@ -181,13 +199,18 @@ class TestDiagonalizeW:
             diagonalize_w(w, max_sweeps=0)
 
     def test_degenerate_eigenvalues(self):
-        # repeated eigenvalues: decomposition still orthogonal and exact
-        q, _ = np.linalg.qr(np.random.default_rng(7).normal(size=(6, 6)))
-        w = q @ np.diag([1.0, 1.0, 1.0, 2.0, 2.0, 5.0]) @ q.T
-        w = 0.5 * (w + w.T)
-        nm = diagonalize_w(w)
-        check_decomposition(w, nm, 1e-11)
-        assert np.allclose(nm.omega_sq, [1, 1, 1, 2, 2, 5], atol=1e-12)
+        # repeated eigenvalues: decomposition still orthogonal and exact;
+        # the second case is an odd size with 8-fold clusters split by ~1e-9
+        clustered = (np.repeat(np.random.default_rng(3).uniform(-1, 1, 5), 8)
+                     [:37] + 1e-9 * np.random.default_rng(4).normal(size=37))
+        for eigs in (np.array([1.0, 1.0, 1.0, 2.0, 2.0, 5.0]), clustered):
+            n = eigs.size
+            q, _ = np.linalg.qr(np.random.default_rng(7).normal(size=(n, n)))
+            w = q @ np.diag(eigs) @ q.T
+            w = 0.5 * (w + w.T)
+            nm = diagonalize_w(w)
+            check_decomposition(w, nm, 1e-11)
+            assert np.allclose(nm.omega_sq, np.sort(eigs), atol=1e-12)
 
     def test_deterministic_output(self, rng):
         w = random_symmetric(rng, 10)
