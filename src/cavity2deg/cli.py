@@ -99,6 +99,11 @@ class SweepSpec:
         return cls(variable=var.strip(), start=start, stop=stop,
                    count=count, log=log)
 
+    def __str__(self) -> str:
+        """The ``var=start:stop:count[:log]`` form that ``parse`` reads."""
+        return (f"{self.variable}={self.start}:{self.stop}:{self.count}"
+                + (":log" if self.log else ""))
+
     def grid(self) -> np.ndarray:
         if self.log:
             return np.geomspace(self.start, self.stop, self.count)
@@ -200,8 +205,7 @@ def cmd_phase(config: SystemConfig | None = None,
         if sweep.start < 0 or sweep.stop < 0:
             raise ConfigError("gamma sweep endpoints must be non-negative")
         gammas = sweep.grid()
-        params = {"sweep": f"gamma={sweep.start}:{sweep.stop}:{sweep.count}"
-                  + (":log" if sweep.log else "")}
+        params = {"sweep": str(sweep)}
     elif config is not None:
         gammas = np.array([DerivedScales(config).gamma])
         params = {"sweep": None}
@@ -260,9 +264,7 @@ def cmd_response(kind: str, config: SystemConfig | None = None,
             summary["effective_mass_over_m_e"] = (
                 drude_effective_mass(gamma) / CODATA2018.m_e)
     params = {"kind": kind, "eta": eta,
-              "sweep": None if sweep is None else
-              f"w={sweep.start}:{sweep.stop}:{sweep.count}"
-              + (":log" if sweep.log else "")}
+              "sweep": None if sweep is None else str(sweep)}
     return OutputRecord(command="response", config=config.as_mapping(),
                         params=params, columns=("w", "re", "im"), rows=rows,
                         summary=summary)
@@ -281,9 +283,7 @@ def cmd_eft(sub: str, config: SystemConfig | None = None,
     pole = base.lambda0_pole
     summary: dict = {"n_alpha": base.n_alpha, "lambda0_pole": pole}
     params: dict = {"sub": sub, "lambda0": lambda0, "eta": eta,
-                    "sweep": None if sweep is None else
-                    f"{sweep.variable}={sweep.start}:{sweep.stop}:{sweep.count}"
-                    + (":log" if sweep.log else "")}
+                    "sweep": None if sweep is None else str(sweep)}
 
     def _at(lam: float) -> EftConfig:
         return EftConfig(system=config, lambda0=lam)
@@ -385,9 +385,7 @@ def cmd_manymode(sub: str, n_modes: int = 100, ratio: float = 0.5,
         raise ConfigError(f"--ratio must be non-negative, got {ratio}")
     cfg_map = (config or _default_config()).as_mapping()
     params: dict = {"sub": sub, "modes": n_modes, "ratio": ratio,
-                    "sweep": None if sweep is None else
-                    f"{sweep.variable}={sweep.start}:{sweep.stop}:{sweep.count}"
-                    + (":log" if sweep.log else "")}
+                    "sweep": None if sweep is None else str(sweep)}
 
     if sub == "diag":
         _check_sweep_var(sweep, (), "manymode diag")

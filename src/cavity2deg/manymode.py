@@ -10,14 +10,21 @@ W = U Omega^2 U^T yields the normal-mode frequencies; polarizations rotate as
 eps~_g = sum_a eps_a U[a, g], and the electronic spectrum keeps the
 single-mode structure with the rotated quantities.
 
-The eigensolver is a hand-implemented Jacobi method with a skip threshold,
-as high relative accuracy on symmetric matrices matters more here than raw
-speed.  It visits the pairs in a round-robin (tournament) order, a parallel
-ordering in the sense of Brent & Luk (SIAM J. Sci. Stat. Comput. 6, 1985):
-each round rotates about n/2 disjoint pairs, so one set of vectorized numpy
-updates applies the whole round.  There is one Jacobi kernel and no compiled
-variant; ``backend="lapack"`` selects the platform eigensolver instead, as a
-cross-check.
+For the parallel-polarization ladder W = diag(omega_n^2) + omega_p^2 1 1^T is
+a rank-one update of a diagonal, and its two scanned quantities use that
+structure instead of a dense solve: the collective coupling is the
+Sherman-Morrison closed form, and the lowest mode is the lowest root of the
+secular equation 1 + omega_p^2 sum_n 1/(omega_n^2 - lam) = 0 (Golub, SIAM
+Rev. 15, 1973; Bunch, Nielsen & Sorensen, Numer. Math. 31, 1978).
+
+For arbitrary W the eigensolver is a hand-implemented Jacobi method with a
+skip threshold, as high relative accuracy on symmetric matrices matters more
+here than raw speed.  It visits the pairs in a round-robin (tournament)
+order, a parallel ordering in the sense of Brent & Luk (SIAM J. Sci. Stat.
+Comput. 6, 1985): each round rotates about n/2 disjoint pairs, so one set of
+vectorized numpy updates applies the whole round.  There is one Jacobi
+kernel and no compiled variant; ``backend="lapack"`` selects the platform
+eigensolver instead, as a cross-check.
 """
 
 from __future__ import annotations
@@ -50,6 +57,7 @@ __all__ = [
 
 OFFDIAG_TOL_FACTOR = 1e-12   # convergence: off-diagonal Frobenius vs ||W||_F
 MAX_SWEEPS = 30
+MAX_SECULAR_STEPS = 100      # Newton/bisection steps per ladder secular root
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,6 +79,8 @@ class ModeSet:
         pol = np.asarray(self.pol, dtype=float)
         if omega.ndim != 1 or omega.size == 0:
             raise PreconditionError("omega must be a non-empty 1D array")
+        if not np.isfinite(omega).all():
+            raise PreconditionError("mode frequencies must be finite")
         if np.any(omega <= 0):
             raise PreconditionError("mode frequencies must be positive")
         if pol.shape != (omega.size, 3):
@@ -103,8 +113,10 @@ class ModeSet:
         all polarizations parallel (the maximal-coupling stress case)."""
         if n_modes < 1:
             raise PreconditionError(f"n_modes must be >= 1, got {n_modes}")
-        if omega_fundamental <= 0:
-            raise PreconditionError("omega_fundamental must be positive")
+        if not (math.isfinite(omega_fundamental) and omega_fundamental > 0):
+            raise PreconditionError(
+                f"omega_fundamental must be finite and positive, "
+                f"got {omega_fundamental}")
         omega = omega_fundamental * np.arange(1, n_modes + 1, dtype=float)
         pol = np.tile(np.asarray(polarization, dtype=float), (n_modes, 1))
         return cls(omega=omega, pol=pol)
@@ -126,14 +138,23 @@ class NormalModes:
         return np.sqrt(self.omega_sq)
 
 
-def build_w(modes: ModeSet, omega_p: float) -> np.ndarray:
-    """Mode-coupling matrix with dressed diagonal and zero-diagonal overlap."""
-    if not (math.isfinite(omega_p) and omega_p >= 0):
+def _omega_p_sq(omega_p: float) -> float:
+    """omega_p^2, with DomainError unless omega_p is finite, non-negative and
+    has a finite square."""
+    omega_p = float(omega_p)
+    rho = omega_p * omega_p
+    if not (omega_p >= 0 and math.isfinite(rho)):
         raise DomainError(f"omega_p must be finite and non-negative, "
                           f"got {omega_p}")
+    return rho
+
+
+def build_w(modes: ModeSet, omega_p: float) -> np.ndarray:
+    """Mode-coupling matrix with dressed diagonal and zero-diagonal overlap."""
+    rho = _omega_p_sq(omega_p)
     overlap = modes.pol @ modes.pol.T
     np.fill_diagonal(overlap, 0.0)
-    return np.diag(modes.omega**2 + omega_p**2) + omega_p**2 * overlap
+    return np.diag(modes.omega**2 + rho) + rho * overlap
 
 
 def _round_robin_rounds(n: int):
@@ -235,14 +256,20 @@ def diagonalize_w(w_matrix: np.ndarray, tol_factor: float = OFFDIAG_TOL_FACTOR,
     eigenvector is sign-fixed so its largest-magnitude component is
     positive.  ``backend`` picks the Jacobi solver ("auto" or "numpy", the
     same kernel) or the platform eigensolver ("lapack").  Non-finite
-    entries raise ``DomainError``.
+    entries, an empty W and a W whose Frobenius norm overflows raise
+    ``DomainError``.
     """
     a = np.array(w_matrix, dtype=float, copy=True, order="C")
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError(f"W must be square, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise DomainError(
+            f"W must be non-empty and square, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise DomainError("W must be finite")
-    norm_fro = float(np.linalg.norm(a))
+    with np.errstate(over="ignore"):
+        norm_fro = float(np.linalg.norm(a))
+    if not math.isfinite(norm_fro):
+        # an infinite tolerance would stop Jacobi at sweep 0, unrotated
+        raise DomainError("||W||_F overflows; rescale W")
     if norm_fro > 0 and float(np.linalg.norm(a - a.T)) > 1e-12 * norm_fro:
         raise DomainError("W must be symmetric")
     a = 0.5 * (a + a.T)
@@ -327,30 +354,78 @@ def exact_coupling_1d(n_modes: int, omega_fundamental: float,
     for the parallel-polarization ladder; reduces to gamma at M = 1.
 
     With W = U Omega^2 U^T and eps~ = U^T eps the sum is omega_p^2 p^T W^-1 p,
-    p the bare x components, so one linear solve with the positive-definite W
-    stands in for the eigendecomposition.
+    p the bare x components.  The ladder's
+    W = diag(omega_n^2) + omega_p^2 1 1^T is a rank-one update of a
+    diagonal, so Sherman-Morrison gives
+    g = omega_p^2 s / (1 + omega_p^2 s) with s = sum_n 1/omega_n^2.
     """
     modes = ModeSet.ladder_1d(n_modes, omega_fundamental)
-    p = modes.pol[:, 0]
-    return float(omega_p**2 * (p @ np.linalg.solve(build_w(modes, omega_p), p)))
+    rho = _omega_p_sq(omega_p)
+    s = float(np.sum(1.0 / modes.omega**2))
+    if not math.isfinite(s):
+        raise DomainError(f"sum of 1/omega_n^2 overflows at omega_fundamental "
+                          f"= {omega_fundamental}")
+    return rho * s / (1.0 + rho * s)
 
 
-def lowest_mode_scan(ratios: Sequence[float], n_modes: int = 100,
-                     backend: str = "auto") -> np.ndarray:
+def _ladder_lowest(omega_sq: np.ndarray, rho: float) -> float:
+    """Lowest eigenvalue of diag(omega_sq) + rho 1 1^T, omega_sq ascending
+    with omega_sq[0] < omega_sq[1], rho >= 0.
+
+    It is the root of the secular equation 1 + rho sum_n 1/(omega_sq[n] - lam)
+    = 0 on (omega_sq[0], omega_sq[1]) (Golub 1973; Bunch, Nielsen & Sorensen
+    1978), found in t = lam - omega_sq[0] so that it keeps full relative
+    accuracy next to the first pole.  There it is the root of
+    h(t) = t (1 + psi(t)) - rho, psi(t) = rho sum_{n>=1} 1/(d_n - t),
+    d_n = omega_sq[n] - omega_sq[0], which is increasing and convex on
+    [0, d_1).  Newton starts at rho / (1 + psi(0)), where h >= 0, inside the
+    bracket (0, start]; a step that leaves the bracket is replaced by its
+    midpoint, and the iteration stops once a step no longer moves t.
+    """
+    if rho == 0.0 or omega_sq.size == 1:
+        return float(omega_sq[0]) + rho
+    d = omega_sq[1:] - omega_sq[0]
+    lo = 0.0
+    t = hi = rho / (1.0 + rho * float(np.sum(1.0 / d)))
+    for _ in range(MAX_SECULAR_STEPS):
+        r = 1.0 / (d - t)
+        psi = rho * float(np.sum(r))
+        h = t * (1.0 + psi) - rho
+        if h > 0.0:
+            hi = t
+        else:
+            lo = t
+        step = t - h / (1.0 + psi + t * rho * float(r @ r))
+        if step == t:
+            break
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)
+            if step in (lo, hi):
+                break
+        t = step
+    else:
+        raise ConvergenceError(
+            f"secular root not settled in {MAX_SECULAR_STEPS} steps "
+            f"(M = {omega_sq.size}, omega_p^2 = {rho!r})")
+    return float(omega_sq[0]) + t
+
+
+def lowest_mode_scan(ratios: Sequence[float],
+                     n_modes: int = 100) -> np.ndarray:
     """Percent difference between the dressed continuum edge and the lowest
     normal mode, per coupling ratio omega_p/omega.
 
     Returns rows (ratio, 100*|omega_t(kappa_z) - Omega_lowest|/omega_t) for
-    the parallel ladder in fundamental-frequency units.
+    the parallel ladder in fundamental-frequency units.  Omega_lowest^2 is
+    the root of the ladder's secular equation (see ``_ladder_lowest``), not
+    an eigendecomposition of W; at ratio 0 and at M = 1 it is exact.
     """
     rows = np.empty((len(ratios), 2))
-    modes = ModeSet.ladder_1d(n_modes, 1.0)
+    omega_sq = ModeSet.ladder_1d(n_modes, 1.0).omega ** 2
     for i, ratio in enumerate(ratios):
-        if ratio < 0:
-            raise DomainError(f"ratio must be non-negative, got {ratio}")
-        nm = diagonalize_w(build_w(modes, float(ratio)), backend=backend)
-        omega_lowest = math.sqrt(float(nm.omega_sq[0]))
-        edge = math.sqrt(1.0 + ratio * ratio)
+        rho = _omega_p_sq(ratio)
+        omega_lowest = math.sqrt(_ladder_lowest(omega_sq, rho))
+        edge = math.sqrt(1.0 + rho)
         rows[i] = (ratio, 100.0 * abs(edge - omega_lowest) / edge)
     return rows
 

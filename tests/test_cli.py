@@ -35,6 +35,12 @@ class TestSweepSpec:
         assert np.allclose(s.grid(), [1.0, 10.0, 100.0])
 
     @pytest.mark.parametrize("text", [
+        "gamma=0.0:1.2:121", "w=-1e+20:1e+20:11", "lambda0=1.0:100.0:3:log"])
+    def test_str_round_trips(self, text):
+        # params["sweep"] in every dataset header is str(sweep)
+        assert str(SweepSpec.parse(text)) == text
+
+    @pytest.mark.parametrize("text", [
         "w=0:2",            # missing count
         "w=0:2:1",          # fewer than two points
         "w=1:1:5",          # degenerate interval

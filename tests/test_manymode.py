@@ -5,7 +5,9 @@ Oracles:
   * platform eigensolver (LAPACK via numpy.linalg.eigh) for eigenvalues,
   * reconstruction/orthogonality residuals for eigenvectors,
   * Sherman-Morrison closed form and the secular equation (brentq) for the
-    rank-one ladder problem.
+    rank-one ladder problem,
+  * dense Jacobi and LAPACK for the ladder's closed-form coupling and
+    secular-equation lowest root, which the library computes directly.
 """
 
 import io
@@ -95,6 +97,14 @@ class TestModeSet:
         with pytest.raises(PreconditionError):
             ModeSet.ladder_1d(3, omega_fundamental=-1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_frequencies_rejected(self, bad):
+        with pytest.raises(PreconditionError, match="finite"):
+            ModeSet(omega=np.array([1.0, bad]),
+                    pol=np.tile([1.0, 0, 0], (2, 1)))
+        with pytest.raises(PreconditionError, match="finite"):
+            ModeSet.ladder_1d(3, omega_fundamental=bad)
+
 
 class TestBuildW:
     def test_parallel_ladder_matrix(self):
@@ -174,6 +184,16 @@ class TestDiagonalizeW:
             met += pairs
         assert sorted(met) == [(p, q) for p in range(n)
                                for q in range(p + 1, n)]
+
+    def test_empty_rejected(self):
+        with pytest.raises(DomainError, match="non-empty"):
+            diagonalize_w(np.zeros((0, 0)))
+
+    def test_norm_overflow_rejected(self):
+        # finite entries whose ||W||_F overflows: an infinite tolerance
+        # would return the unrotated diagonal at sweep 0
+        with pytest.raises(DomainError, match="overflows"):
+            diagonalize_w(np.array([[1e200, 3e199], [3e199, 2e200]]))
 
     def test_unknown_backend(self):
         with pytest.raises(DomainError):
@@ -345,6 +365,20 @@ class TestLadderCoupling:
             with pytest.raises(DomainError):
                 exact_coupling_1d(5, 1.0, ratio)
 
+    def test_overflowing_coupling_rejected(self):
+        # omega_p^2 or sum 1/omega_n^2 overflows to inf, which would give
+        # inf/inf = nan
+        with pytest.raises(DomainError):
+            exact_coupling_1d(5, 1.0, 1e200)
+        with np.errstate(over="ignore"), pytest.raises(DomainError):
+            exact_coupling_1d(5, 1e-160, 0.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_fundamental_rejected(self, bad):
+        # unchecked, inf would give g = 0.0 and nan would give nan
+        with pytest.raises(PreconditionError):
+            exact_coupling_1d(5, bad, 0.5)
+
     def test_monotone_in_mode_count(self):
         gs = [exact_coupling_1d(m, 1.0, 0.5) for m in range(1, 30)]
         assert all(b > a for a, b in zip(gs, gs[1:]))
@@ -384,6 +418,29 @@ class TestLowestModeScan:
     def test_negative_ratio_rejected(self):
         with pytest.raises(DomainError):
             lowest_mode_scan([-0.1])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200])
+    def test_non_finite_ratio_rejected(self, bad):
+        with pytest.raises(DomainError):
+            lowest_mode_scan([0.5, bad])
+
+    def test_matches_dense_solvers(self):
+        # the secular root against the lowest eigenvalue of the dense W from
+        # the Jacobi solver and from LAPACK.  LAPACK is only normwise
+        # backward stable: its lowest eigenvalue may be off by ~eps ||W||,
+        # 6e-12 relative at M = 100, ratio 30, so it also gets that bound
+        eps = np.finfo(float).eps
+        for m in (1, 2, 3, 9, 40, 100, 200):
+            for ratio in (0.0, 1e-8, 0.05, 0.3, 0.9, 1.0, 3.0, 30.0):
+                w = build_w(ModeSet.ladder_1d(m), ratio)
+                # the row is 100 (edge - Omega) / edge, Omega <= edge
+                row = lowest_mode_scan([ratio], n_modes=m)[0, 1]
+                lam = (1.0 + ratio**2) * (1.0 - row / 100.0) ** 2
+                jacobi = diagonalize_w(w).omega_sq[0]
+                lapack = np.linalg.eigvalsh(w)[0]
+                assert lam == pytest.approx(jacobi, rel=1e-12)
+                assert lam == pytest.approx(lapack, rel=1e-12,
+                                            abs=eps * np.linalg.norm(w))
 
 
 class TestCsvEmission:
