@@ -43,8 +43,8 @@ from .eft import (EftConfig, JelliumResult, appendix_integrals, band_energy,
                   chemical_potential, coupling_1d, coupling_3d,
                   effective_coupling, effective_energy, eft_chi_aa,
                   eft_summary, jellium, landau_pole, mass_3d,
-                  mass_3d_first_order, pole_3d, quasiparticle_energy,
-                  renormalized_mass, rs_minimum)
+                  mass_3d_first_order, per_particle_coupling, pole_3d,
+                  quasiparticle_energy, renormalized_mass, rs_minimum)
 from .manymode import (ModeSet, NormalModes, build_w, diagonalize_w,
                        exact_coupling_1d, lowest_mode_scan, manymode_spectrum,
                        normal_modes, rotated_polarizations)
@@ -75,8 +75,8 @@ __all__ = [
     "casimir_energy_density", "casimir_pressure", "chemical_potential",
     "coupling_1d", "coupling_3d", "effective_coupling", "effective_energy",
     "eft_chi_aa", "eft_summary", "jellium", "landau_pole", "mass_3d",
-    "mass_3d_first_order", "pole_3d", "quasiparticle_energy",
-    "renormalized_mass", "rs_minimum",
+    "mass_3d_first_order", "per_particle_coupling", "pole_3d",
+    "quasiparticle_energy", "renormalized_mass", "rs_minimum",
     # manymode
     "ModeSet", "NormalModes", "build_w", "diagonalize_w", "exact_coupling_1d",
     "lowest_mode_scan", "manymode_spectrum", "normal_modes",

@@ -7,6 +7,8 @@ and ``manymode`` (exact multi-mode diagonalization scans).
 
 Every run is deterministic: identical argv + config produce identical bytes.
 JSON outputs embed the effective config and can be fed back via --config.
+Each sweep is evaluated as one array call, and a row that comes out
+non-finite (an overflow) is an error, not a NaN or inf in the output.
 
 Exit codes: 0 success, 2 config/usage error, 3 domain or pole error,
 4 convergence error.
@@ -19,8 +21,8 @@ import hashlib
 import json
 import math
 import sys
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cache
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -32,11 +34,11 @@ from .core import (DerivedScales, SystemConfig, UnitsMode, classify_phase,
                    load_config_file)
 from .eft import (EftConfig, casimir_energy_density, casimir_pressure,
                   chemical_potential, effective_coupling, eft_chi_aa,
-                  jellium, renormalized_mass, rs_minimum)
+                  jellium, per_particle_coupling, renormalized_mass)
 from .exceptions import (Cavity2degError, ConfigError, ConvergenceError,
                          DegenerateModeError, DomainError, InstabilityError,
                          PoleError, PreconditionError, UnitModeError)
-from .io_utils import FLOAT_DIGITS, format_float
+from .io_utils import FLOAT_DIGITS, format_rows
 from .manymode import (ModeSet, exact_coupling_1d, lowest_mode_scan,
                        normal_modes)
 from .response import (BroadenedFrequency, ResponseKind, chi_aa_freq,
@@ -72,6 +74,9 @@ class SweepSpec:
                               f"choose from {', '.join(SWEEPABLE)}")
         if self.count < 2:
             raise ConfigError(f"sweep count must be >= 2, got {self.count}")
+        if not math.isfinite(self.stop - self.start):
+            raise ConfigError("sweep endpoints and their span must be finite, "
+                              f"got {self.start}:{self.stop}")
         if self.start == self.stop:
             raise ConfigError("sweep start and stop must differ")
         if self.log and (self.start <= 0 or self.stop <= 0):
@@ -123,10 +128,10 @@ class OutputRecord:
 
     def __post_init__(self) -> None:
         ncol = len(self.columns)
-        for row in self.rows:
-            if len(row) != ncol:
-                raise PreconditionError(
-                    f"row width {len(row)} != column count {ncol}")
+        widths = set(map(len, self.rows)) - {ncol}
+        if widths:
+            raise PreconditionError(
+                f"row width {min(widths)} != column count {ncol}")
 
     @property
     def provenance(self) -> dict:
@@ -137,16 +142,19 @@ class OutputRecord:
                 "config_hash": digest}
 
     def to_json(self) -> str:
-        body = {
-            "command": self.command,
-            "config": self.config,
-            "params": self.params,
-            "columns": list(self.columns),
-            "rows": [list(r) for r in self.rows],
-            "summary": self.summary,
-            "provenance": self.provenance,
-        }
-        return json.dumps(body, indent=1) + "\n"
+        """``json.dumps(body, indent=1)`` of the whole record, byte for byte.
+
+        The envelope goes through json.dumps; the rows, which are most of
+        the bytes, are spliced in by ``_json_rows``.
+        """
+        head = json.dumps({"command": self.command, "config": self.config,
+                           "params": self.params,
+                           "columns": list(self.columns)}, indent=1)
+        tail = json.dumps({"summary": self.summary,
+                           "provenance": self.provenance}, indent=1)
+        # head ends with "\n}" and tail starts with "{\n"
+        return (f'{head[:-2]},\n "rows": {_json_rows(self.rows)},\n'
+                f'{tail[2:]}\n')
 
     def to_csv(self, digits: int = FLOAT_DIGITS) -> str:
         prov = self.provenance
@@ -162,12 +170,8 @@ class OutputRecord:
         if self.summary:
             head.append("# summary: " + json.dumps(
                 self.summary, sort_keys=True, separators=(",", ":")))
-        lines = head + [",".join(self.columns)]
-        for row in self.rows:
-            lines.append(",".join(
-                format_float(v, digits) if isinstance(v, float) else str(v)
-                for v in row))
-        return "\n".join(lines) + "\n"
+        head.append(",".join(self.columns))
+        return "\n".join(head) + "\n" + format_rows(self.rows, digits)
 
     def render(self, fmt: str, digits: int = FLOAT_DIGITS) -> str:
         if fmt == "json":
@@ -175,6 +179,43 @@ class OutputRecord:
         if fmt == "csv":
             return self.to_csv(digits)
         raise ConfigError(f"unknown format {fmt!r}")
+
+
+def _json_rows(rows: list) -> str:
+    """``rows`` as json.dumps(..., indent=1) writes a top-level member.
+
+    Values are encoded a column at a time: a column of finite floats and
+    ints by ``str`` (which is their JSON text), any other by json.dumps.
+    """
+    if not rows:
+        return "[]"
+    columns = [_json_tokens(col) for col in zip(*rows)]
+    if not columns:
+        return "[\n" + ",\n".join(["  []"] * len(rows)) + "\n ]"
+    body = "\n  ],\n  [\n   ".join(",\n   ".join(r) for r in zip(*columns))
+    return "[\n  [\n   " + body + "\n  ]\n ]"
+
+
+def _json_tokens(values: tuple) -> list[str]:
+    if set(map(type, values)) <= {float, int}:
+        tokens = list(map(str, values))
+        if {"nan", "inf", "-inf"}.isdisjoint(tokens):
+            return tokens
+    return [json.dumps(v) for v in values]
+
+
+def _rows(*columns: np.ndarray) -> list[tuple]:
+    """Equal-length sweep columns as row tuples of Python numbers.
+
+    A non-finite value (an overflow, or an input past the range of the
+    closed form) raises DomainError, so no NaN or inf token is written.
+    """
+    table = np.column_stack(columns)
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise DomainError(f"row {i} is not finite: {table[i].tolist()}")
+    return list(zip(*(col.tolist() for col in columns)))
 
 
 def _default_config() -> SystemConfig:
@@ -248,11 +289,9 @@ def cmd_response(kind: str, config: SystemConfig | None = None,
     if eta <= 0:
         raise ConfigError(f"eta must be positive, got {eta}")
     grid = sweep.grid() if sweep is not None else np.linspace(-3 * wt, 3 * wt, 1201)
-    func = _RESPONSE_FUNCS[kind]
-    rows = []
-    for w in grid:
-        val = func(BroadenedFrequency(float(w), eta), scales)
-        rows.append((float(w), val.re, val.im))
+    with np.errstate(all="ignore"):
+        val = _RESPONSE_FUNCS[kind](BroadenedFrequency(grid, eta), scales)
+    rows = _rows(grid, val.re, val.im)
     summary: dict = {"eta": eta, "omega_tilde": wt, "gamma": scales.gamma}
     if kind == "sigma":
         s0 = sigma0_dc(scales, eta)
@@ -279,14 +318,13 @@ def cmd_eft(sub: str, config: SystemConfig | None = None,
         raise ConfigError(f"unknown eft sub-command {sub!r}; "
                           f"choose from {', '.join(subs)}")
     config = config or _default_config()
-    base = EftConfig(system=config, lambda0=lambda0 if lambda0 is not None else 1.0)
-    pole = base.lambda0_pole
-    summary: dict = {"n_alpha": base.n_alpha, "lambda0_pole": pole}
+    ecfg = EftConfig(system=config, lambda0=lambda0 if lambda0 is not None else 1.0)
+    pole = ecfg.lambda0_pole
+    summary: dict = {"n_alpha": ecfg.n_alpha, "lambda0_pole": pole}
     params: dict = {"sub": sub, "lambda0": lambda0, "eta": eta,
                     "sweep": None if sweep is None else str(sweep)}
-
-    def _at(lam: float) -> EftConfig:
-        return EftConfig(system=config, lambda0=lam)
+    if sub in ("jellium", "chi") and lambda0 is None:
+        ecfg = replace(ecfg, lambda0=min(0.5 * (1 + pole), 1e6))
 
     if sub in ("coupling", "mass", "mu", "casimir"):
         _check_sweep_var(sweep, ("lambda0",), "eft " + sub)
@@ -299,29 +337,30 @@ def cmd_eft(sub: str, config: SystemConfig | None = None,
             lams = np.linspace(1.0, hi, 200)
         if np.any(lams < 1.0):
             raise ConfigError("lambda0 values must be >= 1")
-        rows = []
-        beyond_window = 0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            for lam in lams:
-                lam = float(lam)
-                ecfg = _at(lam)
-                if not ecfg.in_stability_window:
-                    beyond_window += 1
-                try:
-                    if sub == "coupling":
-                        rows.append((lam, effective_coupling(ecfg)))
-                    elif sub == "mass":
-                        rows.append((lam, renormalized_mass(ecfg)))
-                    elif sub == "mu":
-                        rows.append((lam, chemical_potential(ecfg)))
-                    else:
-                        rows.append((lam, casimir_energy_density(ecfg),
-                                     casimir_pressure(ecfg)))
-                except PoleError as exc:
-                    summary["truncation_notice"] = (
-                        f"sweep truncated at lambda0 = {lam!r}: {exc}")
-                    break
+        stop = lams.size
+        if sub in ("mass", "mu"):
+            g_per = per_particle_coupling(ecfg, lams)
+            at_pole = np.flatnonzero(g_per >= 1.0)
+            if at_pole.size:
+                stop = int(at_pole[0])
+                summary["truncation_notice"] = (
+                    f"sweep truncated at lambda0 = {lams[stop].item()!r}: "
+                    f"per-particle coupling {g_per[stop]:g} at or beyond "
+                    "the pole")
+        # the cutoff that reaches the pole is counted too, though it has no row
+        beyond_window = int(np.count_nonzero(lams[:stop + 1] > pole))
+        lams = lams[:stop]
+        with np.errstate(all="ignore"):
+            if sub == "coupling":
+                values = (effective_coupling(ecfg, lams),)
+            elif sub == "mass":
+                values = (renormalized_mass(ecfg, lams),)
+            elif sub == "mu":
+                values = (chemical_potential(ecfg, lambda0=lams),)
+            else:
+                values = (casimir_energy_density(ecfg, lams),
+                          casimir_pressure(ecfg, lams))
+        rows = _rows(lams, *values)
         if beyond_window:
             summary["rows_beyond_stability_window"] = beyond_window
         columns = {"coupling": ("lambda0", "g"),
@@ -335,13 +374,11 @@ def cmd_eft(sub: str, config: SystemConfig | None = None,
 
     if sub == "jellium":
         _check_sweep_var(sweep, ("rs",), "eft jellium")
-        ecfg = _at(lambda0 if lambda0 is not None else min(0.5 * (1 + pole), 1e6))
         rs_grid = sweep.grid() if sweep is not None else np.linspace(0.5, 12.0, 200)
-        rows = []
-        for rs in rs_grid:
-            res = jellium(float(rs), ecfg)
-            rows.append((res.rs, res.tau, res.eps_x, res.total))
-        summary["rs_min"] = rs_minimum(ecfg)
+        with np.errstate(all="ignore"):
+            res = jellium(rs_grid, ecfg)
+        rows = _rows(res.rs, res.tau, res.eps_x, res.total)
+        summary["rs_min"] = res.rs_min
         summary["lambda0"] = ecfg.lambda0
         return OutputRecord(command="eft", config=config.as_mapping(),
                             params=params,
@@ -351,7 +388,6 @@ def cmd_eft(sub: str, config: SystemConfig | None = None,
 
     # sub == "chi": continuum field-field response over a frequency sweep
     _check_sweep_var(sweep, ("w",), "eft chi")
-    ecfg = _at(lambda0 if lambda0 is not None else min(0.5 * (1 + pole), 1e6))
     lo = math.sqrt(ecfg.omega_tilde_sq_cutoff)
     hi = math.sqrt(ecfg.lambda_freq2)
     if eta is None:
@@ -359,10 +395,9 @@ def cmd_eft(sub: str, config: SystemConfig | None = None,
     if eta < 0:
         raise ConfigError(f"eta must be non-negative, got {eta}")
     grid = sweep.grid() if sweep is not None else np.linspace(0.0, 1.5 * hi, 601)
-    rows = []
-    for w in grid:
-        val = eft_chi_aa(BroadenedFrequency(float(w), eta), ecfg)
-        rows.append((float(w), val.re, val.im))
+    with np.errstate(all="ignore"):
+        val = eft_chi_aa(BroadenedFrequency(grid, eta), ecfg)
+    rows = _rows(grid, val.re, val.im)
     params["eta"] = eta
     summary.update({"window_low": lo, "window_high": hi,
                     "lambda0": ecfg.lambda0})
@@ -429,7 +464,10 @@ def cmd_manymode(sub: str, n_modes: int = 100, ratio: float = 0.5,
                         summary=summary)
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser; built once per process, as parsing never
+    changes it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH",
                         help="key=value or JSON config file "

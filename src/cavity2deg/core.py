@@ -73,6 +73,10 @@ class SystemConfig:
     ratio: float | None = None
 
     def __post_init__(self) -> None:
+        for name in ("area", "mirror_gap", "mode_frequency", "ratio"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.units_mode is UnitsMode.SI:
             if self.n_electrons is None or self.area is None or self.mirror_gap is None:
                 raise ConfigError(
@@ -269,6 +273,8 @@ def fermi_wavevector(n_2d: float) -> float:
 
 def classify_phase(gamma: float, tol: float = 1e-12) -> Phase:
     """Stable for gamma < 1, Critical at gamma = 1 (within tol), Unstable above."""
+    if not math.isfinite(gamma):
+        raise DomainError(f"gamma must be finite, got {gamma}")
     if gamma < 0:
         raise DomainError(f"gamma must be non-negative, got {gamma}")
     if gamma < 1.0 - tol:

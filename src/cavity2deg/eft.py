@@ -13,6 +13,15 @@ dressed continuum.  Cutoffs are kept deliberately distinct in the API:
 ``lambda0`` is the dimensionless ratio Lambda/omega_t^2(kappa_z),
 ``lambda_freq2`` values carry rad^2/s^2, and the 1D/3D variants take momentum
 cutoffs in 1/m.
+
+Sweeps are array calls.  effective_coupling, per_particle_coupling,
+renormalized_mass, chemical_potential, casimir_energy_density and
+casimir_pressure take an optional ``lambda0``: a float or an ndarray of
+cutoffs (each finite and >= 1) at which to evaluate the same system instead
+of ``ecfg.lambda0``, giving a result of its shape.  Without it they return a
+Python float.  jellium takes an ndarray of radii, and eft_chi_aa a
+BroadenedFrequency whose w is an ndarray.  The scalar and the array calls
+evaluate one formula per quantity.
 """
 
 from __future__ import annotations
@@ -21,6 +30,8 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+
+import numpy as np
 
 from .constants import CODATA2018, Constants
 from .core import DerivedScales, SystemConfig, UnitsMode
@@ -31,6 +42,7 @@ __all__ = [
     "EftConfig",
     "JelliumResult",
     "effective_coupling",
+    "per_particle_coupling",
     "landau_pole",
     "effective_energy",
     "band_energy",
@@ -56,9 +68,9 @@ __all__ = [
 class EftConfig:
     """System plus dimensionless cutoff Lambda0 = Lambda/omega_t^2(kappa_z).
 
-    Lambda0 must be >= 1; values beyond the Landau pole exp(1/(N alpha)) are
-    allowed for exploratory sweeps but emit a RuntimeWarning since the theory
-    has no ground state there.
+    Lambda0 must be finite and >= 1; values beyond the Landau pole
+    exp(1/(N alpha)) are allowed for exploratory sweeps but emit a
+    RuntimeWarning since the theory has no ground state there.
     """
 
     system: SystemConfig
@@ -68,6 +80,8 @@ class EftConfig:
     def __post_init__(self) -> None:
         if self.system.units_mode is not UnitsMode.SI:
             raise UnitModeError("the continuum theory needs an SI config")
+        if not math.isfinite(self.lambda0):
+            raise DomainError(f"lambda0 must be finite, got {self.lambda0}")
         if self.lambda0 < 1.0:
             raise DomainError(f"lambda0 must be >= 1, got {self.lambda0}")
         if self.lambda0 > self.lambda0_pole:
@@ -114,9 +128,32 @@ class EftConfig:
         return 1.0 <= self.lambda0 <= self.lambda0_pole
 
 
-def effective_coupling(ecfg: EftConfig) -> float:
+def _cutoffs(ecfg: EftConfig, lambda0: float | np.ndarray | None):
+    """ecfg.lambda0, or the checked array of cutoffs a sweep asks for."""
+    if lambda0 is None:
+        return ecfg.lambda0
+    lam = np.asarray(lambda0, dtype=float)
+    if not np.all((lam >= 1.0) & (lam < math.inf)):
+        raise DomainError("lambda0 values must be finite and >= 1")
+    return lam
+
+
+def _value(x, lambda0: float | np.ndarray | None):
+    """A Python float for the scalar API, the array for a sweep."""
+    return float(x) if lambda0 is None else x
+
+
+def effective_coupling(ecfg: EftConfig,
+                       lambda0: float | np.ndarray | None = None):
     """Running collective coupling g(Lambda) = N alpha ln(Lambda0)."""
-    return ecfg.n_alpha * math.log(ecfg.lambda0)
+    return _value(ecfg.n_alpha * np.log(_cutoffs(ecfg, lambda0)), lambda0)
+
+
+def per_particle_coupling(ecfg: EftConfig,
+                          lambda0: float | np.ndarray | None = None):
+    """Per-particle coupling g(Lambda)/N = alpha ln(Lambda0); the mass
+    renormalization has its pole where it reaches 1."""
+    return _value(ecfg.alpha * np.log(_cutoffs(ecfg, lambda0)), lambda0)
 
 
 def landau_pole(ecfg: EftConfig) -> float:
@@ -154,26 +191,31 @@ def band_energy(k: float, ecfg: EftConfig) -> float:
     minus the zero-point contribution.
     """
     k_const = ecfg.constants
-    g_per = ecfg.alpha * math.log(ecfg.lambda0)
+    g_per = per_particle_coupling(ecfg)
     return k_const.hbar**2 * k * k * (1.0 - g_per) / (2.0 * k_const.m_e)
 
 
-def renormalized_mass(ecfg: EftConfig) -> float:
+def renormalized_mass(ecfg: EftConfig,
+                      lambda0: float | np.ndarray | None = None):
     """Dispersion-curvature mass m_e(Lambda) = m_e/(1 - alpha ln Lambda0).
 
     alpha ln Lambda0 is the per-particle coupling g(Lambda)/N read off the
     curvature of band_energy at k = 0; the mass diverges at the
     single-particle pole alpha ln Lambda0 = 1 (for N = 1 this coincides with
-    the Landau pole of the running coupling).
+    the Landau pole of the running coupling).  A sweep that reaches the pole
+    raises PoleError for its first cutoff there.
     """
-    g_per = ecfg.alpha * math.log(ecfg.lambda0)
-    if g_per >= 1.0:
+    g_per = per_particle_coupling(ecfg, lambda0)
+    at_pole = np.asarray(g_per >= 1.0)
+    if at_pole.any():
+        first = float(np.asarray(g_per)[at_pole][0])
         raise PoleError(
-            f"per-particle coupling {g_per:g} at or beyond the pole")
+            f"per-particle coupling {first:g} at or beyond the pole")
     return ecfg.constants.m_e / (1.0 - g_per)
 
 
-def chemical_potential(ecfg: EftConfig, k_fermi: float | None = None) -> float:
+def chemical_potential(ecfg: EftConfig, k_fermi: float | None = None,
+                       lambda0: float | np.ndarray | None = None):
     """mu = hbar^2 k_F^2 / (2 m_e(Lambda)) in joules.
 
     k_fermi defaults to the config's spin-degenerate Fermi wavevector.
@@ -181,7 +223,8 @@ def chemical_potential(ecfg: EftConfig, k_fermi: float | None = None) -> float:
     k_f = ecfg.scales.k_fermi if k_fermi is None else k_fermi
     if k_f < 0:
         raise DomainError(f"k_fermi must be non-negative, got {k_f}")
-    return ecfg.constants.hbar**2 * k_f**2 / (2.0 * renormalized_mass(ecfg))
+    return (ecfg.constants.hbar**2 * k_f**2
+            / (2.0 * renormalized_mass(ecfg, lambda0)))
 
 
 def quasiparticle_energy(k: float, ecfg: EftConfig,
@@ -204,11 +247,11 @@ def quasiparticle_energy(k: float, ecfg: EftConfig,
 class JelliumResult:
     """Jellium energy pieces in Rydberg at Wigner-Seitz radius rs."""
 
-    rs: float
-    tau: float        # kinetic term, (m_e/m_e(Lambda))/rs^2
-    eps_x: float      # exchange term, -(8 sqrt2/(3 pi))/rs
-    total: float
-    rs_min: float     # minimizer of tau + eps_x
+    rs: float | np.ndarray
+    tau: float | np.ndarray      # kinetic term, (m_e/m_e(Lambda))/rs^2
+    eps_x: float | np.ndarray    # exchange term, -(8 sqrt2/(3 pi))/rs
+    total: float | np.ndarray
+    rs_min: float                # minimizer of tau + eps_x
 
 
 _EXCHANGE_COEFF = 8.0 * math.sqrt(2.0) / (3.0 * math.pi)
@@ -220,10 +263,18 @@ def rs_minimum(ecfg: EftConfig) -> float:
     return 3.0 * math.pi / (4.0 * math.sqrt(2.0)) * mass_ratio
 
 
-def jellium(rs: float, ecfg: EftConfig) -> JelliumResult:
-    """Kinetic + exchange jellium energy per electron at radius rs (Ry)."""
-    if rs <= 0:
-        raise DomainError(f"rs must be positive, got {rs}")
+def jellium(rs: float | np.ndarray, ecfg: EftConfig) -> JelliumResult:
+    """Kinetic + exchange jellium energy per electron at radius rs (Ry).
+
+    rs may be an ndarray of radii; the energy fields then have its shape.
+    A radius that is not positive and finite raises DomainError (the first
+    one, for an array).
+    """
+    radii = np.asarray(rs, dtype=float)
+    bad = ~((radii > 0) & (radii < math.inf))
+    if bad.any():
+        first = float(radii[bad][0])
+        raise DomainError(f"rs must be positive and finite, got {first}")
     mass_ratio = ecfg.constants.m_e / renormalized_mass(ecfg)
     tau = mass_ratio / rs**2
     eps_x = -_EXCHANGE_COEFF / rs
@@ -231,7 +282,8 @@ def jellium(rs: float, ecfg: EftConfig) -> JelliumResult:
                          rs_min=rs_minimum(ecfg))
 
 
-def casimir_energy_density(ecfg: EftConfig) -> float:
+def casimir_energy_density(ecfg: EftConfig,
+                           lambda0: float | np.ndarray | None = None):
     """Zero-point energy per area of the dressed in-plane continuum.
 
     Integrating hbar omega_t(kappa) (two polarizations at half a quantum
@@ -240,10 +292,12 @@ def casimir_energy_density(ecfg: EftConfig) -> float:
     """
     k = ecfg.constants
     omega_t3 = ecfg.omega_tilde_sq_cutoff ** 1.5
-    return k.hbar * (ecfg.lambda0**1.5 - 1.0) * omega_t3 / (6.0 * math.pi * k.c**2)
+    grow = _cutoffs(ecfg, lambda0) ** 1.5 - 1.0
+    return _value(k.hbar * grow * omega_t3 / (6.0 * math.pi * k.c**2), lambda0)
 
 
-def casimir_pressure(ecfg: EftConfig) -> float:
+def casimir_pressure(ecfg: EftConfig,
+                     lambda0: float | np.ndarray | None = None):
     """Outward force per area on the mirrors, -d(E/S)/dL_z at fixed Lambda0, n_2d.
 
     Positive (repulsive) for Lambda0 > 1.  Both the standing-wave momentum
@@ -254,8 +308,9 @@ def casimir_pressure(ecfg: EftConfig) -> float:
     k = ecfg.constants
     omega_t = math.sqrt(ecfg.omega_tilde_sq_cutoff)
     bracket = 2.0 * (k.c * ecfg.kappa_z) ** 2 + ecfg.scales.omega_p**2
-    return (k.hbar * (ecfg.lambda0**1.5 - 1.0) * omega_t * bracket
-            / (4.0 * math.pi * k.c**2 * ecfg.system.mirror_gap))
+    grow = _cutoffs(ecfg, lambda0) ** 1.5 - 1.0
+    return _value(k.hbar * grow * omega_t * bracket
+                  / (4.0 * math.pi * k.c**2 * ecfg.system.mirror_gap), lambda0)
 
 
 def coupling_1d(kappa_max: float, omega: float, omega_p: float,
@@ -318,7 +373,8 @@ def eft_chi_aa(f: BroadenedFrequency, ecfg: EftConfig) -> ResponseValue:
     height 1/(4 c^2 eps0 L_z) supported on omega_t(kappa_z) < |w| <
     sqrt(Lambda), negative on the positive-frequency window; the real part
     stays finite except at the four edge frequencies, where the log diverges
-    and a PoleError is raised.
+    and a PoleError is raised.  An ndarray f.w gives arrays of its shape;
+    at eta = 0 the first probe on an edge raises.
     """
     w, eta = f.w, f.eta
     k = ecfg.constants
@@ -327,26 +383,26 @@ def eft_chi_aa(f: BroadenedFrequency, ecfg: EftConfig) -> ResponseValue:
     pref_re = 1.0 / (8.0 * math.pi * k.c**2 * k.eps0 * lz)
     pref_im = 1.0 / (4.0 * k.c**2 * k.eps0 * lz)
     if eta == 0.0:
-        for edge in (lo, hi, -lo, -hi):
-            if w == edge:
-                raise PoleError(
-                    f"Re chi has a log divergence at w = {edge:g} for eta = 0")
-        re = pref_re * (math.log((w - lo) ** 2 / (w - hi) ** 2)
-                        + math.log((w + lo) ** 2 / (w + hi) ** 2))
-        if lo < w < hi:
-            im = -pref_im
-        elif -hi < w < -lo:
-            im = pref_im
-        else:
-            im = 0.0
-        return ResponseValue(ResponseKind.AA, re, im)
-    eta2 = eta * eta
-    re = pref_re * (
-        math.log(((w - lo) ** 2 + eta2) / ((w - hi) ** 2 + eta2))
-        + math.log(((w + lo) ** 2 + eta2) / ((w + hi) ** 2 + eta2)))
-    im = (pref_im / math.pi) * (
-        math.atan((hi + w) / eta) - math.atan((lo + w) / eta)
-        + math.atan((lo - w) / eta) - math.atan((hi - w) / eta))
+        on_edge = np.asarray((w == lo) | (w == hi) | (w == -lo) | (w == -hi))
+        if on_edge.any():
+            w_edge = np.asarray(w)[on_edge][0]
+            edge = next(e for e in (lo, hi, -lo, -hi) if w_edge == e)
+            raise PoleError(
+                f"Re chi has a log divergence at w = {edge:g} for eta = 0")
+        re = pref_re * (np.log((w - lo) ** 2 / (w - hi) ** 2)
+                        + np.log((w + lo) ** 2 / (w + hi) ** 2))
+        im = np.where((lo < w) & (w < hi), -pref_im,
+                      np.where((-hi < w) & (w < -lo), pref_im, 0.0))
+    else:
+        eta2 = eta * eta
+        re = pref_re * (
+            np.log(((w - lo) ** 2 + eta2) / ((w - hi) ** 2 + eta2))
+            + np.log(((w + lo) ** 2 + eta2) / ((w + hi) ** 2 + eta2)))
+        im = (pref_im / math.pi) * (
+            np.arctan((hi + w) / eta) - np.arctan((lo + w) / eta)
+            + np.arctan((lo - w) / eta) - np.arctan((hi - w) / eta))
+    if np.ndim(w) == 0:
+        re, im = float(re), float(im)
     return ResponseValue(ResponseKind.AA, re, im)
 
 

@@ -2,20 +2,35 @@
 
 from __future__ import annotations
 
-import io
 from pathlib import Path
 from typing import Iterable, Sequence
 
-__all__ = ["format_float", "write_csv"]
+__all__ = ["format_rows", "write_csv"]
 
 FLOAT_DIGITS = 17   # round-trips IEEE doubles exactly
 
 
-def format_float(x: float, digits: int = FLOAT_DIGITS) -> str:
-    """Fixed significant-digit rendering; integers stay integral-looking."""
-    if isinstance(x, (int,)) and not isinstance(x, bool):
-        return str(x)
-    return repr(float(x)) if digits >= FLOAT_DIGITS else f"{float(x):.{digits}g}"
+def format_rows(rows: Iterable[Sequence], digits: int = FLOAT_DIGITS,
+                end: str = "\n") -> str:
+    """Render rows as comma-separated lines, each terminated by ``end``.
+
+    This is the one row formatter of every CSV the library writes.  At the
+    default 17 digits each value is written with ``str``: for a float that is
+    its shortest round-tripping repr (numpy float64 scalars render the same
+    way), for anything else its plain text.  With fewer digits floats are
+    written with ``digits`` significant digits (``%g``) and everything else,
+    integers included, with ``str``.  An ndarray of rows is converted with
+    ``tolist`` first.
+    """
+    if hasattr(rows, "tolist"):
+        rows = rows.tolist()
+    if digits >= FLOAT_DIGITS:
+        lines = [",".join(map(str, row)) for row in rows]
+    else:
+        spec = f".{digits}g"
+        lines = [",".join([format(v, spec) if isinstance(v, float) else str(v)
+                           for v in row]) for row in rows]
+    return end.join(lines) + end if lines else ""
 
 
 def write_csv(target, columns: Sequence[str], rows: Iterable[Sequence],
@@ -30,10 +45,7 @@ def write_csv(target, columns: Sequence[str], rows: Iterable[Sequence],
     fh = open(target, "w", encoding="utf-8", newline="") if own else target
     try:
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(
-                format_float(v, digits) if isinstance(v, float) else str(v)
-                for v in row) + "\n")
+        fh.write(format_rows(rows, digits))
     finally:
         if own:
             fh.close()

@@ -94,6 +94,8 @@ class ModeSet:
             kappa = np.asarray(self.kappa, dtype=float)
             if kappa.shape != (omega.size, 3):
                 raise PreconditionError("kappa must have shape (M, 3)")
+            if not np.isfinite(kappa).all():
+                raise PreconditionError("mode momenta must be finite")
             if not self.allow_nontransverse:
                 dots = np.abs(np.einsum("ij,ij->i", kappa, pol))
                 scale = np.linalg.norm(kappa, axis=1)

@@ -12,6 +12,12 @@ Real and imaginary parts are implemented as separate closed forms (not via
 generic complex pole algebra) so each can be tested against the Laplace
 transform of the time-domain kernel independently.
 
+Sweeps: the frequency-domain closed forms are plain arithmetic on w, so
+``BroadenedFrequency.w`` may be an ndarray.  chi_aa_freq, chi_ea_freq,
+chi_jj_freq, chi_mixed_freq, optical_conductivity and absorption_rate then
+evaluate a whole sweep in one call and return arrays of w's shape (in
+``ResponseValue.re``/``.im``); eta stays a scalar.
+
 Unit modes: in SI everything is dimensionful.  In Ratio mode the same
 formulas are evaluated with eps0 = V = 1 and frequencies in units of the bare
 mode frequency; matter-coupled kinds (jj, ja, aj) need e^2 N/m_e and are SI
@@ -60,21 +66,29 @@ class ResponseKind(enum.Enum):
 
 @dataclass(frozen=True)
 class BroadenedFrequency:
-    """Probe frequency w with Lorentzian broadening eta (same units as w)."""
+    """Probe frequency w with Lorentzian broadening eta (same units as w).
 
-    w: float
+    w is a float or an ndarray of probe frequencies (a sweep); eta is one
+    finite, non-negative float.
+    """
+
+    w: float | np.ndarray
     eta: float
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.eta):
+            raise DomainError(f"eta must be finite, got {self.eta}")
         if self.eta < 0:
             raise DomainError(f"eta must be non-negative, got {self.eta}")
 
 
 @dataclass(frozen=True)
 class ResponseValue:
+    """Real and imaginary parts; floats, or arrays of the probe's shape."""
+
     kind: ResponseKind
-    re: float
-    im: float
+    re: float | np.ndarray
+    im: float | np.ndarray
 
     @property
     def as_complex(self) -> complex:

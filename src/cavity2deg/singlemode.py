@@ -27,6 +27,7 @@ import numpy as np
 from .constants import CODATA2018, Constants
 from .core import DerivedScales
 from .exceptions import DomainError, PreconditionError
+from .io_utils import format_rows
 
 __all__ = [
     "SpectrumIndex",
@@ -192,17 +193,17 @@ class OccupancyGrid:
         j_hi = math.ceil((cy + reach) / h)
         kx = (np.arange(i_lo, i_hi) + 0.5) * h
         ky = (np.arange(j_lo, j_hi) + 0.5) * h
-        gx, gy = np.meshgrid(kx - cx, ky - cy, indexing="ij")
-        dist = np.hypot(gx, gy)
+        dx, dy = kx - cx, ky - cy
+        dist_sq = dx[:, None] ** 2 + dy[None, :] ** 2
         half_diag = h * math.sqrt(0.5)
-        f = np.where(dist <= radius - half_diag, fill, 0.0)
-        cell_area = h * h
-        for i, j in zip(*np.nonzero(
-                (dist > radius - half_diag) & (dist < radius + half_diag))):
-            x_mid, y_mid = gx[i, j], gy[i, j]
-            area = _disk_cell_overlap(x_mid - h / 2, x_mid + h / 2,
-                                      y_mid - h / 2, y_mid + h / 2, radius)
-            f[i, j] = fill * area / cell_area
+        inner_sq = (radius - half_diag) ** 2
+        f = np.where(dist_sq <= inner_sq, fill, 0.0)
+        i, j = np.nonzero((dist_sq > inner_sq)
+                          & (dist_sq < (radius + half_diag) ** 2))
+        x_mid, y_mid = dx[i], dy[j]
+        area = _disk_cell_overlaps(x_mid - h / 2, x_mid + h / 2,
+                                   y_mid - h / 2, y_mid + h / 2, radius)
+        f[i, j] = fill * area / (h * h)
         return cls(kx, ky, f)
 
     def to_csv(self, target: str | Path | TextIO) -> None:
@@ -211,12 +212,12 @@ class OccupancyGrid:
             with open(target, "w", newline="") as fh:
                 self.to_csv(fh)
             return
-        writer = csv.writer(target)
-        writer.writerow(["kx", "ky", "f"])
-        for i, x in enumerate(self.kx):
-            for j, y in enumerate(self.ky):
-                writer.writerow([repr(float(x)), repr(float(y)),
-                                 repr(float(self.f[i, j]))])
+        # CRLF line ends, as the csv module's default dialect writes them
+        target.write("kx,ky,f\r\n")
+        nx, ny = self.kx.size, self.ky.size
+        target.write(format_rows(zip(np.repeat(self.kx, ny).tolist(),
+                                     np.tile(self.ky, nx).tolist(),
+                                     self.f.ravel().tolist()), end="\r\n"))
 
     @classmethod
     def from_csv(cls, source: str | Path | TextIO) -> "OccupancyGrid":
@@ -284,15 +285,57 @@ def _disk_cell_overlap(x0: float, x1: float, y0: float, y1: float,
     return clip_integral(y1) - clip_integral(y0)
 
 
+def _disk_cell_overlaps(x0: np.ndarray, x1: np.ndarray, y0: np.ndarray,
+                        y1: np.ndarray, radius: float) -> np.ndarray:
+    """``_disk_cell_overlap`` over arrays of cells, in one numpy pass.
+
+    Each branch of the scalar function becomes a mask, and every term is
+    the same expression on the same operands, so a cell's area differs from
+    the scalar one only where numpy's arcsin and math.asin round apart.
+    Both cancel in phi(hi) - phi(lo) ~ R^2 for a cell of area h^2, so either
+    is accurate to a few eps * (R/h)^2 relative.
+    """
+    r2 = radius * radius
+    a = np.maximum(x0, -radius)
+    b = np.minimum(x1, radius)
+
+    def phi(x):
+        # antiderivative of sqrt(R^2 - x^2)
+        s = np.sqrt(np.maximum(r2 - x * x, 0.0))
+        return 0.5 * (x * s + r2 * np.arcsin(np.clip(x / radius, -1.0, 1.0)))
+
+    def chord(t):
+        # integral over [a, b] of min(t, sqrt(R^2 - x^2)), t >= 0
+        xc = np.sqrt(np.maximum(r2 - t * t, 0.0))
+        left_hi = np.minimum(b, -xc)
+        mid_lo, mid_hi = np.maximum(a, -xc), np.minimum(b, xc)
+        right_lo = np.maximum(a, xc)
+        total = (np.where(left_hi > a, phi(left_hi) - phi(a), 0.0)
+                 + np.where(mid_hi > mid_lo, t * (mid_hi - mid_lo), 0.0)
+                 + np.where(b > right_lo, phi(b) - phi(right_lo), 0.0))
+        return np.where(t >= radius, phi(b) - phi(a), total)
+
+    def clip_integral(y):
+        return np.where(y == 0.0, 0.0, np.copysign(chord(np.abs(y)), y))
+
+    return np.where(b > a, clip_integral(y1) - clip_integral(y0), 0.0)
+
+
 def distribution_moments(grid: OccupancyGrid) -> DistributionMoments:
-    """Midpoint-rule moments with measure d^2k/(2 pi)^2 over the stored f."""
+    """Midpoint-rule moments with measure d^2k/(2 pi)^2 over the stored f.
+
+    The weights kx, ky and kx^2 + ky^2 are separable, so the momentum and
+    kinetic moments come from the row and column sums of f.
+    """
     hx, hy = grid.spacing
     w = hx * hy / (2.0 * math.pi) ** 2
-    gx, gy = np.meshgrid(grid.kx, grid.ky, indexing="ij")
-    n_2d = w * float(grid.f.sum())
-    kdx = w * float((grid.f * gx).sum())
-    kdy = w * float((grid.f * gy).sum())
-    t_d = w * float((grid.f * (gx**2 + gy**2)).sum())
+    f = grid.f
+    rows = f.sum(axis=1)     # f 1: occupancy per kx column of cells
+    cols = f.sum(axis=0)     # 1^T f: occupancy per ky row of cells
+    n_2d = w * float(f.sum())
+    kdx = w * float(grid.kx @ rows)
+    kdy = w * float(cols @ grid.ky)
+    t_d = w * float(grid.kx**2 @ rows + cols @ grid.ky**2)
     return DistributionMoments(t_d=t_d, k_d=(kdx, kdy), n_2d=n_2d)
 
 

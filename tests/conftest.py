@@ -38,3 +38,18 @@ def eft_si_config(si_config):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260825)
+
+
+@pytest.fixture
+def assert_matches_loop():
+    """Checks an array-in sweep against the per-point scalar calls that are
+    its oracle: each value within rel 1e-14 of its scalar, or within 1e-14
+    of the column's largest magnitude (where the closed form cancels)."""
+    def check(got, want):
+        got = np.asarray(got, dtype=float)
+        want = np.asarray(want, dtype=float)
+        assert got.shape == want.shape
+        scale = np.abs(want).max(initial=0.0)
+        tol = np.maximum(1e-14 * np.abs(want), 1e-14 * scale)
+        assert np.all(np.abs(got - want) <= tol)
+    return check

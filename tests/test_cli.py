@@ -8,12 +8,26 @@ captured with capsys.  Exit code conventions under test:
 
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cavity2deg import ConfigError, ConvergenceError, PreconditionError
-from cavity2deg.cli import OutputRecord, SweepSpec, main
+import cavity2deg
+from cavity2deg import (BroadenedFrequency, ConfigError, ConvergenceError,
+                        DerivedScales, EftConfig, PoleError,
+                        PreconditionError, SystemConfig,
+                        casimir_energy_density, casimir_pressure,
+                        chemical_potential, chi_mixed_freq, effective_coupling,
+                        eft_chi_aa, jellium, optical_conductivity,
+                        renormalized_mass)
+from cavity2deg import cli
+from cavity2deg.cli import (OutputRecord, SweepSpec, cmd_eft, cmd_response,
+                            main)
 
 
 def run(capsys, *argv):
@@ -48,6 +62,9 @@ class TestSweepSpec:
         "=0:2:5",           # empty variable
         "w=a:2:5",          # non-numeric
         "lambda0=0:10:5:log",   # log needs positive endpoints
+        "gamma=nan:1:3",        # non-finite endpoints
+        "w=0:inf:3",
+        "w=-1e308:1e308:3",     # finite endpoints, overflowing span
     ])
     def test_parse_rejects(self, text):
         with pytest.raises(ConfigError):
@@ -88,6 +105,26 @@ class TestOutputRecord:
     def test_render_unknown_format(self):
         with pytest.raises(ConfigError):
             self.make().render("yaml")
+
+    @pytest.mark.parametrize("columns, rows", [
+        (("a", "b"), [(1.0, 2), (-0.0, 12345678901234567890)]),
+        (("g", "phase", "n"), [(0.1, "Stable", None), (1e-300, "Crit\"ical\u00e9", 3)]),
+        (("x", "y"), [(1.0, "x"), ("y", 2), (True, None)]),
+        (("x", "y", "z"), [(math.nan, math.inf, -math.inf),
+                           (np.float64(0.1), 1.0, 2.0)]),
+        (("x",), []),
+        ((), [(), ()]),
+    ])
+    def test_json_is_json_dumps(self, columns, rows):
+        rec = self.make(columns=columns, rows=rows,
+                        config={"units_mode": "ratio", "ratio": 0.5,
+                                "nested": [1, None, "s"]},
+                        summary={"band_counts": {"Stable": 2}, "x": 1.5})
+        body = {"command": rec.command, "config": rec.config,
+                "params": rec.params, "columns": list(rec.columns),
+                "rows": [list(r) for r in rec.rows], "summary": rec.summary,
+                "provenance": rec.provenance}
+        assert rec.to_json() == json.dumps(body, indent=1) + "\n"
 
 
 class TestDeterminism:
@@ -338,3 +375,168 @@ class TestUsageErrors:
             main(["--version"])
         assert exc.value.code == 0
         assert "cavity2deg" in capsys.readouterr().out
+
+
+class TestNonFiniteInput:
+    """Non-finite input and rows that overflow end in exit 2 or 3 with no
+    output and no numpy warning; none of these exits 0."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["phase", "--sweep", "gamma=nan:1:3"], 2),
+        (["phase", "--sweep", "gamma=0:inf:3"], 2),
+        (["response", "aa", "--sweep", "w=-1e308:1e308:3"], 2),
+        (["eft", "mass", "--sweep", "lambda0=1:inf:3"], 2),
+        (["response", "aa", "--eta", "nan"], 3),
+        (["response", "sigma", "--eta", "inf"], 3),
+        (["eft", "mass", "--lambda0", "nan", "--format", "json"], 3),
+        (["eft", "coupling", "--lambda0", "inf"], 3),
+        (["eft", "chi", "--eta", "nan"], 3),
+        # lambda0^1.5 overflows
+        (["eft", "casimir", "--sweep", "lambda0=1:1e300:3", "--format",
+          "json"], 3),
+        # the log of inf/inf
+        (["eft", "chi", "--lambda0", "6", "--sweep", "w=1e300:1e301:3"], 3),
+        # rs^2 underflows to 0
+        (["eft", "jellium", "--lambda0", "6", "--sweep",
+          "rs=1e-200:1e-190:3"], 3),
+    ])
+    def test_exit_code(self, capsys, argv, code):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, out, err = run(capsys, *argv)
+        assert got == code
+        assert out == ""
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("text", [
+        "units_mode = ratio\nratio = nan\n",
+        "n_electrons = 100\narea = inf\nmirror_gap = 1e-6\n",
+    ])
+    def test_non_finite_config(self, capsys, tmp_path, text):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(text)
+        code, out, err = run(capsys, "phase", "--config", str(cfg))
+        assert code == 2
+        assert "finite" in err
+
+
+class TestParserReuse:
+    def test_successive_calls_match_fresh_parsers(self, capsys):
+        argvs = [("phase", "--format", "json"),
+                 ("response", "aa", "--sweep", "w=0:1e13:5"),
+                 ("eft", "jellium", "--sweep", "rs=1:2:3"),
+                 ("phase", "--sweep", "gamma=nan:1:3")]
+        reused = [run(capsys, *a) for a in argvs]
+        fresh = []
+        for a in argvs:
+            cli._build_parser.cache_clear()
+            fresh.append(run(capsys, *a))
+        assert reused == fresh
+
+
+def pointwise_eft(sub, system, lams):
+    """The lambda0 sweep of cmd_eft evaluated one EftConfig per point: the
+    rows, the beyond-window count and the truncation notice."""
+    rows, beyond, notice = [], 0, None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for lam in lams.tolist():
+            ecfg = EftConfig(system=system, lambda0=lam)
+            beyond += not ecfg.in_stability_window
+            try:
+                if sub == "coupling":
+                    rows.append((lam, effective_coupling(ecfg)))
+                elif sub == "mass":
+                    rows.append((lam, renormalized_mass(ecfg)))
+                elif sub == "mu":
+                    rows.append((lam, chemical_potential(ecfg)))
+                else:
+                    rows.append((lam, casimir_energy_density(ecfg),
+                                 casimir_pressure(ecfg)))
+            except PoleError as exc:
+                notice = f"sweep truncated at lambda0 = {lam!r}: {exc}"
+                break
+    return rows, beyond, notice
+
+
+class TestSweepsMatchPointwise:
+    """Each CLI sweep is one array call; per-point scalar calls are the
+    oracle for its rows and for the sweep bookkeeping."""
+
+    # two electrons in a 1 pm gap: the Landau pole sits near 1e77 and the
+    # per-particle mass pole near 1e154, both inside a representable sweep
+    STRONG = SystemConfig.si(2, 1e-8, 1e-12)
+
+    @pytest.mark.parametrize("sub, sweep", [
+        ("coupling", "lambda0=1:1e200:21:log"),
+        ("mass", "lambda0=1:1e200:21:log"),
+        ("mu", "lambda0=1:1e200:21:log"),
+        ("casimir", "lambda0=1:1e100:21:log"),
+        ("mass", "lambda0=1e200:1:21:log"),
+    ])
+    def test_cutoff_sweeps(self, sub, sweep, assert_matches_loop):
+        spec = SweepSpec.parse(sweep)
+        rec = cmd_eft(sub, self.STRONG, spec)
+        rows, beyond, notice = pointwise_eft(sub, self.STRONG, spec.grid())
+        assert len(rec.rows) == len(rows)
+        for col in range(len(rec.columns)):
+            assert_matches_loop([r[col] for r in rec.rows],
+                                [r[col] for r in rows])
+        assert rec.summary.get("truncation_notice") == notice
+        assert rec.summary.get("rows_beyond_stability_window", 0) == beyond
+
+    def test_truncation_and_window_are_exercised(self):
+        rec = cmd_eft("mass", self.STRONG,
+                      SweepSpec.parse("lambda0=1:1e200:21:log"))
+        assert "truncation_notice" in rec.summary
+        assert rec.summary["rows_beyond_stability_window"] > 1
+
+    @pytest.mark.parametrize("kind, func", [
+        ("sigma", optical_conductivity),
+        ("ja", chi_mixed_freq),
+    ])
+    def test_response(self, kind, func, assert_matches_loop):
+        config = cli._default_config()
+        scales = DerivedScales(config)
+        eta = 0.01 * scales.omega_tilde
+        spec = SweepSpec.parse(f"w={-3 * scales.omega_tilde!r}:"
+                               f"{3 * scales.omega_tilde!r}:301")
+        rec = cmd_response(kind, config, spec)
+        want = [func(BroadenedFrequency(w, eta), scales)
+                for w in spec.grid().tolist()]
+        assert [r[0] for r in rec.rows] == spec.grid().tolist()
+        assert_matches_loop([r[1] for r in rec.rows], [v.re for v in want])
+        assert_matches_loop([r[2] for r in rec.rows], [v.im for v in want])
+
+    def test_jellium(self, assert_matches_loop):
+        config = cli._default_config()
+        spec = SweepSpec.parse("rs=0.3:14:50:log")
+        rec = cmd_eft("jellium", config, spec, lambda0=8.0)
+        ecfg = EftConfig(system=config, lambda0=8.0)
+        want = [jellium(rs, ecfg) for rs in spec.grid().tolist()]
+        for col, field in enumerate(("rs", "tau", "eps_x", "total")):
+            assert_matches_loop([r[col] for r in rec.rows],
+                                [getattr(v, field) for v in want])
+
+    @pytest.mark.parametrize("eta", [None, 0.0])
+    def test_chi(self, eta, assert_matches_loop):
+        config = cli._default_config()
+        rec = cmd_eft("chi", config, None, lambda0=6.0, eta=eta)
+        ecfg = EftConfig(system=config, lambda0=6.0)
+        eta = rec.params["eta"]
+        want = [eft_chi_aa(BroadenedFrequency(r[0], eta), ecfg)
+                for r in rec.rows]
+        assert_matches_loop([r[1] for r in rec.rows], [v.re for v in want])
+        assert_matches_loop([r[2] for r in rec.rows], [v.im for v in want])
+
+
+class TestImportFloor:
+    def test_cli_import_loads_no_scipy(self):
+        # every workload's start-up time rests on this import
+        src = Path(cavity2deg.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src), os.environ.get("PYTHONPATH", "")]))
+        subprocess.run(
+            [sys.executable, "-c",
+             "import cavity2deg.cli, sys; assert 'scipy' not in sys.modules"],
+            env=env, check=True, timeout=120)

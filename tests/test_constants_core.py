@@ -59,6 +59,19 @@ class TestSystemConfig:
             SystemConfig.si(n_electrons=10, area=1e-8, mirror_gap=1e-6,
                             cavity_index=0)
 
+    @pytest.mark.parametrize("field", ["area", "mirror_gap", "mode_frequency"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_si_rejects_non_finite(self, field, bad):
+        kw = dict(n_electrons=10, area=1e-8, mirror_gap=1e-6)
+        kw[field] = bad
+        with pytest.raises(ConfigError, match="finite"):
+            SystemConfig.si(**kw)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_ratio_rejects_non_finite(self, bad):
+        with pytest.raises(ConfigError, match="finite"):
+            SystemConfig.from_ratio(bad)
+
     def test_mode_exclusivity(self):
         # ratio is a pure-number field, SI fields are dimensionful: never both
         with pytest.raises(ConfigError):
@@ -184,6 +197,11 @@ class TestPhaseClassifier:
     def test_negative_gamma_rejected(self):
         with pytest.raises(DomainError):
             classify_phase(-0.1)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+    def test_non_finite_gamma_rejected(self, gamma):
+        with pytest.raises(DomainError, match="finite"):
+            classify_phase(gamma)
 
     @given(st.floats(0.0, 0.999))
     def test_subcritical_band_is_stable(self, gamma):

@@ -2,6 +2,7 @@
 jellium, and the broadened continuum response.
 
 Oracles:
+  * per-point scalar calls for every array-in sweep,
   * radial momentum quadrature for the running coupling, the zero-point
     energy density, and the 1D mode sum,
   * finite differences for curvature masses and the Casimir pressure,
@@ -18,6 +19,7 @@ Frozen numbers (50-digit arbitrary-precision evaluation):
 """
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -50,6 +52,7 @@ from cavity2deg import (
     landau_pole,
     mass_3d,
     mass_3d_first_order,
+    per_particle_coupling,
     pole_3d,
     quasiparticle_energy,
     renormalized_mass,
@@ -477,6 +480,89 @@ class TestContinuumResponse:
         lo, _ = self.edges()
         val = eft_chi_aa(BroadenedFrequency(x * lo, y * lo), self.CFG)
         assert val.im <= 0.0
+
+
+class TestArraySweeps:
+    """Array-in sweeps against per-point scalar calls, one EftConfig each."""
+
+    SYSTEM = default_system()
+    CUTOFF_FUNCS = [effective_coupling, per_particle_coupling,
+                    renormalized_mass, chemical_potential,
+                    casimir_energy_density, casimir_pressure]
+
+    def at(self, lam):
+        with warnings.catch_warnings():      # beyond the Landau pole
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return EftConfig(system=self.SYSTEM, lambda0=float(lam))
+
+    @pytest.mark.parametrize("func", CUTOFF_FUNCS)
+    def test_cutoff_sweep(self, func, assert_matches_loop):
+        base = self.at(1.0)
+        lams = np.concatenate([np.linspace(1.0, 40.0, 97),
+                               np.geomspace(1.0, 1e6, 50)])
+        got = func(base, lambda0=lams)
+        assert_matches_loop(got, [func(self.at(x)) for x in lams])
+        assert type(func(self.at(7.0))) is float
+
+    def test_sweep_reaching_the_pole(self):
+        # per-particle pole at alpha ln Lambda0 = 1: the first cutoff there
+        # raises, with the message the point-by-point call gives
+        base = strong_coupling_config(0.5)
+        lams = np.exp(np.array([0.5, 0.9, 1.2, 1.5]) / base.alpha)
+        with pytest.raises(PoleError) as swept:
+            renormalized_mass(base, lambda0=lams)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            at_pole = EftConfig(system=base.system, lambda0=float(lams[2]))
+        with pytest.raises(PoleError) as scalar:
+            renormalized_mass(at_pole)
+        assert str(swept.value) == str(scalar.value)
+        with pytest.raises(PoleError):
+            chemical_potential(base, lambda0=lams)
+
+    @pytest.mark.parametrize("bad", [[0.5], [1.0, math.nan], [math.inf]])
+    def test_bad_cutoffs_rejected(self, bad):
+        with pytest.raises(DomainError, match="lambda0"):
+            effective_coupling(self.at(1.0), lambda0=np.array(bad))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_lambda0_rejected(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            EftConfig(system=self.SYSTEM, lambda0=bad)
+
+    def test_jellium(self, assert_matches_loop):
+        ecfg = self.at(8.0)
+        rs = np.geomspace(0.2, 20.0, 301)
+        got = jellium(rs, ecfg)
+        want = [jellium(float(x), ecfg) for x in rs]
+        for field in ("tau", "eps_x", "total"):
+            assert_matches_loop(getattr(got, field),
+                                [getattr(v, field) for v in want])
+        assert got.rs_min == rs_minimum(ecfg)
+
+    def test_jellium_names_first_bad_radius(self):
+        with pytest.raises(DomainError, match="-0.5"):
+            jellium(np.array([1.0, -0.5, 0.0, math.nan]), self.at(8.0))
+
+    @pytest.mark.parametrize("eta_over_lo", [1e-3, 0.0])
+    def test_chi(self, eta_over_lo, assert_matches_loop):
+        ecfg = self.at(6.0)
+        lo = math.sqrt(ecfg.omega_tilde_sq_cutoff)
+        hi = lo * math.sqrt(6.0)
+        w = np.linspace(-1.5 * hi, 1.5 * hi, 600)   # no point on an edge
+        eta = eta_over_lo * lo
+        got = eft_chi_aa(BroadenedFrequency(w, eta), ecfg)
+        want = [eft_chi_aa(BroadenedFrequency(float(x), eta), ecfg) for x in w]
+        assert_matches_loop(got.re, [v.re for v in want])
+        assert_matches_loop(got.im, [v.im for v in want])
+
+    def test_chi_sharp_edge_names_first_edge_hit(self):
+        ecfg = self.at(6.0)
+        lo = math.sqrt(ecfg.omega_tilde_sq_cutoff)
+        hi = lo * math.sqrt(6.0)
+        with pytest.raises(PoleError, match=re.escape(f"w = {hi:g} ")):
+            eft_chi_aa(BroadenedFrequency(np.array([0.5 * lo, hi, lo]), 0.0),
+                       ecfg)
 
 
 class TestEftSummary:

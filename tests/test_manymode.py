@@ -105,6 +105,13 @@ class TestModeSet:
         with pytest.raises(PreconditionError, match="finite"):
             ModeSet.ladder_1d(3, omega_fundamental=bad)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_momenta_rejected(self, bad):
+        # a NaN momentum makes every transversality comparison False
+        with pytest.raises(PreconditionError, match="finite"):
+            ModeSet(omega=np.array([1.0]), pol=np.array([[1.0, 0.0, 0.0]]),
+                    kappa=np.array([[bad, 0.0, 0.0]]))
+
 
 class TestBuildW:
     def test_parallel_ladder_matrix(self):

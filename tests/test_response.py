@@ -24,6 +24,7 @@ from cavity2deg import (
     ResponseKind,
     SystemConfig,
     UnitModeError,
+    UnitsMode,
     absorption_rate,
     chi_aa_freq,
     chi_aa_time,
@@ -97,6 +98,11 @@ class TestFrequencyResponses:
         with pytest.raises(DomainError):
             BroadenedFrequency(1.0, -0.1)
 
+    @pytest.mark.parametrize("eta", [math.nan, math.inf])
+    def test_non_finite_broadening_rejected(self, eta):
+        with pytest.raises(DomainError, match="finite"):
+            BroadenedFrequency(1.0, eta)
+
     def test_complex_pole_algebra_oracle(self):
         # recompute the split closed forms with plain complex arithmetic
         for w in (-2.0, 0.0, 0.3, OMEGA_T_RATIO, 2.5):
@@ -153,6 +159,44 @@ class TestFrequencyResponses:
         f = BroadenedFrequency(w, 0.02)
         val = chi_aa_freq(f, RATIO_SCALES)
         assert val.im * w <= 0.0
+
+
+class TestArraySweeps:
+    """A BroadenedFrequency with an ndarray w evaluates a whole sweep in one
+    call; the per-point scalar calls are its oracle."""
+
+    @staticmethod
+    def sweep(scales):
+        wt = (scales.omega_tilde_over_omega
+              if scales.config.units_mode is UnitsMode.RATIO
+              else scales.omega_tilde)
+        w = np.append(np.linspace(-3 * wt, 3 * wt, 601), [wt, -wt, 0.0])
+        return w, 0.01 * wt
+
+    def check(self, func, scales, assert_matches_loop):
+        w, eta = self.sweep(scales)
+        got = func(BroadenedFrequency(w, eta), scales)
+        want = [func(BroadenedFrequency(float(x), eta), scales) for x in w]
+        assert_matches_loop(got.re, [v.re for v in want])
+        assert_matches_loop(got.im, [v.im for v in want])
+
+    @pytest.mark.parametrize("func", [chi_aa_freq, chi_ea_freq,
+                                      optical_conductivity])
+    @pytest.mark.parametrize("units", ["si", "ratio"])
+    def test_field_kinds(self, func, units, assert_matches_loop):
+        scales = si_scales() if units == "si" else RATIO_SCALES
+        self.check(func, scales, assert_matches_loop)
+
+    @pytest.mark.parametrize("func", [chi_jj_freq, chi_mixed_freq])
+    def test_matter_kinds(self, func, assert_matches_loop):
+        self.check(func, si_scales(), assert_matches_loop)
+
+    def test_absorption_rate(self, assert_matches_loop):
+        w, eta = self.sweep(RATIO_SCALES)
+        got = absorption_rate(BroadenedFrequency(w, eta), RATIO_SCALES, 0.3)
+        want = [absorption_rate(BroadenedFrequency(float(x), eta),
+                                RATIO_SCALES, 0.3) for x in w]
+        assert_matches_loop(got, want)
 
 
 class TestProportionalityWeb:

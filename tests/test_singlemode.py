@@ -2,7 +2,8 @@
 
 Numerical oracles used here:
   * cell/disk overlap: 1D adaptive quadrature of the chord length with
-    breakpoints at every kink of the integrand,
+    breakpoints at every kink of the integrand; the scalar overlap, cell by
+    cell, is in turn the oracle of the one-pass array overlap,
   * disk moments: closed-form disk integrals f k_F^2/(4 pi), f k_F^4/(8 pi).
 """
 
@@ -31,7 +32,7 @@ from cavity2deg import (
     instability_witness,
     optimal_origin,
 )
-from cavity2deg.singlemode import _disk_cell_overlap
+from cavity2deg.singlemode import _disk_cell_overlap, _disk_cell_overlaps
 
 HBAR = CODATA2018.hbar
 M_E = CODATA2018.m_e
@@ -213,6 +214,63 @@ class TestDiskOverlap:
             math.pi, rel=1e-14)
 
 
+class TestVectorDisk:
+    """OccupancyGrid.disk evaluates all boundary cells in one numpy pass.
+
+    Both it and the scalar overlap cancel in phi(hi) - phi(lo) ~ R^2 for a
+    cell of area h^2, so they agree to a few eps * cpr^2 * fill per cell,
+    not to a fixed relative tolerance.
+    """
+
+    @pytest.mark.parametrize("cpr", [2, 3, 7, 32, 64, 128, 256])
+    def test_cells_match_scalar_overlap(self, cpr, rng):
+        for _ in range(2):
+            radius = float(rng.uniform(0.5, 2.0))
+            center = tuple(float(c) for c in radius * rng.uniform(-0.3, 0.3, 2))
+            fill = float(rng.choice([0.7, 1.0, 2.0]))
+            g = OccupancyGrid.disk(radius, center=center, fill=fill,
+                                   cells_per_radius=cpr)
+            h = radius / cpr
+            gx, gy = g.kx - center[0], g.ky - center[1]
+            dist = np.hypot(gx[:, None], gy[None, :])
+            expect = np.where(dist < radius, fill, 0.0)
+            # every cell the rim can touch, with a cell of margin
+            for i, j in zip(*np.nonzero(np.abs(dist - radius) < 1.5 * h)):
+                area = _disk_cell_overlap(gx[i] - h / 2, gx[i] + h / 2,
+                                          gy[j] - h / 2, gy[j] + h / 2, radius)
+                expect[i, j] = fill * area / (h * h)
+            tol = 8 * np.finfo(float).eps * cpr**2 * fill
+            assert np.max(np.abs(g.f - expect)) <= tol
+
+    def test_random_rectangles_match_scalar(self, rng):
+        x0, y0 = rng.uniform(-1.4, 1.3, (2, 400))
+        w, h = rng.uniform(1e-3, 0.9, (2, 400))
+        # outside, containing the disk, straddling an axis, touching x = R
+        x0 = np.append(x0, [2.0, -2.0, -0.1, 1.0, -1.2])
+        y0 = np.append(y0, [0.0, -2.0, -0.3, -0.2, 0.0])
+        w = np.append(w, [1.0, 4.0, 0.2, 0.3, 0.2])
+        h = np.append(h, [1.0, 4.0, 0.6, 0.4, 0.5])
+        got = _disk_cell_overlaps(x0, x0 + w, y0, y0 + h, 1.0)
+        want = [_disk_cell_overlap(a, a + dx, b, b + dy, 1.0)
+                for a, b, dx, dy in zip(x0, y0, w, h)]
+        assert np.max(np.abs(got - want)) <= 8 * np.finfo(float).eps
+
+    def test_separable_moments_match_full_grid_sums(self, rng):
+        kx = (np.arange(-23, 17) + 0.5) * 0.1
+        ky = (np.arange(-9, 31) + 0.5) * 0.1
+        f = rng.uniform(0.0, 2.0, (kx.size, ky.size))
+        g = OccupancyGrid(kx, ky, f)
+        m = distribution_moments(g)
+        gx, gy = np.meshgrid(kx, ky, indexing="ij")
+        hx, hy = g.spacing
+        w = hx * hy / (2 * math.pi) ** 2
+        assert m.n_2d == w * f.sum()
+        for got, weight in ((m.k_d[0], gx), (m.k_d[1], gy),
+                            (m.t_d, gx**2 + gy**2)):
+            assert got == pytest.approx(w * (f * weight).sum(), rel=0,
+                                        abs=1e-13 * w * np.abs(f * weight).sum())
+
+
 class TestDiskMoments:
     def test_density_exact_by_construction(self):
         # the overlap areas tile the disk, so n_2d is exact at any resolution
@@ -361,6 +419,23 @@ class TestOccupancyGridIO:
         assert np.array_equal(g.kx, back.kx)
         assert np.array_equal(g.ky, back.ky)
         assert np.array_equal(g.f, back.f)
+
+    def test_csv_bytes_match_csv_module(self, rng):
+        # the grid CSV has the csv module's bytes: CRLF ends, repr values
+        import csv
+        f = rng.uniform(-0.5, 2.5, (5, 7))
+        g = OccupancyGrid((np.arange(5) + 0.5) * 0.37,
+                          (np.arange(7) - 3.5) * 1e-9, f)
+        want = io.StringIO()
+        writer = csv.writer(want)
+        writer.writerow(["kx", "ky", "f"])
+        for i, x in enumerate(g.kx):
+            for j, y in enumerate(g.ky):
+                writer.writerow([repr(float(x)), repr(float(y)),
+                                 repr(float(g.f[i, j]))])
+        got = io.StringIO()
+        g.to_csv(got)
+        assert got.getvalue() == want.getvalue()
 
     def test_csv_round_trip_stream(self):
         g = OccupancyGrid.disk(0.8, cells_per_radius=8)
