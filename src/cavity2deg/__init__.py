@@ -11,15 +11,26 @@ Layers, bottom up:
   optical conductivity with its suppressed Drude peak.
 - ``eft``: continuum of modes; running coupling, Landau pole, renormalized
   mass, Casimir energy/pressure, dressed jellium, 1D/3D cross-checks.
-- ``manymode``: exact diagonalization of M coupled modes via a hand-rolled
-  round-robin Jacobi eigensolver; truncation and coupling-growth scans.
+- ``manymode``: exact diagonalization of M coupled modes, by rank-one
+  secular updates for the structured W of a mode set and a hand-rolled
+  round-robin Jacobi eigensolver for any symmetric W; truncation and
+  coupling-growth scans.
 - ``cli``: ``cavity2deg`` command emitting deterministic CSV/JSON datasets.
 
 Unit modes: configs are SI end to end, or dimensionless "ratio" mode where
 frequencies are given in units of the bare mode frequency.
+
+Diagnostics go to the ``logging.getLogger("cavity2deg")`` logger, which has
+a NullHandler: the eigensolvers log at DEBUG which path ran and how many
+sweeps or secular steps it took.  Nothing is printed unless the caller
+configures logging.
 """
 
+import logging
+
 __version__ = "0.1.0"
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 from .constants import CODATA2018, Constants
 from .core import (DerivedScales, Phase, SystemConfig, UnitsMode,

@@ -145,7 +145,9 @@ class OutputRecord:
         """``json.dumps(body, indent=1)`` of the whole record, byte for byte.
 
         The envelope goes through json.dumps; the rows, which are most of
-        the bytes, are spliced in by ``_json_rows``.
+        the bytes, are spliced in by ``_json_rows``.  A NaN or infinite row
+        value raises DomainError instead of writing a ``NaN`` or
+        ``Infinity`` token, which JSON does not have.
         """
         head = json.dumps({"command": self.command, "config": self.config,
                            "params": self.params,
@@ -197,11 +199,16 @@ def _json_rows(rows: list) -> str:
 
 
 def _json_tokens(values: tuple) -> list[str]:
+    """JSON text of one column; a NaN or infinite value raises DomainError,
+    as JSON has no token for it."""
     if set(map(type, values)) <= {float, int}:
         tokens = list(map(str, values))
         if {"nan", "inf", "-inf"}.isdisjoint(tokens):
             return tokens
-    return [json.dumps(v) for v in values]
+    try:
+        return [json.dumps(v, allow_nan=False) for v in values]
+    except ValueError as err:
+        raise DomainError(f"rows hold a non-finite value: {err}") from err
 
 
 def _rows(*columns: np.ndarray) -> list[tuple]:

@@ -143,6 +143,22 @@ def _value(x, lambda0: float | np.ndarray | None):
     return float(x) if lambda0 is None else x
 
 
+def _finite(x, what: str):
+    """x, or DomainError where a closed form left the float range (one
+    check per call, for a scalar and for a whole sweep)."""
+    if not np.isfinite(x).all():
+        raise DomainError(f"{what} overflows the float range")
+    return x
+
+
+def _cutoff_growth(ecfg: EftConfig, lambda0: float | np.ndarray | None):
+    """Lambda0^{3/2} - 1 as expm1(1.5 ln Lambda0), which keeps full relative
+    accuracy next to Lambda0 = 1, where the subtraction cancels."""
+    with np.errstate(over="ignore"):
+        grow = np.expm1(1.5 * np.log(_cutoffs(ecfg, lambda0)))
+    return _finite(grow, "Lambda0^1.5")
+
+
 def effective_coupling(ecfg: EftConfig,
                        lambda0: float | np.ndarray | None = None):
     """Running collective coupling g(Lambda) = N alpha ln(Lambda0)."""
@@ -268,7 +284,7 @@ def jellium(rs: float | np.ndarray, ecfg: EftConfig) -> JelliumResult:
 
     rs may be an ndarray of radii; the energy fields then have its shape.
     A radius that is not positive and finite raises DomainError (the first
-    one, for an array).
+    one, for an array), and so does one so small that 1/rs^2 overflows.
     """
     radii = np.asarray(rs, dtype=float)
     bad = ~((radii > 0) & (radii < math.inf))
@@ -276,9 +292,13 @@ def jellium(rs: float | np.ndarray, ecfg: EftConfig) -> JelliumResult:
         first = float(radii[bad][0])
         raise DomainError(f"rs must be positive and finite, got {first}")
     mass_ratio = ecfg.constants.m_e / renormalized_mass(ecfg)
-    tau = mass_ratio / rs**2
-    eps_x = -_EXCHANGE_COEFF / rs
-    return JelliumResult(rs=rs, tau=tau, eps_x=eps_x, total=tau + eps_x,
+    with np.errstate(over="ignore", divide="ignore"):
+        tau = _finite(mass_ratio / radii**2, "the kinetic term 1/rs^2")
+    eps_x = -_EXCHANGE_COEFF / radii
+    total = tau + eps_x
+    if radii.ndim == 0:
+        tau, eps_x, total = float(tau), float(eps_x), float(total)
+    return JelliumResult(rs=rs, tau=tau, eps_x=eps_x, total=total,
                          rs_min=rs_minimum(ecfg))
 
 
@@ -289,10 +309,11 @@ def casimir_energy_density(ecfg: EftConfig,
     Integrating hbar omega_t(kappa) (two polarizations at half a quantum
     each) over in-plane momenta between the continuum edge and the cutoff:
     E/S = hbar (Lambda0^{3/2} - 1) omega_t^3(kappa_z) / (6 pi c^2).
+    A cutoff whose Lambda0^{3/2} overflows raises DomainError.
     """
     k = ecfg.constants
     omega_t3 = ecfg.omega_tilde_sq_cutoff ** 1.5
-    grow = _cutoffs(ecfg, lambda0) ** 1.5 - 1.0
+    grow = _cutoff_growth(ecfg, lambda0)
     return _value(k.hbar * grow * omega_t3 / (6.0 * math.pi * k.c**2), lambda0)
 
 
@@ -308,7 +329,7 @@ def casimir_pressure(ecfg: EftConfig,
     k = ecfg.constants
     omega_t = math.sqrt(ecfg.omega_tilde_sq_cutoff)
     bracket = 2.0 * (k.c * ecfg.kappa_z) ** 2 + ecfg.scales.omega_p**2
-    grow = _cutoffs(ecfg, lambda0) ** 1.5 - 1.0
+    grow = _cutoff_growth(ecfg, lambda0)
     return _value(k.hbar * grow * omega_t * bracket
                   / (4.0 * math.pi * k.c**2 * ecfg.system.mirror_gap), lambda0)
 

@@ -17,6 +17,14 @@ Sherman-Morrison closed form, and the lowest mode is the lowest root of the
 secular equation 1 + omega_p^2 sum_n 1/(omega_n^2 - lam) = 0 (Golub, SIAM
 Rev. 15, 1973; Bunch, Nielsen & Sorensen, Numer. Math. 31, 1978).
 
+Every W that build_w makes is also structured: with P the (M, 3) matrix of
+unit polarizations, W = D + omega_p^2 P P^T with D = diag(omega^2 +
+omega_p^2 (1 - |eps_a|^2)), a diagonal plus an update of rank <= 3.
+normal_modes applies it as up to three rank-one updates of a diagonal, one
+per nonzero column of P; each update deflates (LAPACK dlaed2), solves all
+its secular roots at once and takes its eigenvectors from the Loewner
+vector (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995).
+
 For arbitrary W the eigensolver is a hand-implemented Jacobi method with a
 skip threshold, as high relative accuracy on symmetric matrices matters more
 here than raw speed.  It visits the pairs in a round-robin (tournament)
@@ -29,6 +37,7 @@ eigensolver instead, as a cross-check.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -57,7 +66,10 @@ __all__ = [
 
 OFFDIAG_TOL_FACTOR = 1e-12   # convergence: off-diagonal Frobenius vs ||W||_F
 MAX_SWEEPS = 30
-MAX_SECULAR_STEPS = 100      # Newton/bisection steps per ladder secular root
+MAX_SECULAR_STEPS = 100      # Newton/bisection steps per secular root
+EPS = float(np.finfo(float).eps)
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,13 +304,22 @@ def diagonalize_w(w_matrix: np.ndarray, tol_factor: float = OFFDIAG_TOL_FACTOR,
                 f"in {max_sweeps} sweeps (M = {n})")
         eigvals = np.diag(a).copy()
         v = v.T
+    _log.debug("diagonalize_w: %s, M = %d, sweeps = %d",
+               "lapack" if backend == "lapack" else "jacobi", n, sweeps)
+    return _normal_form(eigvals, v, int(sweeps))
+
+
+def _normal_form(eigvals: np.ndarray, v: np.ndarray,
+                 sweeps: int) -> NormalModes:
+    """Eigenpairs in ascending order, each eigenvector sign-fixed so that its
+    largest-magnitude component is positive."""
     order = np.argsort(eigvals, kind="stable")
     eigvals = eigvals[order]
     v = v[:, order]
     lead = np.argmax(np.abs(v), axis=0)
-    flip = v[lead, np.arange(n)] < 0
+    flip = v[lead, np.arange(v.shape[1])] < 0
     v[:, flip] *= -1.0
-    return NormalModes(omega_sq=eigvals, u=v, sweeps=int(sweeps))
+    return NormalModes(omega_sq=eigvals, u=v, sweeps=sweeps)
 
 
 def rotated_polarizations(modes: ModeSet, u: np.ndarray) -> np.ndarray:
@@ -310,9 +331,192 @@ def rotated_polarizations(modes: ModeSet, u: np.ndarray) -> np.ndarray:
     return u.T @ modes.pol
 
 
+def _secular_eig(d: np.ndarray, z: np.ndarray,
+                 rho: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """Eigenpairs of diag(d) + rho z z^T for strictly ascending d, z with no
+    zero entry and norm 1, and rho > 0.  Returns (roots, V, steps).
+
+    The roots solve f(lam) = 1 + sum_j s_j / (d_j - lam) = 0, s = rho z^2.
+    Root i lies in (d_i, d_{i+1}), the last one in (d_K, d_K + rho].  Each
+    is measured as tau = lam - d_o from its nearer pole d_o, picked by the
+    sign of f at the interval midpoint, so that every d_j - lam =
+    (d_j - d_o) - tau keeps full relative accuracy.  All K roots iterate
+    together, by Newton steps on g = (d_i - lam)(d_{i+1} - lam) f, the
+    secular function with both interval poles removed (only d_K for the
+    last root): g is smooth on the bracket and changes sign once there.
+    They start from the two-pole quadratic, which freezes the other terms
+    of f at the midpoint (at d_K + rho for the last root), and a step that
+    leaves the bracket is bisected instead.  A root stops once |g| is
+    within its rounding bound 8 eps sum|terms| (as ``erretm`` in LAPACK
+    dlaed4) or once its bracket has collapsed; every root settles within
+    ``MAX_SECULAR_STEPS`` steps or ConvergenceError is raised.
+
+    The eigenvectors are zhat_j / (d_j - lam_i), normalized, with zhat from
+    the Loewner formula zhat_j^2 = prod_i (d_j - lam_i) / (d_j - d_i) over
+    i != j, times (lam_j - d_j) / rho: the exact update vector of the
+    computed roots, so the vectors come out numerically orthogonal (Gu &
+    Eisenstat 1995).  Each factor is a ratio of distances that interlacing
+    bounds, so the product can neither overflow nor underflow.
+    """
+    k = d.size
+    s = rho * z * z
+    ar = np.arange(k)
+    last = ar == k - 1
+    gap = d - d[:, None]                      # gap[i, j] = d_j - d_i
+    half = 0.5 * np.diff(d)
+    probe = np.append(half, rho)              # midpoint, or d_K + rho
+    # s without the interval poles of each root: columns i and i + 1 of row i
+    s_rest = np.tile(s, (k, 1))
+    s_rest[ar, ar] = 0.0
+    s_rest[ar[:-1], ar[1:]] = 0.0
+    s_l = s
+    s_r = np.append(s[1:], 0.0)
+    c = 1.0 + (s_rest / (gap - probe[:, None])).sum(axis=1)
+    right = np.zeros(k, dtype=bool)
+    right[:-1] = c[:-1] + (s_r[:-1] - s_l[:-1]) / half < 0.0  # f(mid) < 0
+    origin = ar + right
+    delta = gap[origin]                       # delta[i, j] = d_j - d_origin
+    d_l = delta[ar, ar]
+    d_r = np.where(last, 0.0, delta[ar, np.minimum(ar + 1, k - 1)])
+    slope_b = np.where(last, 0.0, -1.0)       # d(d_r - tau)/dtau
+    lo = np.where(right, -probe, 0.0)
+    # the last root reaches d_K + rho when the other z_j vanish
+    hi = np.where(right, 0.0, np.where(last, 2.0 * rho, probe))
+    # c (d_l - tau)(d_r - tau) + s_l (d_r - tau) + s_r (d_l - tau) = 0, as
+    # A tau^2 - B tau + C with one of d_l, d_r zero; linear for the last
+    qa = np.where(last, 0.0, c)
+    qb = np.where(last, c, c * (d_l + d_r) + s_l + s_r)
+    qc = np.where(last, s_l, s_l * d_r + s_r * d_l)
+    q = qb + np.copysign(np.sqrt(np.abs(qb * qb - 4.0 * qa * qc)), qb)
+    near = 2.0 * qc / q
+    far = np.divide(q, 2.0 * qa, out=np.full(k, np.nan), where=qa != 0.0)
+    tau = np.where((lo < near) & (near < hi), near,
+                   np.where((lo < far) & (far < hi), far, 0.5 * (lo + hi)))
+    active = np.ones(k, dtype=bool)
+    for steps in range(1, MAX_SECULAR_STEPS + 1):
+        den = delta - tau[:, None]
+        term = s_rest / den
+        rest = 1.0 + term.sum(axis=1)
+        a = d_l - tau
+        b = np.where(last, 1.0, d_r - tau)
+        g = a * b * rest + s_l * b + s_r * a
+        bound = (np.abs(a * b) * (1.0 + np.abs(term).sum(axis=1))
+                 + s_l * np.abs(b) + s_r * np.abs(a))
+        dg = ((slope_b * a - b) * rest + a * b * (term / den).sum(axis=1)
+              + s_l * slope_b - s_r)
+        lo = np.where(g > 0.0, tau, lo)
+        hi = np.where(g < 0.0, tau, hi)
+        step = tau - np.divide(g, dg, out=np.full(k, np.inf), where=dg != 0.0)
+        inside = (lo < step) & (step < hi)
+        mid = 0.5 * (lo + hi)
+        collapsed = ~inside & ((mid <= lo) | (mid >= hi))
+        active &= (np.abs(g) > 8.0 * EPS * bound) & ~collapsed
+        if not active.any():
+            break
+        tau = np.where(active, np.where(inside, step, mid), tau)
+    else:
+        raise ConvergenceError(
+            f"secular roots not settled in {MAX_SECULAR_STEPS} steps "
+            f"(K = {k})")
+    # den[i, j] = d_j - lam_i, from the pass in which the last root settled
+    np.fill_diagonal(gap, -rho)
+    zhat = np.copysign(np.sqrt(np.prod(den / gap, axis=0)), z)
+    v = zhat / den
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    return d[origin] + tau, v.T, steps
+
+
+def _rank_one_update(lam: np.ndarray, q: np.ndarray, p: np.ndarray,
+                     rho: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """Eigenpairs of Q diag(lam) Q^T + rho p p^T from those of the first
+    term (lam ascending, Q orthogonal; both are overwritten).  Returns the
+    new (lam, Q) with lam ascending and the secular steps taken.
+
+    In the eigenbasis the update is diag(lam) + rho' z z^T with z = Q^T p
+    scaled to norm 1.  Deflation follows LAPACK dlaed2 with
+    tol = 8 eps max(|lam|, rho'): an entry with rho' |z_j| <= tol keeps
+    (lam_j, q_j), and of two neighbours whose z-Givens rotation leaves an
+    off-diagonal (lam_j - lam_i) c s of at most tol, the first is rotated
+    out with z_i = 0, as happens for degenerate modes.  The rest goes to
+    ``_secular_eig`` and its eigenvectors are multiplied into Q.
+    """
+    z = q.T @ p
+    norm = float(np.linalg.norm(z))
+    rho *= norm * norm
+    z /= norm
+    tol = 8.0 * EPS * max(float(np.abs(lam).max()), rho)
+    keep = rho * np.abs(z) > tol
+    idx = np.flatnonzero(keep)
+    # |c s| <= 1/2, so only neighbours within 2 tol can deflate; a rotation
+    # moves both lam of its pair inside their interval, so no other gap shrinks
+    for i in np.flatnonzero(np.diff(lam[idx]) <= 2.0 * tol).tolist():
+        pj, nj = idx[i], idx[i + 1]
+        r = math.hypot(z[pj], z[nj])
+        c, s = z[nj] / r, -z[pj] / r
+        if abs((lam[nj] - lam[pj]) * c * s) <= tol:
+            z[pj], z[nj] = 0.0, r
+            q[:, [pj, nj]] = q[:, [pj, nj]] @ np.array([[c, -s], [s, c]])
+            lam[pj], lam[nj] = (lam[pj] * c * c + lam[nj] * s * s,
+                                lam[pj] * s * s + lam[nj] * c * c)
+            keep[pj] = False
+    idx = np.flatnonzero(keep)
+    steps = 0
+    if idx.size:
+        lam[idx], v, steps = _secular_eig(lam[idx], z[idx], rho)
+        q[:, idx] = q[:, idx] @ v
+    order = np.argsort(lam, kind="stable")
+    return lam[order], q[:, order], steps
+
+
+def _structured_modes(modes: ModeSet,
+                      rho: float) -> tuple[np.ndarray, np.ndarray, list]:
+    """Eigenpairs of build_w(modes, omega_p) as rank-one updates of its
+    diagonal D = omega^2 + rho (1 - |eps_a|^2), one per nonzero column of
+    the polarizations.  Returns (lam, U, secular steps per update).
+
+    D + rho P P^T equals build_w exactly; the |eps_a| = 1 that ModeSet
+    checks to 1e-12 is not assumed.  The problem is scaled by a power of two
+    so the solver works near 1 whatever the units.  A D that is not finite,
+    or eigenvalues that overflow, raise DomainError.
+    """
+    pol = modes.pol
+    with np.errstate(over="ignore"):
+        d = modes.omega ** 2 + rho * (1.0 - np.einsum("ij,ij->i", pol, pol))
+    if not np.isfinite(d).all():
+        raise DomainError("W must be finite")
+    scale = math.ldexp(1.0, math.frexp(max(float(d.max()), rho))[1] - 1)
+    order = np.argsort(d, kind="stable")
+    lam = d[order] / scale
+    q = np.eye(d.size)[:, order]
+    steps = []
+    for col in pol.T:
+        if col.any():
+            lam, q, n = _rank_one_update(lam, q, col, rho / scale)
+            steps.append(n)
+    with np.errstate(over="ignore"):
+        lam = lam * scale
+    if not np.isfinite(lam).all():
+        raise DomainError("eigenvalues of W overflow; rescale W")
+    return lam, q, steps
+
+
 def normal_modes(modes: ModeSet, omega_p: float, **kwargs) -> NormalModes:
-    """build_w + diagonalize_w + rotated polarizations in one step."""
-    nm = diagonalize_w(build_w(modes, omega_p), **kwargs)
+    """Normal modes of build_w(modes, omega_p) with rotated polarizations.
+
+    By default W = D + omega_p^2 P P^T is solved by its rank <= 3 structure
+    (see ``_structured_modes``) in O(M^2) per update plus one GEMM, and
+    ``sweeps`` is 0: no Jacobi sweep ran.  Any keyword (``backend``,
+    ``tol_factor``, ``max_sweeps``) routes to ``diagonalize_w`` on the dense
+    W instead, which stays the oracle for this path.  Eigenvalues ascend and
+    each eigenvector's largest-magnitude component is positive either way.
+    """
+    if kwargs:
+        nm = diagonalize_w(build_w(modes, omega_p), **kwargs)
+    else:
+        lam, u, steps = _structured_modes(modes, _omega_p_sq(omega_p))
+        nm = _normal_form(lam, u, 0)
+        _log.debug("normal_modes: structured, M = %d, secular steps per "
+                   "update = %s", lam.size, steps)
     eps_tilde = rotated_polarizations(modes, nm.u)
     return NormalModes(omega_sq=nm.omega_sq, u=nm.u, sweeps=nm.sweeps,
                        eps_tilde=eps_tilde)

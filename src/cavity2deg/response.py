@@ -132,13 +132,30 @@ def chi_ea_time(tau: float, scales: DerivedScales) -> float:
     return math.cos(omega_t * tau) / eps0_v
 
 
+def _pole_denominators(f: BroadenedFrequency, omega_t: float):
+    """|w + omega_t + i eta|^2 and |w - omega_t + i eta|^2.
+
+    Squares are products, so a Python float gives inf rather than raising;
+    a probe whose square leaves the float range raises DomainError (one
+    check per call, for a scalar and for a whole sweep).
+    """
+    w, eta = f.w, f.eta
+    with np.errstate(over="ignore"):
+        w_plus, w_minus = w + omega_t, w - omega_t
+        d_plus = w_plus * w_plus + eta * eta
+        d_minus = w_minus * w_minus + eta * eta
+    if not (np.isfinite(d_plus).all() and np.isfinite(d_minus).all()):
+        raise DomainError("(w +- omega_t)^2 + eta^2 overflows the float "
+                          "range; the probe is too far off resonance")
+    return d_plus, d_minus
+
+
 def chi_aa_freq(f: BroadenedFrequency, scales: DerivedScales) -> ResponseValue:
     """chi_AA(w) = -(1/(2 eps0 omega_t V)) [1/(w+omega_t+i eta) - 1/(w-omega_t+i eta)]."""
     _require_broadening(f)
     omega_t, eps0_v = _mode_params(scales)
     w, eta = f.w, f.eta
-    d_plus = (w + omega_t) ** 2 + eta**2
-    d_minus = (w - omega_t) ** 2 + eta**2
+    d_plus, d_minus = _pole_denominators(f, omega_t)
     pref = 1.0 / (2.0 * eps0_v * omega_t)
     re = pref * ((w - omega_t) / d_minus - (w + omega_t) / d_plus)
     im = pref * eta * (1.0 / d_plus - 1.0 / d_minus)
@@ -154,8 +171,7 @@ def chi_ea_freq(f: BroadenedFrequency, scales: DerivedScales) -> ResponseValue:
     _require_broadening(f)
     omega_t, eps0_v = _mode_params(scales)
     w, eta = f.w, f.eta
-    d_plus = (w + omega_t) ** 2 + eta**2
-    d_minus = (w - omega_t) ** 2 + eta**2
+    d_plus, d_minus = _pole_denominators(f, omega_t)
     pref = 1.0 / (2.0 * eps0_v)
     re = pref * eta * (1.0 / d_plus + 1.0 / d_minus)
     im = pref * ((w + omega_t) / d_plus + (w - omega_t) / d_minus)

@@ -7,6 +7,7 @@ captured with capsys.  Exit code conventions under test:
 """
 
 import json
+import logging
 import math
 import os
 import subprocess
@@ -19,7 +20,7 @@ import pytest
 
 import cavity2deg
 from cavity2deg import (BroadenedFrequency, ConfigError, ConvergenceError,
-                        DerivedScales, EftConfig, PoleError,
+                        DerivedScales, DomainError, EftConfig, PoleError,
                         PreconditionError, SystemConfig,
                         casimir_energy_density, casimir_pressure,
                         chemical_potential, chi_mixed_freq, effective_coupling,
@@ -110,7 +111,7 @@ class TestOutputRecord:
         (("a", "b"), [(1.0, 2), (-0.0, 12345678901234567890)]),
         (("g", "phase", "n"), [(0.1, "Stable", None), (1e-300, "Crit\"ical\u00e9", 3)]),
         (("x", "y"), [(1.0, "x"), ("y", 2), (True, None)]),
-        (("x", "y", "z"), [(math.nan, math.inf, -math.inf),
+        (("x", "y", "z"), [(np.float64(1e300), -0.0, 5e-324),
                            (np.float64(0.1), 1.0, 2.0)]),
         (("x",), []),
         ((), [(), ()]),
@@ -125,6 +126,17 @@ class TestOutputRecord:
                 "rows": [list(r) for r in rec.rows], "summary": rec.summary,
                 "provenance": rec.provenance}
         assert rec.to_json() == json.dumps(body, indent=1) + "\n"
+
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                     np.float64(math.nan)])
+    @pytest.mark.parametrize("other", [0.5, 3, "s"])
+    def test_non_finite_row_rejected(self, bad, other):
+        # JSON has no NaN or Infinity token: a column of numbers and a
+        # mixed column both raise
+        rec = self.make(rows=[(bad, 1.0), (other, 2.0)])
+        with pytest.raises(DomainError, match="non-finite"):
+            rec.to_json()
 
 
 class TestDeterminism:
@@ -322,6 +334,30 @@ class TestManymodeCommand:
         body = json.loads(out)
         assert body["summary"]["max_rel_diff_percent"] == pytest.approx(
             body["rows"][-1][1], rel=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_diag_500_modes_matches_lapack(self, capsys):
+        # the structured path: no Jacobi sweep, rows within eps ||W||_F of
+        # the LAPACK spectrum of the same W
+        code, out, _ = run(capsys, "manymode", "diag", "--modes", "500",
+                           "--format", "json")
+        assert code == 0
+        body = json.loads(out)
+        assert body["summary"]["sweeps"] == 0
+        assert [r[0] for r in body["rows"]] == list(range(1, 501))
+        omega = np.array([r[1] for r in body["rows"]])
+        w = cavity2deg.build_w(cavity2deg.ModeSet.ladder_1d(500), 0.5)
+        ref = np.linalg.eigvalsh(w)
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(omega**2 - ref) <= eps * np.linalg.norm(w))
+
+    def test_debug_log_leaves_stdout_alone(self, capsys, caplog):
+        argv = ("manymode", "diag", "--modes", "12", "--format", "json")
+        quiet = run(capsys, *argv)
+        with caplog.at_level(logging.DEBUG, logger="cavity2deg"):
+            logged = run(capsys, *argv)
+        assert logged == quiet
+        assert "structured" in caplog.text
 
     def test_invalid_mode_count(self, capsys):
         code, _, err = run(capsys, "manymode", "diag", "--modes", "0")

@@ -264,6 +264,15 @@ class TestJellium:
         with pytest.raises(DomainError):
             jellium(0.0, cfg)
 
+    @pytest.mark.filterwarnings("error")
+    def test_radius_whose_square_underflows_rejected(self):
+        # rs^2 underflows to 0: a Python float used to raise a bare
+        # ZeroDivisionError, an array to warn and return inf
+        cfg = EftConfig(system=default_system(), lambda0=1.0)
+        for rs in (1e-200, np.array([1.0, 1e-200])):
+            with pytest.raises(DomainError, match="overflows"):
+                jellium(rs, cfg)
+
     def test_free_minimum_frozen(self):
         cfg = EftConfig(system=default_system(), lambda0=1.0)
         assert rs_minimum(cfg) == pytest.approx(1.6660811018093873, rel=1e-13)
@@ -300,6 +309,46 @@ class TestCasimir:
         cfg = EftConfig(system=default_system(), lambda0=lam)
         assert casimir_energy_density(cfg) > 0.0
         assert casimir_pressure(cfg) > 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_near_unit_cutoff_matches_mpmath(self):
+        # Lambda0^1.5 - 1 cancels next to Lambda0 = 1; by subtraction it is
+        # off by up to ~1e-11 relative there
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        lams = np.concatenate([1.0 + 10.0 ** -np.arange(2.0, 16.0),
+                               np.linspace(1.0, 1.01, 41)[1:]])
+        cfg = EftConfig(system=default_system(), lambda0=1.0)
+        energy_pref = (HBAR * cfg.omega_tilde_sq_cutoff ** 1.5
+                       / (6.0 * math.pi * C**2))
+        pressure_pref = (HBAR * math.sqrt(cfg.omega_tilde_sq_cutoff)
+                         * (2.0 * (C * cfg.kappa_z) ** 2
+                            + cfg.scales.omega_p**2)
+                         / (4.0 * math.pi * C**2 * cfg.system.mirror_gap))
+        grow = np.array([float(mpmath.mpf(lam) ** 1.5 - 1) for lam in lams])
+        sweep_e = casimir_energy_density(cfg, lambda0=lams)
+        sweep_p = casimir_pressure(cfg, lambda0=lams)
+        for i, lam in enumerate(lams):
+            at = EftConfig(system=default_system(), lambda0=float(lam))
+            for got in (casimir_energy_density(at), sweep_e[i]):
+                assert got == pytest.approx(energy_pref * grow[i], rel=1e-14)
+            for got in (casimir_pressure(at), sweep_p[i]):
+                assert got == pytest.approx(pressure_pref * grow[i], rel=1e-14)
+
+    def test_overflowing_cutoff_rejected(self):
+        # Lambda0^1.5 overflows: the scalar call used to raise a bare
+        # OverflowError and the explicit lambda0 to warn and return inf
+        with pytest.warns(RuntimeWarning, match="Landau pole"):
+            beyond = EftConfig(system=default_system(), lambda0=1e300)
+        cfg = EftConfig(system=default_system(), lambda0=2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for func in (casimir_energy_density, casimir_pressure):
+                with pytest.raises(DomainError, match="overflows"):
+                    func(beyond)
+                for lam in (1e300, np.array([2.0, 1e300])):
+                    with pytest.raises(DomainError, match="overflows"):
+                        func(cfg, lambda0=lam)
 
     def test_energy_density_quadrature_oracle(self):
         # E/S = (1/(2 pi)^2) int d^2kappa hbar omega_t(kappa), edge..cutoff

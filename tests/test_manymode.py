@@ -1,5 +1,6 @@
-"""Many-mode coupling matrix, the hand-rolled Jacobi eigensolver, and the
-exact multi-mode spectrum.
+"""Many-mode coupling matrix, the hand-rolled Jacobi eigensolver, the
+structured (rank-one update) normal modes, and the exact multi-mode
+spectrum.
 
 Oracles:
   * platform eigensolver (LAPACK via numpy.linalg.eigh) for eigenvalues,
@@ -7,10 +8,12 @@ Oracles:
   * Sherman-Morrison closed form and the secular equation (brentq) for the
     rank-one ladder problem,
   * dense Jacobi and LAPACK for the ladder's closed-form coupling and
-    secular-equation lowest root, which the library computes directly.
+    secular-equation lowest root, which the library computes directly,
+  * dense Jacobi on build_w (and LAPACK) for the structured normal modes.
 """
 
 import io
+import logging
 import math
 
 import numpy as np
@@ -39,9 +42,10 @@ from cavity2deg import (
     normal_modes,
     rotated_polarizations,
 )
+from cavity2deg import manymode
 from cavity2deg.io_utils import read_csv
-from cavity2deg.manymode import (_round_robin_rounds, write_coupling_run_csv,
-                                 write_lowest_scan_csv)
+from cavity2deg.manymode import (_round_robin_rounds, _structured_modes,
+                                 write_coupling_run_csv, write_lowest_scan_csv)
 
 HBAR = CODATA2018.hbar
 M_E = CODATA2018.m_e
@@ -284,6 +288,161 @@ class TestNormalModes:
         assert abs(nm.eps_tilde[0, 0]) <= 1e-12          # dark
         assert nm.eps_tilde[1, 0] == pytest.approx(math.sqrt(2.0),
                                                    rel=1e-12)  # bright
+
+
+def transverse_modes(rng, m, degenerate=False):
+    """Random momenta with unit polarizations transverse to them; with
+    ``degenerate`` the frequencies sit on a coarse grid, so that several
+    modes share one."""
+    kappa = rng.normal(size=(m, 3))
+    pol = rng.normal(size=(m, 3))
+    pol -= (np.einsum("ij,ij->i", pol, kappa)
+            / np.einsum("ij,ij->i", kappa, kappa))[:, None] * kappa
+    pol /= np.linalg.norm(pol, axis=1)[:, None]
+    omega = rng.uniform(0.5, 5.0, m)
+    if degenerate:
+        omega = np.round(2.0 * omega) / 2.0
+    return ModeSet(omega=omega, pol=pol, kappa=kappa)
+
+
+def te_tm_pairs(rng, m):
+    """m/2 frequencies, each carried by two orthogonal polarizations
+    transverse to one momentum, as the TE and TM modes of a cavity."""
+    kappa = rng.normal(size=(m // 2, 3))
+    e1 = np.cross(kappa, rng.normal(size=3))
+    e1 /= np.linalg.norm(e1, axis=1)[:, None]
+    e2 = np.cross(kappa, e1)
+    e2 /= np.linalg.norm(e2, axis=1)[:, None]
+    pol = np.stack([e1, e2], axis=1).reshape(-1, 3)
+    omega = np.repeat(rng.uniform(0.5, 5.0, m // 2), 2)
+    return ModeSet(omega=omega, pol=pol, kappa=np.repeat(kappa, 2, axis=0))
+
+
+def assert_structured_matches(modes, omega_p, lapack=True):
+    """normal_modes' structured path against dense Jacobi on build_w (and
+    LAPACK within rel 1e-12 or eps ||W||_F)."""
+    nm = normal_modes(modes, omega_p)
+    w = build_w(modes, omega_p)
+    assert nm.sweeps == 0
+    ref = diagonalize_w(w)
+    assert nm.omega_sq == pytest.approx(ref.omega_sq, rel=1e-12)
+    check_decomposition(w, nm, 1e-11)
+    assert np.allclose(nm.eps_tilde, nm.u.T @ modes.pol, rtol=0, atol=1e-12)
+    if lapack:
+        eps = np.finfo(float).eps
+        assert nm.omega_sq == pytest.approx(
+            np.linalg.eigvalsh(w), rel=1e-12, abs=eps * np.linalg.norm(w))
+    return nm
+
+
+@pytest.mark.filterwarnings("error")
+class TestStructuredModes:
+    """normal_modes solves W = D + omega_p^2 P P^T by rank-one updates;
+    build_w + diagonalize_w (and LAPACK) are its oracles."""
+
+    @settings(max_examples=40)
+    @given(st.integers(1, 30), st.floats(0.0, 3.0), st.booleans(),
+           st.integers(0, 2**31 - 1))
+    def test_matches_dense_jacobi_property(self, m, ratio, degenerate, seed):
+        modes = transverse_modes(np.random.default_rng(seed), m, degenerate)
+        assert_structured_matches(modes, ratio, lapack=False)
+
+    def test_single_mode(self):
+        modes = ModeSet(omega=np.array([1.7]), pol=np.array([[0.0, 0.6, 0.8]]))
+        nm = assert_structured_matches(modes, 0.9)
+        assert nm.omega_sq[0] == pytest.approx(1.7**2 + 0.81, rel=1e-15)
+
+    def test_zero_coupling(self, rng):
+        modes = transverse_modes(rng, 12)
+        nm = assert_structured_matches(modes, 0.0)
+        assert np.array_equal(nm.omega_sq, np.sort(modes.omega**2))
+
+    def test_ladder_grid(self):
+        # the grid of TestLowestModeScan.test_matches_dense_solvers
+        for m in (1, 2, 3, 9, 40, 100, 200):
+            for ratio in (0.0, 1e-8, 0.05, 0.3, 0.9, 1.0, 3.0, 30.0):
+                assert_structured_matches(ModeSet.ladder_1d(m), ratio)
+
+    @pytest.mark.parametrize("m", [2, 6, 40])
+    def test_degenerate_te_tm_pairs(self, rng, m):
+        assert_structured_matches(te_tm_pairs(rng, m), 0.8)
+
+    def test_zero_polarization_components(self):
+        # exact zeros in the columns of P: z_j = 0 deflates in each update
+        pol = np.array([[1.0, 0, 0], [0, 1.0, 0], [0.6, 0, 0.8],
+                        [0, 0.8, -0.6], [1.0, 0, 0], [0, 0, 1.0]])
+        modes = ModeSet(omega=np.array([1.0, 1.3, 1.3, 2.0, 2.5, 2.5]),
+                        pol=pol)
+        assert_structured_matches(modes, 1.1)
+
+    def test_graded_updates_stay_orthogonal(self):
+        # one rank-one update with poles spaced from 1e-14 to 1 and weights
+        # from 1e-12 to 1: the Loewner vector keeps U orthogonal to ~1e-15
+        # where vectors from z itself drift to ~1e-13
+        rng = np.random.default_rng(7)
+        for _ in range(800):
+            k = int(rng.integers(3, 40))
+            d = np.cumsum(10.0 ** rng.uniform(-14, 0, k))
+            z = rng.normal(size=k) * 10.0 ** rng.uniform(-12, 0, k)
+            z /= np.linalg.norm(z)
+            rho = 10.0 ** rng.uniform(-4, 3)
+            lam, q, _ = manymode._rank_one_update(d.copy(), np.eye(k),
+                                                  z.copy(), rho)
+            w = np.diag(d) + rho * np.outer(z, z)
+            assert np.linalg.norm(q.T @ q - np.eye(k)) <= 1e-14
+            assert (np.linalg.norm((q * lam) @ q.T - w)
+                    <= 1e-14 * np.linalg.norm(w))
+
+    def test_lowest_scan_root_is_lowest_mode(self):
+        for m in (2, 9, 40, 100, 200):
+            for ratio in (0.05, 0.3, 0.9, 3.0, 30.0):
+                row = lowest_mode_scan([ratio], n_modes=m)[0, 1]
+                lam = (1.0 + ratio**2) * (1.0 - row / 100.0) ** 2
+                nm = normal_modes(ModeSet.ladder_1d(m), ratio)
+                assert lam == pytest.approx(nm.omega_sq[0], rel=1e-12)
+
+    def test_secular_steps_stay_under_cap(self):
+        # Newton on the secular function converges quadratically: far
+        # fewer steps than bisection (~50) or the hard cap of 100
+        worst = 0
+        for seed in range(30):
+            rng = np.random.default_rng([seed, 7])
+            for m in (8, 24, 60):
+                modes = transverse_modes(rng, m, degenerate=seed % 3 == 0)
+                for ratio in (0.05, 0.5, 1.0, 3.0):
+                    _, _, steps = _structured_modes(modes, ratio**2)
+                    worst = max(worst, *steps)
+        assert worst <= 20
+
+    def test_step_cap_raises(self, monkeypatch, rng):
+        monkeypatch.setattr(manymode, "MAX_SECULAR_STEPS", 1)
+        with pytest.raises(ConvergenceError, match="secular"):
+            normal_modes(transverse_modes(rng, 10), 1.0)
+
+    def test_dense_keywords_route_to_jacobi(self):
+        modes = ModeSet.ladder_1d(6)
+        assert normal_modes(modes, 0.5).sweeps == 0
+        assert normal_modes(modes, 0.5, max_sweeps=30).sweeps > 0
+
+    def test_overflowing_frequencies_rejected(self):
+        modes = ModeSet(omega=np.array([1.0, 1e200]),
+                        pol=np.tile([1.0, 0, 0], (2, 1)))
+        with pytest.raises(DomainError, match="finite"):
+            normal_modes(modes, 0.5)
+
+    def test_logs_the_path(self, caplog):
+        modes = ModeSet.ladder_1d(5)
+        with caplog.at_level(logging.DEBUG, logger="cavity2deg"):
+            normal_modes(modes, 0.5)
+            normal_modes(modes, 0.5, backend="lapack")
+            diagonalize_w(build_w(modes, 0.5))
+        assert [r.getMessage().split(",")[:2] for r in caplog.records] == [
+            ["normal_modes: structured", " M = 5"],
+            ["diagonalize_w: lapack", " M = 5"],
+            ["diagonalize_w: jacobi", " M = 5"]]
+        assert "secular steps per update = [" in caplog.records[0].getMessage()
+        assert any(isinstance(h, logging.NullHandler)
+                   for h in logging.getLogger("cavity2deg").handlers)
 
 
 class TestManymodeSpectrum:

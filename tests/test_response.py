@@ -92,6 +92,16 @@ class TestTimeKernels:
 
 
 class TestFrequencyResponses:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("w, eta", [(1e200, 1.0), (1.0, 1e200),
+                                        (np.array([1e13, 1e200]), 1e11)])
+    def test_overflowing_probe_rejected(self, w, eta):
+        # (w +- omega_t)^2 + eta^2 leaves the float range: a Python float
+        # used to raise a bare OverflowError
+        for func in (chi_aa_freq, chi_ea_freq):
+            with pytest.raises(DomainError, match="overflows"):
+                func(BroadenedFrequency(w, eta), si_scales())
+
     def test_broadening_required(self):
         with pytest.raises(DomainError):
             chi_aa_freq(BroadenedFrequency(1.0, 0.0), RATIO_SCALES)
