@@ -135,8 +135,8 @@ class OutputRecord:
 
     @property
     def provenance(self) -> dict:
-        payload = json.dumps({"config": self.config, "params": self.params},
-                             sort_keys=True, separators=(",", ":"))
+        payload = _dumps({"config": self.config, "params": self.params},
+                         sort_keys=True, separators=(",", ":"))
         digest = hashlib.sha256(payload.encode()).hexdigest()[:16]
         return {"library": "cavity2deg", "version": __version__,
                 "config_hash": digest}
@@ -145,32 +145,34 @@ class OutputRecord:
         """``json.dumps(body, indent=1)`` of the whole record, byte for byte.
 
         The envelope goes through json.dumps; the rows, which are most of
-        the bytes, are spliced in by ``_json_rows``.  A NaN or infinite row
-        value raises DomainError instead of writing a ``NaN`` or
-        ``Infinity`` token, which JSON does not have.
+        the bytes, are spliced in by ``_json_rows``.  A NaN or infinite
+        value anywhere in the record raises DomainError instead of writing
+        a ``NaN`` or ``Infinity`` token, which JSON does not have.
         """
-        head = json.dumps({"command": self.command, "config": self.config,
-                           "params": self.params,
-                           "columns": list(self.columns)}, indent=1)
-        tail = json.dumps({"summary": self.summary,
-                           "provenance": self.provenance}, indent=1)
+        head = _dumps({"command": self.command, "config": self.config,
+                       "params": self.params,
+                       "columns": list(self.columns)}, indent=1)
+        tail = _dumps({"summary": self.summary,
+                       "provenance": self.provenance}, indent=1)
         # head ends with "\n}" and tail starts with "{\n"
         return (f'{head[:-2]},\n "rows": {_json_rows(self.rows)},\n'
                 f'{tail[2:]}\n')
 
     def to_csv(self, digits: int = FLOAT_DIGITS) -> str:
+        """The record as ``# key: value`` header lines, the column names and
+        the rows; a NaN or infinite header value raises DomainError."""
         prov = self.provenance
         head = [
             f"# command: {self.command}",
             f"# library: {prov['library']} {prov['version']}",
             f"# config_hash: {prov['config_hash']}",
-            "# config: " + json.dumps(self.config, sort_keys=True,
-                                      separators=(",", ":")),
-            "# params: " + json.dumps(self.params, sort_keys=True,
-                                      separators=(",", ":")),
+            "# config: " + _dumps(self.config, sort_keys=True,
+                                  separators=(",", ":")),
+            "# params: " + _dumps(self.params, sort_keys=True,
+                                  separators=(",", ":")),
         ]
         if self.summary:
-            head.append("# summary: " + json.dumps(
+            head.append("# summary: " + _dumps(
                 self.summary, sort_keys=True, separators=(",", ":")))
         head.append(",".join(self.columns))
         return "\n".join(head) + "\n" + format_rows(self.rows, digits)
@@ -181,6 +183,15 @@ class OutputRecord:
         if fmt == "csv":
             return self.to_csv(digits)
         raise ConfigError(f"unknown format {fmt!r}")
+
+
+def _dumps(obj, **kwargs) -> str:
+    """json.dumps that raises DomainError for a NaN or infinite value, as
+    JSON has no token for it."""
+    try:
+        return json.dumps(obj, allow_nan=False, **kwargs)
+    except ValueError as err:
+        raise DomainError(f"record holds a non-finite value: {err}") from err
 
 
 def _json_rows(rows: list) -> str:
@@ -423,8 +434,9 @@ def cmd_manymode(sub: str, n_modes: int = 100, ratio: float = 0.5,
                           f"choose from {', '.join(subs)}")
     if n_modes < 1:
         raise ConfigError(f"--modes must be >= 1, got {n_modes}")
-    if ratio < 0:
-        raise ConfigError(f"--ratio must be non-negative, got {ratio}")
+    if not (ratio >= 0 and math.isfinite(ratio * ratio)):
+        raise ConfigError(f"--ratio must be non-negative with a finite "
+                          f"square, got {ratio}")
     cfg_map = (config or _default_config()).as_mapping()
     params: dict = {"sub": sub, "modes": n_modes, "ratio": ratio,
                     "sweep": None if sweep is None else str(sweep)}
@@ -464,8 +476,11 @@ def cmd_manymode(sub: str, n_modes: int = 100, ratio: float = 0.5,
     rows = []
     for m in counts:
         rows.append((m, exact_coupling_1d(m, 1.0, ratio)))
+    # the ladder has omega_n = n, so sum 1/omega_n^2 -> pi^2/6 as M -> inf
+    rho_zeta2 = ratio**2 * math.pi**2 / 6.0
     summary = {"ratio": ratio,
-               "single_mode_gamma": ratio**2 / (1.0 + ratio**2)}
+               "single_mode_gamma": ratio**2 / (1.0 + ratio**2),
+               "g_limit": rho_zeta2 / (1.0 + rho_zeta2)}
     return OutputRecord(command="manymode", config=cfg_map, params=params,
                         columns=("n_modes", "g_exact"), rows=rows,
                         summary=summary)

@@ -1,11 +1,10 @@
-"""Small shared I/O helpers: repeatable-to-the-byte CSV emission."""
+"""The one CSV row formatter: repeatable-to-the-byte rows."""
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Iterable, Sequence
 
-__all__ = ["format_rows", "write_csv"]
+__all__ = ["format_rows"]
 
 FLOAT_DIGITS = 17   # round-trips IEEE doubles exactly
 
@@ -32,35 +31,3 @@ def format_rows(rows: Iterable[Sequence], digits: int = FLOAT_DIGITS,
                            for v in row]) for row in rows]
     return end.join(lines) + end if lines else ""
 
-
-def write_csv(target, columns: Sequence[str], rows: Iterable[Sequence],
-              digits: int = FLOAT_DIGITS) -> None:
-    """Write rows as CSV to a path or text stream.
-
-    Floats are rendered with repr (17 significant digits) by default so a
-    written table reloads bit-exactly; no quoting is ever needed for numeric
-    tables so the writer stays trivially deterministic.
-    """
-    own = isinstance(target, (str, Path))
-    fh = open(target, "w", encoding="utf-8", newline="") if own else target
-    try:
-        fh.write(",".join(columns) + "\n")
-        fh.write(format_rows(rows, digits))
-    finally:
-        if own:
-            fh.close()
-
-
-def read_csv(source) -> tuple[list[str], list[list[float]]]:
-    """Inverse of write_csv for purely numeric tables."""
-    own = isinstance(source, (str, Path))
-    fh = open(source, "r", encoding="utf-8") if own else source
-    try:
-        text = fh.read()
-    finally:
-        if own:
-            fh.close()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = lines[0].split(",")
-    rows = [[float(tok) for tok in ln.split(",")] for ln in lines[1:]]
-    return header, rows

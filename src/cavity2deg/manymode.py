@@ -31,8 +31,8 @@ here than raw speed.  It visits the pairs in a round-robin (tournament)
 order, a parallel ordering in the sense of Brent & Luk (SIAM J. Sci. Stat.
 Comput. 6, 1985): each round rotates about n/2 disjoint pairs, so one set of
 vectorized numpy updates applies the whole round.  There is one Jacobi
-kernel and no compiled variant; ``backend="lapack"`` selects the platform
-eigensolver instead, as a cross-check.
+kernel; the tests check it against the platform eigensolver (LAPACK via
+numpy.linalg.eigh).
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ import numpy as np
 from .constants import CODATA2018, Constants
 from .exceptions import (ConvergenceError, DegenerateModeError, DomainError,
                          PreconditionError)
-from .io_utils import write_csv
 
 __all__ = [
     "ModeSet",
@@ -60,8 +59,6 @@ __all__ = [
     "manymode_spectrum",
     "exact_coupling_1d",
     "lowest_mode_scan",
-    "write_lowest_scan_csv",
-    "write_coupling_run_csv",
 ]
 
 OFFDIAG_TOL_FACTOR = 1e-12   # convergence: off-diagonal Frobenius vs ||W||_F
@@ -257,21 +254,18 @@ def _jacobi_round_robin(a: np.ndarray, vt: np.ndarray, skip_thr: float,
     return sweeps
 
 
-def diagonalize_w(w_matrix: np.ndarray, tol_factor: float = OFFDIAG_TOL_FACTOR,
-                  max_sweeps: int = MAX_SWEEPS,
-                  backend: str = "auto") -> NormalModes:
+def diagonalize_w(w_matrix: np.ndarray) -> NormalModes:
     """Orthogonal eigendecomposition of a symmetric W, deterministic output.
 
     The Jacobi solver sweeps the pairs in round-robin order: each sweep is
     n - 1 rounds (n for odd n) of about n/2 disjoint rotations, applied
     together; a pair with |W[p, q]| below the skip threshold sits its round
     out, and sweeps stop once the off-diagonal Frobenius norm is below
-    ``tol_factor * ||W||_F``.  Eigenvalues are sorted ascending; each
+    ``OFFDIAG_TOL_FACTOR * ||W||_F``, or ConvergenceError is raised after
+    ``MAX_SWEEPS`` sweeps.  Eigenvalues are sorted ascending; each
     eigenvector is sign-fixed so its largest-magnitude component is
-    positive.  ``backend`` picks the Jacobi solver ("auto" or "numpy", the
-    same kernel) or the platform eigensolver ("lapack").  Non-finite
-    entries, an empty W and a W whose Frobenius norm overflows raise
-    ``DomainError``.
+    positive.  Non-finite entries, an empty W and a W whose Frobenius norm
+    overflows raise ``DomainError``.
     """
     a = np.array(w_matrix, dtype=float, copy=True, order="C")
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
@@ -288,25 +282,16 @@ def diagonalize_w(w_matrix: np.ndarray, tol_factor: float = OFFDIAG_TOL_FACTOR,
         raise DomainError("W must be symmetric")
     a = 0.5 * (a + a.T)
     n = a.shape[0]
-    if backend == "lapack":
-        eigvals, v = np.linalg.eigh(a)
-        sweeps = 0
-    else:
-        tol_fro = tol_factor * norm_fro
-        skip_thr = tol_fro / (2.0 * n)
-        if backend not in ("auto", "numpy"):
-            raise DomainError(f"unknown backend {backend!r}")
-        v = np.eye(n)   # V^T while the kernel runs
-        sweeps = _jacobi_round_robin(a, v, skip_thr, tol_fro, max_sweeps)
-        if sweeps < 0:
-            raise ConvergenceError(
-                f"Jacobi did not reach tol {tol_factor:g}*||W||_F "
-                f"in {max_sweeps} sweeps (M = {n})")
-        eigvals = np.diag(a).copy()
-        v = v.T
-    _log.debug("diagonalize_w: %s, M = %d, sweeps = %d",
-               "lapack" if backend == "lapack" else "jacobi", n, sweeps)
-    return _normal_form(eigvals, v, int(sweeps))
+    tol_fro = OFFDIAG_TOL_FACTOR * norm_fro
+    skip_thr = tol_fro / (2.0 * n)
+    vt = np.eye(n)
+    sweeps = _jacobi_round_robin(a, vt, skip_thr, tol_fro, MAX_SWEEPS)
+    if sweeps < 0:
+        raise ConvergenceError(
+            f"Jacobi did not reach tol {OFFDIAG_TOL_FACTOR:g}*||W||_F "
+            f"in {MAX_SWEEPS} sweeps (M = {n})")
+    _log.debug("diagonalize_w: jacobi, M = %d, sweeps = %d", n, sweeps)
+    return _normal_form(np.diag(a).copy(), vt.T, sweeps)
 
 
 def _normal_form(eigvals: np.ndarray, v: np.ndarray,
@@ -500,26 +485,21 @@ def _structured_modes(modes: ModeSet,
     return lam, q, steps
 
 
-def normal_modes(modes: ModeSet, omega_p: float, **kwargs) -> NormalModes:
+def normal_modes(modes: ModeSet, omega_p: float) -> NormalModes:
     """Normal modes of build_w(modes, omega_p) with rotated polarizations.
 
-    By default W = D + omega_p^2 P P^T is solved by its rank <= 3 structure
-    (see ``_structured_modes``) in O(M^2) per update plus one GEMM, and
-    ``sweeps`` is 0: no Jacobi sweep ran.  Any keyword (``backend``,
-    ``tol_factor``, ``max_sweeps``) routes to ``diagonalize_w`` on the dense
-    W instead, which stays the oracle for this path.  Eigenvalues ascend and
-    each eigenvector's largest-magnitude component is positive either way.
+    W = D + omega_p^2 P P^T is solved by its rank <= 3 structure (see
+    ``_structured_modes``) in O(M^2) per update plus one GEMM, and
+    ``sweeps`` is 0: no Jacobi sweep ran.  ``diagonalize_w`` on the dense W
+    is the oracle for this path.  Eigenvalues ascend and each eigenvector's
+    largest-magnitude component is positive.
     """
-    if kwargs:
-        nm = diagonalize_w(build_w(modes, omega_p), **kwargs)
-    else:
-        lam, u, steps = _structured_modes(modes, _omega_p_sq(omega_p))
-        nm = _normal_form(lam, u, 0)
-        _log.debug("normal_modes: structured, M = %d, secular steps per "
-                   "update = %s", lam.size, steps)
-    eps_tilde = rotated_polarizations(modes, nm.u)
-    return NormalModes(omega_sq=nm.omega_sq, u=nm.u, sweeps=nm.sweeps,
-                       eps_tilde=eps_tilde)
+    lam, u, steps = _structured_modes(modes, _omega_p_sq(omega_p))
+    nm = _normal_form(lam, u, 0)
+    _log.debug("normal_modes: structured, M = %d, secular steps per "
+               "update = %s", lam.size, steps)
+    return NormalModes(omega_sq=nm.omega_sq, u=nm.u, sweeps=0,
+                       eps_tilde=rotated_polarizations(modes, nm.u))
 
 
 def manymode_spectrum(n_gamma: Sequence[int], K: Sequence[float],
@@ -634,11 +614,3 @@ def lowest_mode_scan(ratios: Sequence[float],
         edge = math.sqrt(1.0 + rho)
         rows[i] = (ratio, 100.0 * abs(edge - omega_lowest) / edge)
     return rows
-
-
-def write_lowest_scan_csv(rows: np.ndarray, target) -> None:
-    write_csv(target, ("ratio", "rel_diff_percent"), rows)
-
-
-def write_coupling_run_csv(rows: Sequence[tuple[int, float]], target) -> None:
-    write_csv(target, ("n_modes", "g_exact"), rows)

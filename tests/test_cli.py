@@ -6,6 +6,8 @@ captured with capsys.  Exit code conventions under test:
     errors, 4 convergence failures.
 """
 
+import contextlib
+import io
 import json
 import logging
 import math
@@ -17,6 +19,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cavity2deg
 from cavity2deg import (BroadenedFrequency, ConfigError, ConvergenceError,
@@ -24,11 +28,11 @@ from cavity2deg import (BroadenedFrequency, ConfigError, ConvergenceError,
                         PreconditionError, SystemConfig,
                         casimir_energy_density, casimir_pressure,
                         chemical_potential, chi_mixed_freq, effective_coupling,
-                        eft_chi_aa, jellium, optical_conductivity,
-                        renormalized_mass)
+                        eft_chi_aa, exact_coupling_1d, jellium,
+                        optical_conductivity, renormalized_mass)
 from cavity2deg import cli
-from cavity2deg.cli import (OutputRecord, SweepSpec, cmd_eft, cmd_response,
-                            main)
+from cavity2deg.cli import (OutputRecord, SweepSpec, cmd_eft, cmd_manymode,
+                            cmd_response, main)
 
 
 def run(capsys, *argv):
@@ -137,6 +141,15 @@ class TestOutputRecord:
         rec = self.make(rows=[(bad, 1.0), (other, 2.0)])
         with pytest.raises(DomainError, match="non-finite"):
             rec.to_json()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["config", "params", "summary"])
+    def test_non_finite_header_rejected(self, field, bad, fmt):
+        # no NaN or Infinity token in the envelope either
+        rec = self.make(**{field: {"x": [1.0, bad]}})
+        with pytest.raises(DomainError, match="non-finite"):
+            rec.render(fmt)
 
 
 class TestDeterminism:
@@ -326,6 +339,20 @@ class TestManymodeCommand:
         assert body["summary"]["single_mode_gamma"] == pytest.approx(
             0.2, rel=1e-12)
 
+    @pytest.mark.parametrize("m", [1, 10, 200])
+    @pytest.mark.parametrize("ratio", [0.1, 0.5, 1.0])
+    def test_coupling_run_limit(self, m, ratio):
+        # g_limit = rho zeta(2) / (1 + rho zeta(2)); with
+        # 1/(M+1) < zeta(2) - s(M) < 1/M, g_limit - g(M) =
+        # rho (zeta(2) - s) / ((1 + rho zeta(2)) (1 + rho s)) is bracketed
+        g_limit = cmd_manymode("coupling-run", 1, ratio).summary["g_limit"]
+        g = exact_coupling_1d(m, 1.0, ratio)
+        rho, zeta2 = ratio**2, math.pi**2 / 6
+        s = sum(1.0 / n**2 for n in range(1, m + 1))
+        assert g < g_limit
+        assert (rho / ((m + 1) * (1 + rho * zeta2) ** 2) < g_limit - g
+                < rho / (m * (1 + rho * s) * (1 + rho * zeta2)))
+
     def test_lowest_scan_summary(self, capsys):
         code, out, _ = run(capsys, "manymode", "lowest-scan", "--modes",
                            "30", "--format", "json",
@@ -413,6 +440,32 @@ class TestUsageErrors:
         assert "cavity2deg" in capsys.readouterr().out
 
 
+def _float_flag_argvs() -> list[tuple[str, ...]]:
+    """argv templates, one per sub-command and float input it takes; ``{}``
+    marks the value.  ``--flag={}`` keeps argparse from reading -inf as an
+    option."""
+    commands = [(("phase",), (), "gamma")]
+    commands += [(("response", kind), ("--eta",), "w")
+                 for kind in cli._RESPONSE_FUNCS]
+    commands += [(("eft", sub), ("--lambda0", "--eta"), var)
+                 for sub, var in (("coupling", "lambda0"), ("mass", "lambda0"),
+                                  ("mu", "lambda0"), ("casimir", "lambda0"),
+                                  ("jellium", "rs"), ("chi", "w"))]
+    commands += [(("manymode", sub, "--modes=3"), ("--ratio",), var)
+                 for sub, var in (("diag", None), ("lowest-scan", "ratio"),
+                                  ("coupling-run", "modes"))]
+    argvs = []
+    for prefix, flags, var in commands:
+        argvs += [prefix + (flag + "={}",) for flag in flags]
+        if var is not None:
+            argvs += [prefix + ("--sweep", var + "={}:1:3"),
+                      prefix + ("--sweep", var + "=0.5:{}:3")]
+    return argvs
+
+
+FLOAT_FLAG_ARGVS = _float_flag_argvs()
+
+
 class TestNonFiniteInput:
     """Non-finite input and rows that overflow end in exit 2 or 3 with no
     output and no numpy warning; none of these exits 0."""
@@ -435,6 +488,14 @@ class TestNonFiniteInput:
         # rs^2 underflows to 0
         (["eft", "jellium", "--lambda0", "6", "--sweep",
           "rs=1e-200:1e-190:3"], 3),
+        # lowest-scan does not use --ratio, but it is checked all the same
+        (["manymode", "lowest-scan", "--ratio", "nan"], 2),
+        (["manymode", "lowest-scan", "--ratio", "inf"], 2),
+        (["manymode", "diag", "--ratio", "nan", "--format", "json"], 2),
+        (["manymode", "coupling-run", "--ratio", "inf"], 2),
+        # ratio^2 overflows, and the sweep leaves no row to catch it
+        (["manymode", "coupling-run", "--ratio", "1e200", "--sweep",
+          "modes=-5:0:3"], 2),
     ])
     def test_exit_code(self, capsys, argv, code):
         with warnings.catch_warnings():
@@ -443,6 +504,22 @@ class TestNonFiniteInput:
         assert got == code
         assert out == ""
         assert err.startswith("error: ")
+
+    @settings(max_examples=40)
+    @given(st.sampled_from(FLOAT_FLAG_ARGVS),
+           st.sampled_from(("nan", "inf", "-inf")),
+           st.sampled_from(("csv", "json")))
+    def test_float_flags_property(self, template, value, fmt):
+        # every float a flag or a sweep endpoint takes, set non-finite
+        argv = [a.format(value) for a in template] + ["--format", fmt]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main(argv)
+        assert code in (2, 3), (argv, code)
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
 
     @pytest.mark.parametrize("text", [
         "units_mode = ratio\nratio = nan\n",
@@ -567,12 +644,25 @@ class TestSweepsMatchPointwise:
 
 
 class TestImportFloor:
+    # one cheap run of each command; scipy is a test-only dependency
+    ARGVS = [["phase"], ["response", "aa"], ["eft", "coupling"],
+             ["manymode", "diag", "--modes", "5"],
+             ["manymode", "lowest-scan", "--modes", "5"],
+             ["manymode", "coupling-run", "--modes", "5"]]
+
     def test_cli_import_loads_no_scipy(self):
-        # every workload's start-up time rests on this import
+        # every workload's start-up time rests on this import, and no
+        # command may load scipy later either
         src = Path(cavity2deg.__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(src), os.environ.get("PYTHONPATH", "")]))
-        subprocess.run(
-            [sys.executable, "-c",
-             "import cavity2deg.cli, sys; assert 'scipy' not in sys.modules"],
-            env=env, check=True, timeout=120)
+        script = (
+            "import contextlib, io, sys\n"
+            "import cavity2deg.cli as cli\n"
+            "assert 'scipy' not in sys.modules\n"
+            f"for argv in {self.ARGVS!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv) == 0, argv\n"
+            "assert 'scipy' not in sys.modules\n")
+        subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                       timeout=120)

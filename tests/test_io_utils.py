@@ -5,12 +5,10 @@ formatter: floats (numpy float64 included) by repr(float(v)) at 17 digits
 or '%.{digits}g' below, everything else by str(v).
 """
 
-import io
-
 import numpy as np
 import pytest
 
-from cavity2deg.io_utils import FLOAT_DIGITS, format_rows, write_csv
+from cavity2deg.io_utils import FLOAT_DIGITS, format_rows
 
 ROWS = [
     (1, 2.5, "Stable", True, np.float64(1 / 3), 1234567, 1e20, -0.0),
@@ -38,8 +36,3 @@ def test_array_rows_and_empty_table():
     assert format_rows(table) == "0.1,2.0\n1e-300,-3.5\n"
     assert format_rows([]) == ""
 
-
-def test_write_csv_stream():
-    buf = io.StringIO()
-    write_csv(buf, ("a", "b"), iter([(1, 0.5), (2, np.float64(0.25))]), 17)
-    assert buf.getvalue() == "a,b\n1,0.5\n2,0.25\n"

@@ -12,7 +12,6 @@ Oracles:
   * dense Jacobi on build_w (and LAPACK) for the structured normal modes.
 """
 
-import io
 import logging
 import math
 
@@ -43,9 +42,8 @@ from cavity2deg import (
     rotated_polarizations,
 )
 from cavity2deg import manymode
-from cavity2deg.io_utils import read_csv
-from cavity2deg.manymode import (_round_robin_rounds, _structured_modes,
-                                 write_coupling_run_csv, write_lowest_scan_csv)
+from cavity2deg.cli import main
+from cavity2deg.manymode import _round_robin_rounds, _structured_modes
 
 HBAR = CODATA2018.hbar
 M_E = CODATA2018.m_e
@@ -157,19 +155,12 @@ class TestDiagonalizeW:
         check_decomposition(w, nm, 1e-11)
 
     def test_backends_agree(self, rng):
+        # the one Jacobi kernel against LAPACK's eigh on the same W
         w = random_symmetric(rng, 12)
-        backends = ("numpy", "lapack", "auto")
-        # there is no compiled kernel any more
-        with pytest.raises(DomainError, match="numba"):
-            diagonalize_w(w, backend="numba")
-        eigs = {}
-        for backend in backends:
-            nm = diagonalize_w(w, backend=backend)
-            eigs[backend] = nm.omega_sq
-            check_decomposition(w, nm, 1e-11)
-        for backend in backends[1:]:
-            assert np.allclose(eigs["numpy"], eigs[backend], rtol=1e-12,
-                               atol=1e-14 * np.linalg.norm(w))
+        nm = diagonalize_w(w)
+        check_decomposition(w, nm, 1e-11)
+        assert np.allclose(nm.omega_sq, np.linalg.eigh(w)[0], rtol=1e-12,
+                           atol=1e-14 * np.linalg.norm(w))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
@@ -206,10 +197,6 @@ class TestDiagonalizeW:
         with pytest.raises(DomainError, match="overflows"):
             diagonalize_w(np.array([[1e200, 3e199], [3e199, 2e200]]))
 
-    def test_unknown_backend(self):
-        with pytest.raises(DomainError):
-            diagonalize_w(np.eye(3), backend="magma")
-
     def test_diagonal_input_converges_immediately(self):
         nm = diagonalize_w(np.diag([3.0, 1.0, 2.0]))
         assert nm.sweeps == 0
@@ -224,10 +211,11 @@ class TestDiagonalizeW:
         with pytest.raises(DomainError):
             diagonalize_w(a)
 
-    def test_convergence_error(self, rng):
+    def test_convergence_error(self, monkeypatch, rng):
         w = random_symmetric(rng, 6)
+        monkeypatch.setattr(manymode, "MAX_SWEEPS", 0)
         with pytest.raises(ConvergenceError, match="sweeps"):
-            diagonalize_w(w, max_sweeps=0)
+            diagonalize_w(w)
 
     def test_degenerate_eigenvalues(self):
         # repeated eigenvalues: decomposition still orthogonal and exact;
@@ -419,11 +407,6 @@ class TestStructuredModes:
         with pytest.raises(ConvergenceError, match="secular"):
             normal_modes(transverse_modes(rng, 10), 1.0)
 
-    def test_dense_keywords_route_to_jacobi(self):
-        modes = ModeSet.ladder_1d(6)
-        assert normal_modes(modes, 0.5).sweeps == 0
-        assert normal_modes(modes, 0.5, max_sweeps=30).sweeps > 0
-
     def test_overflowing_frequencies_rejected(self):
         modes = ModeSet(omega=np.array([1.0, 1e200]),
                         pol=np.tile([1.0, 0, 0], (2, 1)))
@@ -434,11 +417,9 @@ class TestStructuredModes:
         modes = ModeSet.ladder_1d(5)
         with caplog.at_level(logging.DEBUG, logger="cavity2deg"):
             normal_modes(modes, 0.5)
-            normal_modes(modes, 0.5, backend="lapack")
             diagonalize_w(build_w(modes, 0.5))
         assert [r.getMessage().split(",")[:2] for r in caplog.records] == [
             ["normal_modes: structured", " M = 5"],
-            ["diagonalize_w: lapack", " M = 5"],
             ["diagonalize_w: jacobi", " M = 5"]]
         assert "secular steps per update = [" in caplog.records[0].getMessage()
         assert any(isinstance(h, logging.NullHandler)
@@ -519,10 +500,10 @@ class TestLadderCoupling:
         # sum_g wp^2 (eps~_g,x)^2 / Omega_g^2 from the LAPACK eigenpairs
         for m in (1, 2, 9, 40, 120, 200):
             for ratio in (0.05, 0.3, 1.0, 3.0):
-                nm = normal_modes(ModeSet.ladder_1d(m), ratio,
-                                  backend="lapack")
-                ref = float(np.sum(ratio**2 * nm.eps_tilde[:, 0]**2
-                                   / nm.omega_sq))
+                modes = ModeSet.ladder_1d(m)
+                omega_sq, u = np.linalg.eigh(build_w(modes, ratio))
+                eps_tilde = rotated_polarizations(modes, u)
+                ref = float(np.sum(ratio**2 * eps_tilde[:, 0]**2 / omega_sq))
                 assert exact_coupling_1d(m, 1.0, ratio) == pytest.approx(
                     ref, rel=1e-11)
 
@@ -609,20 +590,28 @@ class TestLowestModeScan:
                                             abs=eps * np.linalg.norm(w))
 
 
+def cli_csv(capsys, *argv):
+    """Column names and float rows of the CSV dataset that ``cavity2deg
+    *argv`` writes to stdout."""
+    assert main(list(argv)) == 0
+    lines = [ln for ln in capsys.readouterr().out.splitlines()
+             if not ln.startswith("#")]
+    return (lines[0].split(","),
+            [[float(tok) for tok in ln.split(",")] for ln in lines[1:]])
+
+
 class TestCsvEmission:
-    def test_lowest_scan_round_trip(self):
+    def test_lowest_scan_round_trip(self, capsys):
         rows = lowest_mode_scan([0.0, 0.4, 0.8], n_modes=15)
-        buf = io.StringIO()
-        write_lowest_scan_csv(rows, buf)
-        header, back = read_csv(io.StringIO(buf.getvalue()))
+        header, back = cli_csv(capsys, "manymode", "lowest-scan", "--modes",
+                               "15", "--sweep", "ratio=0:0.8:3")
         assert header == ["ratio", "rel_diff_percent"]
         assert np.allclose(np.asarray(back), rows, rtol=0, atol=0)
 
-    def test_coupling_run_round_trip(self, tmp_path):
+    def test_coupling_run_round_trip(self, capsys):
         rows = [(m, exact_coupling_1d(m, 1.0, 0.5)) for m in range(1, 6)]
-        path = tmp_path / "run.csv"
-        write_coupling_run_csv(rows, path)
-        header, back = read_csv(path)
+        header, back = cli_csv(capsys, "manymode", "coupling-run", "--modes",
+                               "5", "--ratio", "0.5")
         assert header == ["n_modes", "g_exact"]
         assert [int(r[0]) for r in back] == [1, 2, 3, 4, 5]
         assert np.allclose([r[1] for r in back], [r[1] for r in rows],
