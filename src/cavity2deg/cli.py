@@ -24,25 +24,24 @@ import sys
 from dataclasses import dataclass, field, replace
 from functools import cache
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import __version__
 from .constants import CODATA2018
-from .core import (DerivedScales, SystemConfig, UnitsMode, classify_phase,
+from .core import (DerivedScales, SystemConfig, classify_phase,
                    load_config_file)
 from .eft import (EftConfig, casimir_energy_density, casimir_pressure,
                   chemical_potential, effective_coupling, eft_chi_aa,
                   jellium, per_particle_coupling, renormalized_mass)
 from .exceptions import (Cavity2degError, ConfigError, ConvergenceError,
-                         DegenerateModeError, DomainError, InstabilityError,
-                         PoleError, PreconditionError, UnitModeError)
+                         DomainError, PreconditionError, UnitModeError)
 from .io_utils import FLOAT_DIGITS, format_rows
 from .manymode import (ModeSet, exact_coupling_1d, lowest_mode_scan,
                        normal_modes)
-from .response import (BroadenedFrequency, ResponseKind, chi_aa_freq,
-                       chi_ea_freq, chi_jj_freq, chi_mixed_freq,
+from .response import (BroadenedFrequency, ResponseKind, _mode_params,
+                       chi_aa_freq, chi_ea_freq, chi_jj_freq, chi_mixed_freq,
                        dc_conductivity, drude_effective_mass,
                        optical_conductivity, sigma0_dc)
 
@@ -66,7 +65,6 @@ class SweepSpec:
     stop: float
     count: int
     log: bool = False
-    overrides: Mapping = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.variable not in SWEEPABLE:
@@ -241,13 +239,6 @@ def _default_config() -> SystemConfig:
                            mirror_gap=DEFAULT_GAP)
 
 
-def _omega_tilde_scale(scales: DerivedScales) -> float:
-    """Dressed frequency in whichever units the config defines."""
-    if scales.config.units_mode is UnitsMode.RATIO:
-        return scales.omega_tilde_over_omega
-    return scales.omega_tilde
-
-
 def _check_sweep_var(sweep: SweepSpec | None, allowed: tuple[str, ...],
                      command: str) -> None:
     if sweep is not None and sweep.variable not in allowed:
@@ -301,7 +292,7 @@ def cmd_response(kind: str, config: SystemConfig | None = None,
     _check_sweep_var(sweep, ("w",), "response")
     config = config or _default_config()
     scales = DerivedScales(config)
-    wt = _omega_tilde_scale(scales)
+    wt = _mode_params(scales)[1]
     if eta is None:
         eta = 0.01 * wt
     if eta <= 0:
@@ -335,6 +326,8 @@ def cmd_eft(sub: str, config: SystemConfig | None = None,
     if sub not in subs:
         raise ConfigError(f"unknown eft sub-command {sub!r}; "
                           f"choose from {', '.join(subs)}")
+    if eta is not None and sub != "chi":
+        raise ConfigError(f"eft {sub} does not read --eta")
     config = config or _default_config()
     ecfg = EftConfig(system=config, lambda0=lambda0 if lambda0 is not None else 1.0)
     pole = ecfg.lambda0_pole
@@ -424,20 +417,31 @@ def cmd_eft(sub: str, config: SystemConfig | None = None,
                         summary=summary)
 
 
-def cmd_manymode(sub: str, n_modes: int = 100, ratio: float = 0.5,
+def cmd_manymode(sub: str, n_modes: int = 100, ratio: float | None = None,
                  sweep: SweepSpec | None = None,
                  config: SystemConfig | None = None) -> OutputRecord:
-    """Exact multi-mode scans for the parallel-polarization ladder."""
+    """Exact multi-mode scans for the parallel-polarization ladder.
+
+    The ladder is dimensionless, so no sub-command reads a config; ratio
+    (default 0.5) is not read by lowest-scan, which sweeps it.
+    """
     subs = ("diag", "lowest-scan", "coupling-run")
     if sub not in subs:
         raise ConfigError(f"unknown manymode sub-command {sub!r}; "
                           f"choose from {', '.join(subs)}")
+    if config is not None:
+        raise ConfigError(f"manymode {sub} does not read --config")
+    if ratio is None:
+        ratio = 0.5
+    elif sub == "lowest-scan":
+        raise ConfigError("manymode lowest-scan does not read --ratio; "
+                          "sweep ratio instead")
     if n_modes < 1:
         raise ConfigError(f"--modes must be >= 1, got {n_modes}")
     if not (ratio >= 0 and math.isfinite(ratio * ratio)):
         raise ConfigError(f"--ratio must be non-negative with a finite "
                           f"square, got {ratio}")
-    cfg_map = (config or _default_config()).as_mapping()
+    cfg_map = _default_config().as_mapping()
     params: dict = {"sub": sub, "modes": n_modes, "ratio": ratio,
                     "sweep": None if sweep is None else str(sweep)}
 
@@ -532,7 +536,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_many.add_argument("sub", choices=("diag", "lowest-scan", "coupling-run"))
     p_many.add_argument("--modes", type=int, default=100,
                         help="mode count M (default 100)")
-    p_many.add_argument("--ratio", type=float, default=0.5,
+    p_many.add_argument("--ratio", type=float, default=None,
                         help="omega_p/omega_1 (default 0.5)")
     return parser
 
@@ -567,20 +571,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         record = _dispatch(args)
         _emit(record, args.format, args.out, args.digits)
-    except (ConfigError, UnitModeError) as exc:
+    except (ConfigError, UnitModeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, PreconditionError, InstabilityError, PoleError,
-            DegenerateModeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Cavity2degError as exc:  # any future library error: domain bucket
+    except Cavity2degError as exc:  # domain, pole, precondition, ...
         print(f"error: {exc}", file=sys.stderr)
         return 3
     return 0

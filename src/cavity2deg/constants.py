@@ -1,8 +1,8 @@
 """Physical constants (CODATA 2018) used throughout the package.
 
-Primary constants are frozen literals; derived ones (fine-structure constant,
-Bohr radius) are computed from the primaries so that the defining identities
-hold to machine precision.
+Primary constants are frozen literals; the fine-structure constant is computed
+from them so that its defining identity holds to machine precision.  Every
+module reads the one instance ``CODATA2018``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ __all__ = ["Constants", "CODATA2018"]
 
 @dataclass(frozen=True)
 class Constants:
-    """Bundle of SI constants; pass a custom instance to override."""
+    """Bundle of SI constants."""
 
     hbar: float = 1.054571817e-34      # J s
     e: float = 1.602176634e-19         # C (exact)
@@ -27,16 +27,6 @@ class Constants:
     def alpha_fs(self) -> float:
         """Fine-structure constant e^2/(4 pi hbar c eps0)."""
         return self.e**2 / (4.0 * math.pi * self.hbar * self.c * self.eps0)
-
-    @property
-    def a0(self) -> float:
-        """Bohr radius 4 pi eps0 hbar^2/(m_e e^2)."""
-        return 4.0 * math.pi * self.eps0 * self.hbar**2 / (self.m_e * self.e**2)
-
-    @property
-    def rydberg(self) -> float:
-        """Rydberg energy e^2/(8 pi eps0 a0) in joules."""
-        return self.e**2 / (8.0 * math.pi * self.eps0 * self.a0)
 
 
 CODATA2018 = Constants()

@@ -26,7 +26,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Mapping
 
-from .constants import CODATA2018, Constants
+from .constants import CODATA2018
 from .exceptions import ConfigError, DomainError, UnitModeError
 
 __all__ = [
@@ -42,6 +42,8 @@ __all__ = [
     "classify_phase",
     "load_config_file",
 ]
+
+PHASE_TOL = 1e-12   # half-width of the Critical band around gamma = 1
 
 
 class UnitsMode(enum.Enum):
@@ -147,7 +149,7 @@ class SystemConfig:
                 return None
             try:
                 return conv(data[key])
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"bad value for {key!r}: {exc}") from None
         return cls(units_mode=mode,
                    n_electrons=fget("n_electrons", int),
@@ -165,9 +167,8 @@ class DerivedScales:
     omega_tilde_over_omega) are available.
     """
 
-    def __init__(self, config: SystemConfig, constants: Constants = CODATA2018):
+    def __init__(self, config: SystemConfig):
         self.config = config
-        self.constants = constants
 
     def _si(self, what: str) -> None:
         self.config._require_si(what)
@@ -179,7 +180,7 @@ class DerivedScales:
         cfg = self.config
         if cfg.mode_frequency is not None:
             return cfg.mode_frequency
-        return self.constants.c * math.pi * cfg.cavity_index / cfg.mirror_gap
+        return CODATA2018.c * math.pi * cfg.cavity_index / cfg.mirror_gap
 
     @cached_property
     def n_2d(self) -> float:
@@ -194,7 +195,7 @@ class DerivedScales:
     @cached_property
     def omega_p(self) -> float:
         self._si("omega_p")
-        k = self.constants
+        k = CODATA2018
         return math.sqrt(k.e**2 * self.n_2d / (k.m_e * k.eps0 * self.config.mirror_gap))
 
     @cached_property
@@ -219,7 +220,7 @@ class DerivedScales:
 
     @cached_property
     def g_single(self) -> float:
-        return single_particle_coupling(self.config, self.constants)
+        return single_particle_coupling(self.config)
 
     @cached_property
     def k_fermi(self) -> float:
@@ -227,10 +228,10 @@ class DerivedScales:
         return fermi_wavevector(self.n_2d)
 
 
-def plasma_frequency(config: SystemConfig, constants: Constants = CODATA2018) -> float:
+def plasma_frequency(config: SystemConfig) -> float:
     """omega_p = sqrt(e^2 n_2d / (m_e eps0 L_z)) in rad/s."""
     config._require_si("plasma_frequency")
-    return DerivedScales(config, constants).omega_p
+    return DerivedScales(config).omega_p
 
 
 def dressed_frequency(omega: float, omega_p: float) -> float:
@@ -251,15 +252,14 @@ def collective_coupling(omega: float, omega_p: float) -> float:
     return omega_p**2 / (omega**2 + omega_p**2)
 
 
-def single_particle_coupling(config: SystemConfig,
-                             constants: Constants = CODATA2018) -> float:
+def single_particle_coupling(config: SystemConfig) -> float:
     """Bilinear coupling constant g = (e hbar/m_e) sqrt(hbar/(2 eps0 V omega_t)).
 
     Satisfies 2 m_e N g^2 / (hbar^3 omega_t) = gamma.
     """
     config._require_si("single_particle_coupling")
-    k = constants
-    scales = DerivedScales(config, constants)
+    k = CODATA2018
+    scales = DerivedScales(config)
     return (k.e * k.hbar / k.m_e) * math.sqrt(
         k.hbar / (2.0 * k.eps0 * config.volume * scales.omega_tilde))
 
@@ -271,15 +271,16 @@ def fermi_wavevector(n_2d: float) -> float:
     return math.sqrt(2.0 * math.pi * n_2d)
 
 
-def classify_phase(gamma: float, tol: float = 1e-12) -> Phase:
-    """Stable for gamma < 1, Critical at gamma = 1 (within tol), Unstable above."""
+def classify_phase(gamma: float) -> Phase:
+    """Stable for gamma < 1, Critical at gamma = 1 (within PHASE_TOL),
+    Unstable above."""
     if not math.isfinite(gamma):
         raise DomainError(f"gamma must be finite, got {gamma}")
     if gamma < 0:
         raise DomainError(f"gamma must be non-negative, got {gamma}")
-    if gamma < 1.0 - tol:
+    if gamma < 1.0 - PHASE_TOL:
         return Phase.STABLE
-    if gamma > 1.0 + tol:
+    if gamma > 1.0 + PHASE_TOL:
         return Phase.UNSTABLE
     return Phase.CRITICAL
 

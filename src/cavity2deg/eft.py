@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .constants import CODATA2018, Constants
+from .constants import CODATA2018
 from .core import DerivedScales, SystemConfig, UnitsMode
 from .exceptions import DomainError, PoleError, UnitModeError
 from .response import BroadenedFrequency, ResponseKind, ResponseValue
@@ -70,12 +70,12 @@ class EftConfig:
 
     Lambda0 must be finite and >= 1; values beyond the Landau pole
     exp(1/(N alpha)) are allowed for exploratory sweeps but emit a
-    RuntimeWarning since the theory has no ground state there.
+    RuntimeWarning since the theory has no ground state there.  A system so
+    weakly coupled that the pole leaves the float range raises DomainError.
     """
 
     system: SystemConfig
     lambda0: float
-    constants: Constants = CODATA2018
 
     def __post_init__(self) -> None:
         if self.system.units_mode is not UnitsMode.SI:
@@ -92,12 +92,12 @@ class EftConfig:
 
     @cached_property
     def scales(self) -> DerivedScales:
-        return DerivedScales(self.system, self.constants)
+        return DerivedScales(self.system)
 
     @cached_property
     def alpha(self) -> float:
         """Per-electron coupling density e^2/(4 pi c^2 eps0 m_e L_z)."""
-        k = self.constants
+        k = CODATA2018
         return k.e**2 / (4.0 * math.pi * k.c**2 * k.eps0 * k.m_e
                          * self.system.mirror_gap)
 
@@ -112,7 +112,7 @@ class EftConfig:
     @cached_property
     def omega_tilde_sq_cutoff(self) -> float:
         """Lower continuum edge omega_t^2(kappa_z) in rad^2/s^2."""
-        return (self.constants.c * self.kappa_z) ** 2 + self.scales.omega_p**2
+        return (CODATA2018.c * self.kappa_z) ** 2 + self.scales.omega_p**2
 
     @cached_property
     def lambda_freq2(self) -> float:
@@ -121,7 +121,12 @@ class EftConfig:
 
     @cached_property
     def lambda0_pole(self) -> float:
-        return math.exp(1.0 / self.n_alpha)
+        try:
+            return math.exp(1.0 / self.n_alpha)
+        except OverflowError:
+            raise DomainError(
+                f"the Landau pole exp(1/n_alpha) overflows the float range "
+                f"at n_alpha = {self.n_alpha:g}") from None
 
     @property
     def in_stability_window(self) -> bool:
@@ -187,7 +192,7 @@ def effective_energy(kinetic_sum: float, K: tuple[float, float],
     zero-point continuum enters as area * casimir_energy_density; discrete
     excitations on top are passed as (frequency rad/s, occupation) pairs.
     """
-    k = ecfg.constants
+    k = CODATA2018
     n = ecfg.system.n_electrons
     g = effective_coupling(ecfg)
     k2 = K[0] ** 2 + K[1] ** 2
@@ -206,9 +211,8 @@ def band_energy(k: float, ecfg: EftConfig) -> float:
     Lambda0 = 1 and inverts beyond it.  Equal to effective_energy(k^2, (k, 0))
     minus the zero-point contribution.
     """
-    k_const = ecfg.constants
     g_per = per_particle_coupling(ecfg)
-    return k_const.hbar**2 * k * k * (1.0 - g_per) / (2.0 * k_const.m_e)
+    return CODATA2018.hbar**2 * k * k * (1.0 - g_per) / (2.0 * CODATA2018.m_e)
 
 
 def renormalized_mass(ecfg: EftConfig,
@@ -227,7 +231,7 @@ def renormalized_mass(ecfg: EftConfig,
         first = float(np.asarray(g_per)[at_pole][0])
         raise PoleError(
             f"per-particle coupling {first:g} at or beyond the pole")
-    return ecfg.constants.m_e / (1.0 - g_per)
+    return CODATA2018.m_e / (1.0 - g_per)
 
 
 def chemical_potential(ecfg: EftConfig, k_fermi: float | None = None,
@@ -239,7 +243,7 @@ def chemical_potential(ecfg: EftConfig, k_fermi: float | None = None,
     k_f = ecfg.scales.k_fermi if k_fermi is None else k_fermi
     if k_f < 0:
         raise DomainError(f"k_fermi must be non-negative, got {k_f}")
-    return (ecfg.constants.hbar**2 * k_f**2
+    return (CODATA2018.hbar**2 * k_f**2
             / (2.0 * renormalized_mass(ecfg, lambda0)))
 
 
@@ -254,9 +258,9 @@ def quasiparticle_energy(k: float, ecfg: EftConfig,
         raise DomainError(f"k must be non-negative, got {k}")
     k_f = ecfg.scales.k_fermi if k_fermi is None else k_fermi
     if v_fermi is None:
-        v_fermi = ecfg.constants.hbar * k_f / renormalized_mass(ecfg)
+        v_fermi = CODATA2018.hbar * k_f / renormalized_mass(ecfg)
     return (chemical_potential(ecfg, k_f)
-            + ecfg.constants.hbar * v_fermi * (k - k_f))
+            + CODATA2018.hbar * v_fermi * (k - k_f))
 
 
 @dataclass(frozen=True)
@@ -275,7 +279,7 @@ _EXCHANGE_COEFF = 8.0 * math.sqrt(2.0) / (3.0 * math.pi)
 
 def rs_minimum(ecfg: EftConfig) -> float:
     """Closed-form minimizer rs_min = (3 pi/(4 sqrt2)) m_e/m_e(Lambda)."""
-    mass_ratio = ecfg.constants.m_e / renormalized_mass(ecfg)
+    mass_ratio = CODATA2018.m_e / renormalized_mass(ecfg)
     return 3.0 * math.pi / (4.0 * math.sqrt(2.0)) * mass_ratio
 
 
@@ -291,7 +295,7 @@ def jellium(rs: float | np.ndarray, ecfg: EftConfig) -> JelliumResult:
     if bad.any():
         first = float(radii[bad][0])
         raise DomainError(f"rs must be positive and finite, got {first}")
-    mass_ratio = ecfg.constants.m_e / renormalized_mass(ecfg)
+    mass_ratio = CODATA2018.m_e / renormalized_mass(ecfg)
     with np.errstate(over="ignore", divide="ignore"):
         tau = _finite(mass_ratio / radii**2, "the kinetic term 1/rs^2")
     eps_x = -_EXCHANGE_COEFF / radii
@@ -311,7 +315,7 @@ def casimir_energy_density(ecfg: EftConfig,
     E/S = hbar (Lambda0^{3/2} - 1) omega_t^3(kappa_z) / (6 pi c^2).
     A cutoff whose Lambda0^{3/2} overflows raises DomainError.
     """
-    k = ecfg.constants
+    k = CODATA2018
     omega_t3 = ecfg.omega_tilde_sq_cutoff ** 1.5
     grow = _cutoff_growth(ecfg, lambda0)
     return _value(k.hbar * grow * omega_t3 / (6.0 * math.pi * k.c**2), lambda0)
@@ -326,7 +330,7 @@ def casimir_pressure(ecfg: EftConfig,
         F/S = hbar (Lambda0^{3/2}-1)/(4 pi c^2 L_z)
               * omega_t(kappa_z) * (2 c^2 kappa_z^2 + omega_p^2).
     """
-    k = ecfg.constants
+    k = CODATA2018
     omega_t = math.sqrt(ecfg.omega_tilde_sq_cutoff)
     bracket = 2.0 * (k.c * ecfg.kappa_z) ** 2 + ecfg.scales.omega_p**2
     grow = _cutoff_growth(ecfg, lambda0)
@@ -334,8 +338,7 @@ def casimir_pressure(ecfg: EftConfig,
                   / (4.0 * math.pi * k.c**2 * ecfg.system.mirror_gap), lambda0)
 
 
-def coupling_1d(kappa_max: float, omega: float, omega_p: float,
-                constants: Constants = CODATA2018) -> float:
+def coupling_1d(kappa_max: float, omega: float, omega_p: float) -> float:
     """1D mode-summed coupling (omega_p/2 omega) arctan(c kappa_max/omega_p).
 
     omega is the fundamental cavity frequency c pi/L_z; kappa_max the
@@ -349,34 +352,33 @@ def coupling_1d(kappa_max: float, omega: float, omega_p: float,
         raise DomainError(f"omega_p must be non-negative, got {omega_p}")
     if omega_p == 0.0:
         return 0.0
-    return (omega_p / (2.0 * omega)) * math.atan(constants.c * kappa_max / omega_p)
+    return (omega_p / (2.0 * omega)) * math.atan(CODATA2018.c * kappa_max / omega_p)
 
 
-def coupling_3d(lambda_mom: float, constants: Constants = CODATA2018) -> float:
+def coupling_3d(lambda_mom: float) -> float:
     """Free-space single-electron coupling (4 alpha_fs/3 pi) hbar Lambda/(m_e c)."""
     if lambda_mom < 0:
         raise DomainError(f"lambda_mom must be non-negative, got {lambda_mom}")
-    k = constants
+    k = CODATA2018
     return 4.0 * k.alpha_fs / (3.0 * math.pi) * k.hbar * lambda_mom / (k.m_e * k.c)
 
 
-def mass_3d(lambda_mom: float, constants: Constants = CODATA2018) -> float:
+def mass_3d(lambda_mom: float) -> float:
     """Exact 3D renormalized mass m_e/(1 - g3d)."""
-    g = coupling_3d(lambda_mom, constants)
+    g = coupling_3d(lambda_mom)
     if g >= 1.0:
         raise PoleError(f"3D coupling {g:g} at or beyond the pole")
-    return constants.m_e / (1.0 - g)
+    return CODATA2018.m_e / (1.0 - g)
 
 
-def mass_3d_first_order(lambda_mom: float,
-                        constants: Constants = CODATA2018) -> float:
+def mass_3d_first_order(lambda_mom: float) -> float:
     """First-order expansion m_e (1 + g3d); differs from exact at O(g^2)."""
-    return constants.m_e * (1.0 + coupling_3d(lambda_mom, constants))
+    return CODATA2018.m_e * (1.0 + coupling_3d(lambda_mom))
 
 
-def pole_3d(constants: Constants = CODATA2018) -> float:
+def pole_3d() -> float:
     """Momentum cutoff (1/m) where the 3D coupling reaches 1."""
-    k = constants
+    k = CODATA2018
     return 3.0 * math.pi * k.m_e * k.c / (4.0 * k.alpha_fs * k.hbar)
 
 
@@ -398,7 +400,7 @@ def eft_chi_aa(f: BroadenedFrequency, ecfg: EftConfig) -> ResponseValue:
     at eta = 0 the first probe on an edge raises.
     """
     w, eta = f.w, f.eta
-    k = ecfg.constants
+    k = CODATA2018
     lz = ecfg.system.mirror_gap
     lo, hi = _edges(ecfg)
     pref_re = 1.0 / (8.0 * math.pi * k.c**2 * k.eps0 * lz)
@@ -438,9 +440,8 @@ def appendix_integrals(w: float, eta: float,
     """
     if eta <= 0:
         raise DomainError(f"integral table needs eta > 0, got {eta}")
-    k = ecfg.constants
     lo, hi = _edges(ecfg)
-    c2 = k.c**2
+    c2 = CODATA2018.c**2
     at_minus = math.atan((hi - w) / eta) - math.atan((lo - w) / eta)
     at_plus = math.atan((hi + w) / eta) - math.atan((lo + w) / eta)
     log_minus = math.log(((w - hi) ** 2 + eta**2) / ((w - lo) ** 2 + eta**2))
@@ -479,7 +480,7 @@ def eft_summary(ecfg: EftConfig) -> dict:
                    chemical_potential=None, rs_min=None, beyond_pole=True)
         return out
     out.update(renormalized_mass=mass,
-               mass_ratio=mass / ecfg.constants.m_e,
+               mass_ratio=mass / CODATA2018.m_e,
                chemical_potential=chemical_potential(ecfg),
                rs_min=rs_minimum(ecfg),
                beyond_pole=False)

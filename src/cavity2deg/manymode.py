@@ -45,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .constants import CODATA2018, Constants
+from .constants import CODATA2018
 from .exceptions import (ConvergenceError, DegenerateModeError, DomainError,
                          PreconditionError)
 
@@ -74,14 +74,12 @@ class ModeSet:
     """Bare photon modes: frequencies, unit polarizations, optional momenta.
 
     Polarizations must be unit vectors; if momenta are given they must be
-    transverse (Coulomb gauge) unless ``allow_nontransverse`` is set for
-    stress tests.
+    transverse (Coulomb gauge).
     """
 
     omega: np.ndarray            # (M,) rad/s (or ratio units)
     pol: np.ndarray              # (M, 3) unit vectors
     kappa: np.ndarray | None = None   # (M, 3) 1/m, optional
-    allow_nontransverse: bool = False
 
     def __post_init__(self) -> None:
         omega = np.asarray(self.omega, dtype=float)
@@ -105,23 +103,21 @@ class ModeSet:
                 raise PreconditionError("kappa must have shape (M, 3)")
             if not np.isfinite(kappa).all():
                 raise PreconditionError("mode momenta must be finite")
-            if not self.allow_nontransverse:
-                dots = np.abs(np.einsum("ij,ij->i", kappa, pol))
-                scale = np.linalg.norm(kappa, axis=1)
-                if np.any(dots > 1e-10 * np.maximum(scale, 1.0)):
-                    raise PreconditionError(
-                        "polarizations must be transverse to kappa "
-                        "(set allow_nontransverse to override)")
+            dots = np.abs(np.einsum("ij,ij->i", kappa, pol))
+            scale = np.linalg.norm(kappa, axis=1)
+            if np.any(dots > 1e-10 * np.maximum(scale, 1.0)):
+                raise PreconditionError(
+                    "polarizations must be transverse to kappa")
             object.__setattr__(self, "kappa", kappa)
 
     def __len__(self) -> int:
         return self.omega.size
 
     @classmethod
-    def ladder_1d(cls, n_modes: int, omega_fundamental: float = 1.0,
-                  polarization: Sequence[float] = (1.0, 0.0, 0.0)) -> "ModeSet":
+    def ladder_1d(cls, n_modes: int,
+                  omega_fundamental: float = 1.0) -> "ModeSet":
         """Standing-wave ladder omega_n = n * omega_fundamental, n = 1..M,
-        all polarizations parallel (the maximal-coupling stress case)."""
+        all polarized along x (the maximal-coupling stress case)."""
         if n_modes < 1:
             raise PreconditionError(f"n_modes must be >= 1, got {n_modes}")
         if not (math.isfinite(omega_fundamental) and omega_fundamental > 0):
@@ -129,7 +125,7 @@ class ModeSet:
                 f"omega_fundamental must be finite and positive, "
                 f"got {omega_fundamental}")
         omega = omega_fundamental * np.arange(1, n_modes + 1, dtype=float)
-        pol = np.tile(np.asarray(polarization, dtype=float), (n_modes, 1))
+        pol = np.tile([1.0, 0.0, 0.0], (n_modes, 1))
         return cls(omega=omega, pol=pol)
 
 
@@ -504,8 +500,7 @@ def normal_modes(modes: ModeSet, omega_p: float) -> NormalModes:
 
 def manymode_spectrum(n_gamma: Sequence[int], K: Sequence[float],
                       kinetic_sum: float, normal: NormalModes,
-                      omega_p: float, n_electrons: int,
-                      constants: Constants = CODATA2018) -> float:
+                      omega_p: float, n_electrons: int) -> float:
     """Exact eigenenergy (J) with M normal modes.
 
     E = (hbar^2/2 m_e)[kinetic_sum - (omega_p^2/N) sum_g (eps~_g.K)^2/Omega_g^2]
@@ -526,7 +521,7 @@ def manymode_spectrum(n_gamma: Sequence[int], K: Sequence[float],
     k3[:len(K)] = np.asarray(K, dtype=float)
     if n_electrons < 1:
         raise PreconditionError("n_electrons must be at least 1")
-    hbar, m_e = constants.hbar, constants.m_e
+    hbar, m_e = CODATA2018.hbar, CODATA2018.m_e
     proj = normal.eps_tilde @ k3
     collective = omega_p**2 / n_electrons * float(np.sum(proj**2 / normal.omega_sq))
     electronic = hbar**2 / (2.0 * m_e) * (kinetic_sum - collective)

@@ -20,8 +20,8 @@ evaluate a whole sweep in one call and return arrays of w's shape (in
 
 Unit modes: in SI everything is dimensionful.  In Ratio mode the same
 formulas are evaluated with eps0 = V = 1 and frequencies in units of the bare
-mode frequency; matter-coupled kinds (jj, ja, aj) need e^2 N/m_e and are SI
-only.
+mode frequency (``_mode_params`` is the one place that choice is made);
+matter-coupled kinds (jj, ja, aj) need e^2 N/m_e and are SI only.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CODATA2018, Constants
+from .constants import CODATA2018
 from .core import DerivedScales, UnitsMode
 from .exceptions import DomainError, InstabilityError, UnitModeError
 
@@ -95,18 +95,24 @@ class ResponseValue:
         return complex(self.re, self.im)
 
 
-def _mode_params(scales: DerivedScales) -> tuple[float, float]:
-    """(omega_t, eps0*V) in the active unit mode."""
+def _mode_params(scales: DerivedScales) -> tuple[float, float, float, float]:
+    """(omega_p, omega_t, eps0, V) in the active unit mode.
+
+    Ratio mode measures frequencies in units of the bare mode frequency and
+    sets eps0 = V = 1.
+    """
     if scales.config.units_mode is UnitsMode.RATIO:
-        return scales.omega_tilde_over_omega, 1.0
-    return scales.omega_tilde, scales.constants.eps0 * scales.config.volume
+        return (scales.omega_p_over_omega, scales.omega_tilde_over_omega,
+                1.0, 1.0)
+    return (scales.omega_p, scales.omega_tilde, CODATA2018.eps0,
+            scales.config.volume)
 
 
 def _matter_prefactor(scales: DerivedScales) -> float:
     """e^2 N / m_e; SI only."""
     if scales.config.units_mode is not UnitsMode.SI:
         raise UnitModeError("current-coupled responses need an SI config")
-    k = scales.constants
+    k = CODATA2018
     return k.e**2 * scales.config.n_electrons / k.m_e
 
 
@@ -118,18 +124,18 @@ def _require_broadening(f: BroadenedFrequency) -> None:
 
 def chi_aa_time(tau: float, scales: DerivedScales) -> float:
     """Field-field response kernel; zero for tau < 0 (causal)."""
-    omega_t, eps0_v = _mode_params(scales)
+    _, omega_t, eps0, volume = _mode_params(scales)
     if tau < 0:
         return 0.0
-    return -math.sin(omega_t * tau) / (eps0_v * omega_t)
+    return -math.sin(omega_t * tau) / (eps0 * volume * omega_t)
 
 
 def chi_ea_time(tau: float, scales: DerivedScales) -> float:
     """Electric-field/vector-potential cross kernel, -d/dtau of chi_aa_time."""
-    omega_t, eps0_v = _mode_params(scales)
+    _, omega_t, eps0, volume = _mode_params(scales)
     if tau < 0:
         return 0.0
-    return math.cos(omega_t * tau) / eps0_v
+    return math.cos(omega_t * tau) / (eps0 * volume)
 
 
 def _pole_denominators(f: BroadenedFrequency, omega_t: float):
@@ -153,10 +159,10 @@ def _pole_denominators(f: BroadenedFrequency, omega_t: float):
 def chi_aa_freq(f: BroadenedFrequency, scales: DerivedScales) -> ResponseValue:
     """chi_AA(w) = -(1/(2 eps0 omega_t V)) [1/(w+omega_t+i eta) - 1/(w-omega_t+i eta)]."""
     _require_broadening(f)
-    omega_t, eps0_v = _mode_params(scales)
+    _, omega_t, eps0, volume = _mode_params(scales)
     w, eta = f.w, f.eta
     d_plus, d_minus = _pole_denominators(f, omega_t)
-    pref = 1.0 / (2.0 * eps0_v * omega_t)
+    pref = 1.0 / (2.0 * eps0 * volume * omega_t)
     re = pref * ((w - omega_t) / d_minus - (w + omega_t) / d_plus)
     im = pref * eta * (1.0 / d_plus - 1.0 / d_minus)
     return ResponseValue(ResponseKind.AA, re, im)
@@ -169,10 +175,10 @@ def chi_ea_freq(f: BroadenedFrequency, scales: DerivedScales) -> ResponseValue:
     Maxwell relation chi_EA = -d chi_AA/dtau.
     """
     _require_broadening(f)
-    omega_t, eps0_v = _mode_params(scales)
+    _, omega_t, eps0, volume = _mode_params(scales)
     w, eta = f.w, f.eta
     d_plus, d_minus = _pole_denominators(f, omega_t)
-    pref = 1.0 / (2.0 * eps0_v)
+    pref = 1.0 / (2.0 * eps0 * volume)
     re = pref * eta * (1.0 / d_plus + 1.0 / d_minus)
     im = pref * ((w + omega_t) / d_plus + (w - omega_t) / d_minus)
     return ResponseValue(ResponseKind.EA, re, im)
@@ -225,17 +231,9 @@ def optical_conductivity(f: BroadenedFrequency,
                [ (w^2-eta^2+w wt)/D+ - (w^2-eta^2-w wt)/D- ]
     """
     _require_broadening(f)
-    if scales.config.units_mode is UnitsMode.RATIO:
-        eps0 = 1.0
-        omega_p = scales.omega_p_over_omega
-        omega_t = scales.omega_tilde_over_omega
-    else:
-        eps0 = scales.constants.eps0
-        omega_p = scales.omega_p
-        omega_t = scales.omega_tilde
+    omega_p, omega_t, eps0, _ = _mode_params(scales)
     w, eta = f.w, f.eta
-    d_plus = (w + omega_t) ** 2 + eta**2
-    d_minus = (w - omega_t) ** 2 + eta**2
+    d_plus, d_minus = _pole_denominators(f, omega_t)
     lorentz = w**2 + eta**2
     drude_re = eps0 * eta * omega_p**2 / lorentz
     drude_im = eps0 * w * omega_p**2 / lorentz
@@ -251,9 +249,8 @@ def sigma0_dc(scales: DerivedScales, eta: float) -> float:
     """Free-gas Drude DC value sigma0 = eps0 omega_p^2/eta."""
     if eta <= 0:
         raise DomainError(f"eta must be positive, got {eta}")
-    if scales.config.units_mode is UnitsMode.RATIO:
-        return scales.omega_p_over_omega**2 / eta
-    return scales.constants.eps0 * scales.omega_p**2 / eta
+    omega_p, _, eps0, _ = _mode_params(scales)
+    return eps0 * omega_p**2 / eta
 
 
 def dc_conductivity(gamma: float, sigma0: float) -> float:
@@ -266,12 +263,11 @@ def dc_conductivity(gamma: float, sigma0: float) -> float:
     return sigma0 * (1.0 - gamma)
 
 
-def drude_effective_mass(gamma: float,
-                         constants: Constants = CODATA2018) -> float:
+def drude_effective_mass(gamma: float) -> float:
     """Effective mass m_e/(1 - gamma) read off the suppressed Drude peak."""
     if gamma < 0:
         raise DomainError(f"gamma must be non-negative, got {gamma}")
     if gamma >= 1.0:
         raise InstabilityError(
             f"effective mass diverges at gamma = {gamma}")
-    return constants.m_e / (1.0 - gamma)
+    return CODATA2018.m_e / (1.0 - gamma)

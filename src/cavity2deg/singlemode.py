@@ -24,7 +24,7 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .constants import CODATA2018, Constants
+from .constants import CODATA2018
 from .core import DerivedScales
 from .exceptions import DomainError, PreconditionError
 from .io_utils import format_rows
@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 MAX_OCCUPANCY = 2.0  # spin-summed occupancy bound per k-cell
+DISK_MARGIN = 1.25   # disk grids reach this many radii from the center
 
 
 @dataclass(frozen=True)
@@ -81,10 +82,9 @@ class SpectrumIndex:
                    float((ks**2).sum()), ks.shape[0])
 
 
-def eigenenergy(idx: SpectrumIndex, scales: DerivedScales,
-                constants: Constants = CODATA2018) -> float:
+def eigenenergy(idx: SpectrumIndex, scales: DerivedScales) -> float:
     """Exact eigenenergy in joules, both polarization zero-points included."""
-    hbar, m_e = constants.hbar, constants.m_e
+    hbar, m_e = CODATA2018.hbar, CODATA2018.m_e
     k2 = idx.K[0] ** 2 + idx.K[1] ** 2
     photon = hbar * scales.omega_tilde * (idx.n1 + idx.n2 + 1)
     matter = (hbar**2 / (2.0 * m_e)) * (
@@ -92,8 +92,8 @@ def eigenenergy(idx: SpectrumIndex, scales: DerivedScales,
     return photon + matter
 
 
-def eigenenergy_no_a2(idx: SpectrumIndex, omega: float, omega_p: float,
-                      constants: Constants = CODATA2018) -> float:
+def eigenenergy_no_a2(idx: SpectrumIndex, omega: float,
+                      omega_p: float) -> float:
     """Spectrum of the truncated model without the diamagnetic term.
 
     The mode keeps its bare frequency and the collective factor becomes
@@ -102,7 +102,7 @@ def eigenenergy_no_a2(idx: SpectrumIndex, omega: float, omega_p: float,
     """
     if omega <= 0:
         raise DomainError(f"omega must be positive, got {omega}")
-    hbar, m_e = constants.hbar, constants.m_e
+    hbar, m_e = CODATA2018.hbar, CODATA2018.m_e
     gamma_p = (omega_p / omega) ** 2
     k2 = idx.K[0] ** 2 + idx.K[1] ** 2
     photon = hbar * omega * (idx.n1 + idx.n2 + 1)
@@ -170,8 +170,7 @@ class OccupancyGrid:
 
     @classmethod
     def disk(cls, radius: float, center: tuple[float, float] = (0.0, 0.0),
-             fill: float = 1.0, cells_per_radius: int = 64,
-             margin: float = 1.25) -> "OccupancyGrid":
+             fill: float = 1.0, cells_per_radius: int = 64) -> "OccupancyGrid":
         """Disk occupancy with exact cell-overlap antialiasing.
 
         Cells fully inside the disk get ``fill``; boundary cells get
@@ -186,7 +185,7 @@ class OccupancyGrid:
             raise DomainError("cells_per_radius must be at least 2")
         h = radius / cells_per_radius
         cx, cy = center
-        reach = radius * margin
+        reach = radius * DISK_MARGIN
         i_lo = math.floor((cx - reach) / h)
         i_hi = math.ceil((cx + reach) / h)
         j_lo = math.floor((cy - reach) / h)
@@ -340,7 +339,7 @@ def distribution_moments(grid: OccupancyGrid) -> DistributionMoments:
 
 
 def energy_density(m: DistributionMoments, q: tuple[float, float],
-                   gamma: float, constants: Constants = CODATA2018) -> float:
+                   gamma: float) -> float:
     """Ground-state energy per area (J/m^2) of the boosted distribution.
 
     The distribution is rigidly shifted by q; the collective term removes a
@@ -358,7 +357,7 @@ def energy_density(m: DistributionMoments, q: tuple[float, float],
     bracket = (m.t_d + 2.0 * (qx * kx + qy * ky) + (qx**2 + qy**2) * m.n_2d
                - (gamma / m.n_2d) * ((kx + qx * m.n_2d) ** 2
                                      + (ky + qy * m.n_2d) ** 2))
-    return constants.hbar**2 / (2.0 * constants.m_e) * bracket
+    return CODATA2018.hbar**2 / (2.0 * CODATA2018.m_e) * bracket
 
 
 def optimal_origin(m: DistributionMoments) -> tuple[float, float]:
@@ -369,8 +368,7 @@ def optimal_origin(m: DistributionMoments) -> tuple[float, float]:
 
 
 def instability_witness(m: DistributionMoments, gamma: float,
-                        qx_values: Sequence[float],
-                        constants: Constants = CODATA2018) -> np.ndarray:
+                        qx_values: Sequence[float]) -> np.ndarray:
     """Energy density along boosts q = (q_x, 0) for super-critical coupling.
 
     For gamma > 1 the sequence decreases without bound at large q_x (no
@@ -380,5 +378,5 @@ def instability_witness(m: DistributionMoments, gamma: float,
     if gamma < 1.0:
         raise PreconditionError(
             f"witness needs gamma >= 1 (critical or beyond), got {gamma}")
-    return np.array([energy_density(m, (float(qx), 0.0), gamma, constants)
+    return np.array([energy_density(m, (float(qx), 0.0), gamma)
                      for qx in qx_values])

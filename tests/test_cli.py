@@ -14,6 +14,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -308,6 +309,17 @@ class TestEftCommand:
         assert s["window_high"] == pytest.approx(
             math.sqrt(6.0) * s["window_low"], rel=1e-12)
 
+    @pytest.mark.parametrize("sub", ["coupling", "mass", "mu", "casimir",
+                                     "jellium", "chi"])
+    def test_weak_coupling_pole_overflow(self, capsys, tmp_path, sub):
+        # n_alpha ~ 2.8e-12, so the Landau pole exp(1/n_alpha) overflows
+        cfg = tmp_path / "weak.txt"
+        cfg.write_text("n_electrons = 1\narea = 1e-8\nmirror_gap = 1e-3\n")
+        code, out, err = run(capsys, "eft", sub, "--config", str(cfg))
+        assert code == 3
+        assert out == ""
+        assert "n_alpha" in err
+
     def test_chi_sharp_edge_is_pole(self, capsys):
         # eta = 0 exactly on the lower edge: domain bucket
         code, out, _ = run(capsys, "eft", "chi", "--format", "json",
@@ -423,6 +435,16 @@ class TestUsageErrors:
         code, _, err = run(capsys, "phase", "--out", str(target))
         assert code == 2
 
+    @pytest.mark.parametrize("sub", ["diag", "lowest-scan", "coupling-run"])
+    def test_manymode_rejects_config(self, capsys, tmp_path, sub):
+        # the ladder is dimensionless: a config would change only the hash
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("units_mode = ratio\nratio = 0.5\n")
+        code, out, err = run(capsys, "manymode", sub, "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "does not read --config" in err
+
     def test_bad_digits(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["phase", "--digits", "0"])
@@ -465,6 +487,12 @@ def _float_flag_argvs() -> list[tuple[str, ...]]:
 
 FLOAT_FLAG_ARGVS = _float_flag_argvs()
 
+SI_CONFIG = {"units_mode": "si", "n_electrons": 100_000_000, "area": 1e-8,
+             "mirror_gap": 1e-6, "cavity_index": 1, "mode_frequency": 3e14}
+RATIO_CONFIG = {"units_mode": "ratio", "ratio": 0.5}
+CONFIG_FIELDS = ("n_electrons", "area", "mirror_gap", "cavity_index",
+                 "mode_frequency", "ratio")
+
 
 class TestNonFiniteInput:
     """Non-finite input and rows that overflow end in exit 2 or 3 with no
@@ -488,7 +516,7 @@ class TestNonFiniteInput:
         # rs^2 underflows to 0
         (["eft", "jellium", "--lambda0", "6", "--sweep",
           "rs=1e-200:1e-190:3"], 3),
-        # lowest-scan does not use --ratio, but it is checked all the same
+        # lowest-scan does not read --ratio, so any value is rejected
         (["manymode", "lowest-scan", "--ratio", "nan"], 2),
         (["manymode", "lowest-scan", "--ratio", "inf"], 2),
         (["manymode", "diag", "--ratio", "nan", "--format", "json"], 2),
@@ -496,6 +524,13 @@ class TestNonFiniteInput:
         # ratio^2 overflows, and the sweep leaves no row to catch it
         (["manymode", "coupling-run", "--ratio", "1e200", "--sweep",
           "modes=-5:0:3"], 2),
+        # finite flags a sub-command never reads
+        (["eft", "coupling", "--eta", "5"], 2),
+        (["eft", "mass", "--eta", "5"], 2),
+        (["eft", "mu", "--eta", "5"], 2),
+        (["eft", "casimir", "--eta", "5"], 2),
+        (["eft", "jellium", "--eta", "5"], 2),
+        (["manymode", "lowest-scan", "--ratio", "7"], 2),
     ])
     def test_exit_code(self, capsys, argv, code):
         with warnings.catch_warnings():
@@ -518,6 +553,33 @@ class TestNonFiniteInput:
             warnings.simplefilter("error")
             code = main(argv)
         assert code in (2, 3), (argv, code)
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+
+    @settings(max_examples=40)
+    @given(st.sampled_from(CONFIG_FIELDS),
+           st.sampled_from((math.nan, math.inf, -math.inf)),
+           st.sampled_from(("text", "json")),
+           st.sampled_from((("phase",), ("response", "aa"),
+                            ("response", "sigma"), ("eft", "coupling"),
+                            ("eft", "chi"))))
+    def test_config_fields_property(self, key, value, form, command):
+        # every numeric config field set non-finite, in either file format
+        data = dict(RATIO_CONFIG if key == "ratio" else SI_CONFIG)
+        data[key] = value
+        if form == "json":
+            text = json.dumps(data)     # NaN, Infinity, -Infinity tokens
+        else:
+            text = "".join(f"{k} = {v}\n" for k, v in data.items())
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "c.cfg"
+            cfg.write_text(text)
+            out, err = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                warnings.simplefilter("error")
+                code = main([*command, "--config", str(cfg)])
+        assert code == 2, (command, text, err.getvalue())
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ")
 

@@ -190,10 +190,6 @@ class TestPhaseClassifier:
         assert classify_phase(1.0000001) is Phase.UNSTABLE
         assert classify_phase(3.0) is Phase.UNSTABLE
 
-    def test_tolerance_parameter(self):
-        assert classify_phase(1.01, tol=0.1) is Phase.CRITICAL
-        assert classify_phase(1.01, tol=1e-6) is Phase.UNSTABLE
-
     def test_negative_gamma_rejected(self):
         with pytest.raises(DomainError):
             classify_phase(-0.1)

@@ -89,6 +89,12 @@ class TestEftConfig:
         with pytest.raises(DomainError):
             EftConfig(system=default_system(), lambda0=0.99)
 
+    def test_pole_overflow_is_domain_error(self):
+        # n_alpha ~ 2.8e-12: exp(1/n_alpha) leaves the float range
+        weak = SystemConfig.si(n_electrons=1, area=1e-8, mirror_gap=1e-3)
+        with pytest.raises(DomainError, match="n_alpha"):
+            EftConfig(system=weak, lambda0=1.0)
+
     def test_beyond_pole_warns(self):
         with pytest.warns(RuntimeWarning, match="Landau pole"):
             cfg = EftConfig(system=default_system(), lambda0=40.0)

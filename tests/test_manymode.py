@@ -86,9 +86,6 @@ class TestModeSet:
         longitudinal = np.array([[0.0, 0.0, 1.0]])
         with pytest.raises(PreconditionError):
             ModeSet(omega=np.array([1.0]), pol=longitudinal, kappa=kappa)
-        ms = ModeSet(omega=np.array([1.0]), pol=longitudinal, kappa=kappa,
-                     allow_nontransverse=True)
-        assert ms.kappa is not None
         # transverse pair passes
         ModeSet(omega=np.array([1.0]), pol=np.array([[1.0, 0.0, 0.0]]),
                 kappa=kappa)

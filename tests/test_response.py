@@ -98,7 +98,7 @@ class TestFrequencyResponses:
     def test_overflowing_probe_rejected(self, w, eta):
         # (w +- omega_t)^2 + eta^2 leaves the float range: a Python float
         # used to raise a bare OverflowError
-        for func in (chi_aa_freq, chi_ea_freq):
+        for func in (chi_aa_freq, chi_ea_freq, optical_conductivity):
             with pytest.raises(DomainError, match="overflows"):
                 func(BroadenedFrequency(w, eta), si_scales())
 
