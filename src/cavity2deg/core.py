@@ -180,12 +180,20 @@ class DerivedScales:
         cfg = self.config
         if cfg.mode_frequency is not None:
             return cfg.mode_frequency
-        return CODATA2018.c * math.pi * cfg.cavity_index / cfg.mirror_gap
+        omega = CODATA2018.c * math.pi * cfg.cavity_index / cfg.mirror_gap
+        if math.isinf(omega):
+            raise DomainError(f"mirror_gap = {cfg.mirror_gap!r} puts the "
+                              f"mode frequency past the float range")
+        return omega
 
     @cached_property
     def n_2d(self) -> float:
         self._si("n_2d")
-        return self.config.n_electrons / self.config.area
+        n_2d = self.config.n_electrons / self.config.area
+        if math.isinf(n_2d):
+            raise DomainError(f"area = {self.config.area!r} puts the density "
+                              f"past the float range")
+        return n_2d
 
     @cached_property
     def n_e(self) -> float:
@@ -196,7 +204,14 @@ class DerivedScales:
     def omega_p(self) -> float:
         self._si("omega_p")
         k = CODATA2018
-        return math.sqrt(k.e**2 * self.n_2d / (k.m_e * k.eps0 * self.config.mirror_gap))
+        gap = self.config.mirror_gap
+        den = k.m_e * k.eps0 * gap   # 0 for gaps below ~3e-283 m
+        omega_p_sq = k.e**2 * self.n_2d / den if den > 0.0 else math.inf
+        if math.isinf(omega_p_sq):
+            raise DomainError(f"omega_p is past the float range at "
+                              f"mirror_gap = {gap!r} and n_2d = "
+                              f"n_electrons/area = {self.n_2d!r}")
+        return math.sqrt(omega_p_sq)
 
     @cached_property
     def omega_tilde(self) -> float:
@@ -206,8 +221,14 @@ class DerivedScales:
     @cached_property
     def omega_p_over_omega(self) -> float:
         if self.config.units_mode is UnitsMode.RATIO:
-            return self.config.ratio  # type: ignore[return-value]
-        return self.omega_p / self.omega
+            r, field = self.config.ratio, "ratio"
+        else:
+            r, field = self.omega_p / self.omega, "omega_p/omega"
+        # gamma and omega_tilde_over_omega square it
+        if math.isinf(r * r):  # type: ignore[operator]
+            raise DomainError(f"{field} = {r!r} is too large: its square "
+                              f"overflows")
+        return r  # type: ignore[return-value]
 
     @cached_property
     def omega_tilde_over_omega(self) -> float:

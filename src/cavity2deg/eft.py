@@ -98,8 +98,12 @@ class EftConfig:
     def alpha(self) -> float:
         """Per-electron coupling density e^2/(4 pi c^2 eps0 m_e L_z)."""
         k = CODATA2018
-        return k.e**2 / (4.0 * math.pi * k.c**2 * k.eps0 * k.m_e
-                         * self.system.mirror_gap)
+        gap = self.system.mirror_gap
+        den = 4.0 * math.pi * k.c**2 * k.eps0 * k.m_e * gap
+        if den == 0.0:   # gaps below ~3e-301 m
+            raise DomainError(f"mirror_gap = {gap!r} puts alpha past the "
+                              f"float range")
+        return k.e**2 / den
 
     @cached_property
     def n_alpha(self) -> float:

@@ -30,9 +30,13 @@ skip threshold, as high relative accuracy on symmetric matrices matters more
 here than raw speed.  It visits the pairs in a round-robin (tournament)
 order, a parallel ordering in the sense of Brent & Luk (SIAM J. Sci. Stat.
 Comput. 6, 1985): each round rotates about n/2 disjoint pairs, so one set of
-vectorized numpy updates applies the whole round.  There is one Jacobi
-kernel; the tests check it against the platform eigensolver (LAPACK via
-numpy.linalg.eigh).
+vectorized numpy updates applies the whole round.  The schedule of rounds,
+with the matrix positions each round reads its angles from, is built once
+per call, and A and V^T are rotated as one stack; that leaves a round at one
+gather and about 25 numpy calls, with the rotation sequence and every output
+byte the same as applying the rounds one array at a time.  There is one
+Jacobi kernel; the tests check it against the platform eigensolver (LAPACK
+via numpy.linalg.eigh) and, byte for byte, against a per-round copy of it.
 """
 
 from __future__ import annotations
@@ -164,90 +168,113 @@ def build_w(modes: ModeSet, omega_p: float) -> np.ndarray:
     return np.diag(modes.omega**2 + rho) + rho * overlap
 
 
-def _round_robin_rounds(n: int):
-    """Yield the rounds of one Jacobi sweep over the indices 0..n-1.
+def _round_robin_schedule(n: int) -> np.ndarray:
+    """The rounds of one Jacobi sweep over the indices 0..n-1, as a (k, n)
+    array whose row r maps every index to its partner in round r.
 
-    Each round is an array mapping every index to its partner, so a round
-    holds about n/2 disjoint pairs, and over the sweep every pair i < j meets
-    exactly once.  This is the circle method: index 0 keeps its seat while
-    1..m-1 (m = n, or n + 1 with a dummy index n for odd n) move round a
-    circle of k = m - 1 seats, which in round r pairs x >= 1 with
+    Each round holds about n/2 disjoint pairs, and over the sweep every pair
+    i < j meets exactly once.  This is the circle method: index 0 keeps its
+    seat while 1..m-1 (m = n, or n + 1 with a dummy index n for odd n) move
+    round a circle of k = m - 1 seats, which in round r pairs x >= 1 with
     1 + (2r - 1 - x) mod k, or with 0 at the one x where that formula gives
     x back.  The index paired with the dummy maps to itself and sits the
-    round out, so a sweep is n - 1 rounds for even n and n for odd n.
+    round out, so a sweep is k = n - 1 rounds for even n and n for odd n.
     """
     m = n + n % 2
     k = m - 1
-    minus_idx = -np.arange(m)
-    for r in range(k):
-        partner = (minus_idx + (2 * r - 1)) % k + 1
-        fixed = 1 + (r - 1) % k
-        partner[0], partner[fixed] = fixed, 0
-        if m > n:
-            idle = partner[n]
-            partner = partner[:n]
-            partner[idle] = idle
-        yield partner
+    rounds = np.arange(k, dtype=np.int32)
+    partner = 2 * rounds[:, None] - 1 - np.arange(m, dtype=np.int32)
+    partner %= k
+    partner += 1
+    fixed = 1 + (rounds - 1) % k
+    partner[:, 0] = fixed
+    partner[rounds, fixed] = 0
+    if m > n:
+        idle = partner[:, n]
+        partner = partner[:, :n].copy()
+        partner[rounds, idle] = idle
+    return partner
 
 
-def _jacobi_round_robin(a: np.ndarray, vt: np.ndarray, skip_thr: float,
-                        tol_fro: float, max_sweeps: int) -> int:
-    """Round-robin Jacobi sweeps; mutates a and vt (V transposed, starting
-    from the identity).  Returns sweeps or -1.
+def _jacobi_round_robin(av: np.ndarray, skip_thr: float, tol_fro: float,
+                        max_sweeps: int) -> tuple[int, int, int]:
+    """Round-robin Jacobi sweeps on the stack av = (a, vt), V transposed
+    starting from the identity; mutates av.  Returns (sweeps or -1,
+    rotations applied, rounds skipped).
 
     The rotations of one round act on disjoint pairs and commute, so the
     round takes all its angles from the current a and applies them at once:
     row i becomes c x_i + s x_partner, with c = 1, s = 0 for an idle index
-    and for a pair whose |a[p, q]| <= skip_thr.  The row update gives J^T a
-    and J^T vt; the column update of a is the same row update applied to
-    the transpose.
+    and for a pair whose |a[p, q]| <= skip_thr.  One row update of the
+    stack gives J^T a and J^T vt; the column update of a is the same row
+    update applied to the transpose.  The schedule, and per round the flat
+    positions of a[lo, hi], a[hi, hi] and a[lo, lo] (lo, hi the pair of
+    each index), are built once per call, so a round gathers its angles
+    with one take.
     """
-    n = a.shape[0]
-    # scratch for the upper triangle, the gathered partner rows and the
+    n = av.shape[1]
+    a = av[0]
+    # scratch for the gathered partner rows, the upper triangle and the
     # transpose; allocated once, as per-round temporaries raise peak memory
-    work = np.empty((n, n))
+    work = np.empty_like(av)
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    idx = np.arange(n)
-    cur = a
+    partner = _round_robin_schedule(n)
+    idx = np.arange(n, dtype=np.int32)
+    # per round the flat positions of a[lo, hi], a[hi, hi] and a[lo, lo],
+    # lo and hi the pair of each index; int32 and built in place, the
+    # schedule takes 2 (n, n) matrices' worth of memory (flat positions fit
+    # in int32 for n < 46341)
+    flat = np.empty((partner.shape[0], 3, n), dtype=np.int32)
+    pq, qq, pp = flat[:, 0], flat[:, 1], flat[:, 2]
+    np.minimum(idx, partner, out=pp)
+    np.maximum(idx, partner, out=qq)
+    np.multiply(pp, n, out=pq)
+    pq += qq
+    pp *= n + 1
+    qq *= n + 1
+    # s changes sign on the lower index of each pair and on an idle index,
+    # which keeps the sign of a zero s and so every output byte
+    flip = idx <= partner
+    idle = np.nonzero(partner == idx)[1] if n % 2 else None
     sweeps = -1
+    rotations = skipped = 0
     for sweep in range(max_sweeps + 1):
-        np.multiply(cur, upper, out=work)
-        off = math.sqrt(2.0) * np.linalg.norm(work)
+        np.multiply(a, upper, out=work[0])
+        off = math.sqrt(2.0) * np.linalg.norm(work[0])
         if off <= tol_fro:
             sweeps = sweep
             break
         if sweep == max_sweeps:
             break
-        for partner in _round_robin_rounds(n):
-            lo = np.minimum(idx, partner)
-            hi = np.maximum(idx, partner)
-            apq = cur[lo, hi]
+        for r, p in enumerate(partner):
+            apq, ahh, all_ = a.take(flat[r])
             rotate = np.abs(apq) > skip_thr
-            rotate &= lo != hi
-            if not rotate.any():
+            if idle is not None:
+                rotate[idle[r]] = False
+            count = np.count_nonzero(rotate)
+            if not count:
+                skipped += 1
                 continue
-            diag = cur.diagonal()
-            tau = (diag[hi] - diag[lo]) / (2.0 * np.where(rotate, apq, 1.0))
-            t = np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(1.0, tau))
-            t *= rotate
+            rotations += count // 2   # a pair counts at both its indices
+            tau = (ahh - all_) / (2.0 * np.where(rotate, apq, 1.0))
+            # equals copysign(1, tau) / (|tau| + hypot(1, tau)) * rotate
+            t = rotate / (tau + np.copysign(np.hypot(1.0, tau), tau))
+            np.negative(t, where=flip[r], out=t)
             c = 1.0 / np.hypot(1.0, t)
-            s = t * c
-            s = np.where(idx == lo, -s, s)[:, None]
+            s = (t * c)[:, None]
             c = c[:, None]
-            for x in (cur, vt):
-                np.take(x, partner, axis=0, out=work, mode="clip")
-                x *= c
-                work *= s
-                x += work
-            np.copyto(work, cur.T)
-            np.take(work, partner, axis=0, out=cur, mode="clip")
-            work *= c
-            cur *= s
-            work += cur
-            cur, work = work, cur
-    if cur is not a:
-        a[...] = cur
-    return sweeps
+            av.take(p, axis=1, out=work, mode="clip")
+            av *= c
+            work *= s
+            av += work
+            # the column update of a, as a row update of its transpose
+            at = work[0]
+            np.copyto(at, a.T)
+            at.take(p, axis=0, out=a, mode="clip")
+            a *= s
+            at *= c
+            a += at
+    return sweeps, rotations, skipped
 
 
 def diagonalize_w(w_matrix: np.ndarray) -> NormalModes:
@@ -276,18 +303,23 @@ def diagonalize_w(w_matrix: np.ndarray) -> NormalModes:
         raise DomainError("||W||_F overflows; rescale W")
     if norm_fro > 0 and float(np.linalg.norm(a - a.T)) > 1e-12 * norm_fro:
         raise DomainError("W must be symmetric")
-    a = 0.5 * (a + a.T)
     n = a.shape[0]
+    av = np.zeros((2, n, n))   # a and V^T, rotated together
+    np.add(a, a.T, out=av[0])
+    a = av[0]
+    a *= 0.5
+    np.fill_diagonal(av[1], 1.0)
     tol_fro = OFFDIAG_TOL_FACTOR * norm_fro
     skip_thr = tol_fro / (2.0 * n)
-    vt = np.eye(n)
-    sweeps = _jacobi_round_robin(a, vt, skip_thr, tol_fro, MAX_SWEEPS)
+    sweeps, rotations, skipped = _jacobi_round_robin(av, skip_thr, tol_fro,
+                                                     MAX_SWEEPS)
     if sweeps < 0:
         raise ConvergenceError(
             f"Jacobi did not reach tol {OFFDIAG_TOL_FACTOR:g}*||W||_F "
             f"in {MAX_SWEEPS} sweeps (M = {n})")
-    _log.debug("diagonalize_w: jacobi, M = %d, sweeps = %d", n, sweeps)
-    return _normal_form(np.diag(a).copy(), vt.T, sweeps)
+    _log.debug("diagonalize_w: jacobi, M = %d, sweeps = %d, rotations = %d, "
+               "skipped rounds = %d", n, sweeps, rotations, skipped)
+    return _normal_form(np.diag(a).copy(), av[1].T, sweeps)
 
 
 def _normal_form(eigvals: np.ndarray, v: np.ndarray,

@@ -494,6 +494,15 @@ CONFIG_FIELDS = ("n_electrons", "area", "mirror_gap", "cavity_index",
                  "mode_frequency", "ratio")
 
 
+# finite config files and the field each names: m_e eps0 L_z underflows to 0
+# at the tiny gap, and ratio^2 overflows at the huge ratio
+EXTREME_CONFIGS = {
+    "tiny_gap": ("n_electrons = 100000000\narea = 1e-8\nmirror_gap = 1e-320\n",
+                 "mirror_gap"),
+    "huge_ratio": ("units_mode = ratio\nratio = 1e200\n", "ratio"),
+}
+
+
 class TestNonFiniteInput:
     """Non-finite input and rows that overflow end in exit 2 or 3 with no
     output and no numpy warning; none of these exits 0."""
@@ -582,6 +591,28 @@ class TestNonFiniteInput:
         assert code == 2, (command, text, err.getvalue())
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ")
+
+    @pytest.mark.parametrize("case, command", [
+        pytest.param(case, command, id=f"{case}-{'-'.join(command)}")
+        for case, commands in (
+            ("tiny_gap", [("phase",), ("response", "aa"),
+                          ("response", "sigma"), ("eft", "coupling")]),
+            ("huge_ratio", [("phase",), ("response", "aa"),
+                            ("response", "sigma")]))
+        for command in commands])
+    def test_extreme_finite_config(self, capsys, tmp_path, case, command):
+        # finite values whose derived scales leave the float range: exit 3,
+        # with the field named, instead of a traceback
+        text, field = EXTREME_CONFIGS[case]
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, *command, "--config", str(cfg))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ")
+        assert field in err
 
     @pytest.mark.parametrize("text", [
         "units_mode = ratio\nratio = nan\n",

@@ -151,6 +151,25 @@ class TestDerivedScales:
         with pytest.raises(DomainError):
             fermi_wavevector(-1.0)
 
+    @pytest.mark.parametrize("config, attr, field", [
+        # m_e eps0 L_z underflows to 0
+        (SystemConfig.si(10**8, 1e-8, 1e-320), "omega_p", "mirror_gap"),
+        # c pi / L_z overflows
+        (SystemConfig.si(10**8, 1e-8, 1e-320), "omega", "mirror_gap"),
+        # N / area overflows
+        (SystemConfig.si(10**8, 1e-320, 1e-6), "n_2d", "area"),
+        # ratio^2 overflows: gamma would be inf/inf, omega_t/omega an
+        # OverflowError
+        (SystemConfig.from_ratio(1e200), "gamma", "ratio"),
+        (SystemConfig.from_ratio(1e200), "omega_tilde_over_omega", "ratio"),
+        (SystemConfig.si(10**8, 1e-8, 1e-6, mode_frequency=1e-300),
+         "gamma", "omega_p/omega"),
+    ])
+    def test_scales_past_the_float_range(self, config, attr, field):
+        # finite config values whose closed forms leave the float range
+        with pytest.raises(DomainError, match=field):
+            getattr(DerivedScales(config), attr)
+
 
 class TestScalarHelpers:
     @given(st.floats(1e-3, 1e3), st.floats(0.0, 1e3))

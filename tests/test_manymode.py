@@ -43,7 +43,8 @@ from cavity2deg import (
 )
 from cavity2deg import manymode
 from cavity2deg.cli import main
-from cavity2deg.manymode import _round_robin_rounds, _structured_modes
+from cavity2deg.manymode import (_normal_form, _round_robin_schedule,
+                                 _structured_modes)
 
 HBAR = CODATA2018.hbar
 M_E = CODATA2018.m_e
@@ -52,6 +53,102 @@ M_E = CODATA2018.m_e
 def random_symmetric(rng, n, scale=1.0):
     a = rng.normal(size=(n, n)) * scale
     return 0.5 * (a + a.T)
+
+
+def _reference_rounds(n: int):
+    """Yield the rounds of one Jacobi sweep over the indices 0..n-1.
+
+    Each round is an array mapping every index to its partner, so a round
+    holds about n/2 disjoint pairs, and over the sweep every pair i < j meets
+    exactly once.  This is the circle method: index 0 keeps its seat while
+    1..m-1 (m = n, or n + 1 with a dummy index n for odd n) move round a
+    circle of k = m - 1 seats, which in round r pairs x >= 1 with
+    1 + (2r - 1 - x) mod k, or with 0 at the one x where that formula gives
+    x back.  The index paired with the dummy maps to itself and sits the
+    round out, so a sweep is n - 1 rounds for even n and n for odd n.
+    """
+    m = n + n % 2
+    k = m - 1
+    minus_idx = -np.arange(m)
+    for r in range(k):
+        partner = (minus_idx + (2 * r - 1)) % k + 1
+        fixed = 1 + (r - 1) % k
+        partner[0], partner[fixed] = fixed, 0
+        if m > n:
+            idle = partner[n]
+            partner = partner[:n]
+            partner[idle] = idle
+        yield partner
+
+
+def _reference_round_robin(a: np.ndarray, vt: np.ndarray, skip_thr: float,
+                           tol_fro: float, max_sweeps: int) -> int:
+    """Round-robin Jacobi sweeps; mutates a and vt (V transposed, starting
+    from the identity).  Returns sweeps or -1.
+
+    The rotations of one round act on disjoint pairs and commute, so the
+    round takes all its angles from the current a and applies them at once:
+    row i becomes c x_i + s x_partner, with c = 1, s = 0 for an idle index
+    and for a pair whose |a[p, q]| <= skip_thr.  The row update gives J^T a
+    and J^T vt; the column update of a is the same row update applied to
+    the transpose.
+
+    The per-round kernel that ``manymode._jacobi_round_robin`` must match
+    byte for byte: it builds each round's partners, pair indices and angles
+    as it reaches the round, and rotates a and vt one after the other.
+    """
+    n = a.shape[0]
+    # scratch for the upper triangle, the gathered partner rows and the
+    # transpose; allocated once, as per-round temporaries raise peak memory
+    work = np.empty((n, n))
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    idx = np.arange(n)
+    cur = a
+    sweeps = -1
+    for sweep in range(max_sweeps + 1):
+        np.multiply(cur, upper, out=work)
+        off = math.sqrt(2.0) * np.linalg.norm(work)
+        if off <= tol_fro:
+            sweeps = sweep
+            break
+        if sweep == max_sweeps:
+            break
+        for partner in _reference_rounds(n):
+            lo = np.minimum(idx, partner)
+            hi = np.maximum(idx, partner)
+            apq = cur[lo, hi]
+            rotate = np.abs(apq) > skip_thr
+            rotate &= lo != hi
+            if not rotate.any():
+                continue
+            diag = cur.diagonal()
+            tau = (diag[hi] - diag[lo]) / (2.0 * np.where(rotate, apq, 1.0))
+            t = np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(1.0, tau))
+            t *= rotate
+            c = 1.0 / np.hypot(1.0, t)
+            s = t * c
+            s = np.where(idx == lo, -s, s)[:, None]
+            c = c[:, None]
+            for x in (cur, vt):
+                np.take(x, partner, axis=0, out=work, mode="clip")
+                x *= c
+                work *= s
+                x += work
+            np.copyto(work, cur.T)
+            np.take(work, partner, axis=0, out=cur, mode="clip")
+            work *= c
+            cur *= s
+            work += cur
+            cur, work = work, cur
+    if cur is not a:
+        a[...] = cur
+    return sweeps
+
+
+def same_bytes(x, y):
+    """x.tobytes() == y.tobytes(), as one bool, so that a failure does not
+    diff two long byte strings."""
+    return x.tobytes() == y.tobytes()
 
 
 def check_decomposition(w, nm, tol):
@@ -171,8 +268,9 @@ class TestDiagonalizeW:
     def test_round_robin_schedule(self, n):
         # disjoint pairs p < q in each round, every pair once per sweep;
         # an odd n leaves one index idle (its own partner) per round
-        rounds = list(_round_robin_rounds(n))
-        assert len(rounds) == (n - 1 if n % 2 == 0 else n)
+        rounds = _round_robin_schedule(n)
+        assert rounds.shape == (n - 1 if n % 2 == 0 else n, n)
+        assert np.array_equal(rounds, list(_reference_rounds(n)))
         met = []
         for partner in rounds:
             idx = np.arange(n)
@@ -183,6 +281,64 @@ class TestDiagonalizeW:
             met += pairs
         assert sorted(met) == [(p, q) for p in range(n)
                                for q in range(p + 1, n)]
+
+    @pytest.mark.parametrize("n", [*range(1, 41), 57, 77, 101])
+    def test_matches_reference_kernel(self, n):
+        # same rotations in the same order: a, V^T, the sweeps and so
+        # diagonalize_w's output match the per-round kernel byte for byte,
+        # also on ties, zeros and degenerate build_w spectra, where a wrong
+        # sign of a zero would show
+        rng = np.random.default_rng([n, 11])
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        lam = (np.repeat(rng.uniform(-1, 1, -(-n // 8)), 8)[:n]
+               + 1e-9 * rng.normal(size=n))
+        # -0.0 off the diagonal: rows that sit out keep their zeros' signs
+        one_coupling = -np.diag(-rng.normal(size=n))
+        one_coupling[0, -1] = one_coupling[-1, 0] = 0.3
+        modes = transverse_modes(rng, n, degenerate=True)
+        cases = [random_symmetric(rng, n), (q * lam) @ q.T, np.ones((n, n)),
+                 np.round(3.0 * random_symmetric(rng, n)), np.zeros((n, n)),
+                 one_coupling, 1e150 * random_symmetric(rng, n)]
+        cases += [build_w(modes, ratio) for ratio in (0.0, 0.5, 3.0)]
+        for w in cases:
+            w = 0.5 * (w + w.T)
+            tol_fro = manymode.OFFDIAG_TOL_FACTOR * np.linalg.norm(w)
+            skip_thr = tol_fro / (2.0 * n)
+            a, vt = w.copy(), np.eye(n)
+            sweeps = _reference_round_robin(a, vt, skip_thr, tol_fro,
+                                            manymode.MAX_SWEEPS)
+            av = np.stack([w, np.eye(n)])
+            got = manymode._jacobi_round_robin(av, skip_thr, tol_fro,
+                                               manymode.MAX_SWEEPS)
+            assert got[0] == sweeps >= 0
+            assert same_bytes(av[0], a)
+            assert same_bytes(av[1], vt)
+            ref = _normal_form(np.diag(a).copy(), vt.T, sweeps)
+            nm = diagonalize_w(w)
+            assert nm.sweeps == ref.sweeps
+            assert same_bytes(nm.omega_sq, ref.omega_sq)
+            assert same_bytes(nm.u, ref.u)
+
+    def test_logs_rotation_counts(self, caplog, rng):
+        def logged(w):
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="cavity2deg"):
+                nm = diagonalize_w(w)
+            fields = caplog.records[-1].getMessage().split(", ")[1:]
+            counts = dict(f.split(" = ") for f in fields)
+            return (nm.sweeps, int(counts["rotations"]),
+                    int(counts["skipped rounds"]))
+
+        assert logged(np.diag([3.0, 1.0, 2.0])) == (0, 0, 0)
+        assert logged(np.array([[1.0, 0.5], [0.5, 2.0]])) == (1, 1, 0)
+        # one coupled pair: one of the three rounds of the sweep rotates
+        one = np.diag([1.0, 2.0, 3.0, 4.0])
+        one[0, 3] = one[3, 0] = 0.5
+        assert logged(one) == (1, 1, 2)
+        n = 24
+        sweeps, rotations, skipped = logged(random_symmetric(rng, n))
+        assert 0 < rotations <= sweeps * n * (n - 1) // 2
+        assert 0 <= skipped <= sweeps * (n - 1)
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError, match="non-empty"):
