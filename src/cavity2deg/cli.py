@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .constants import CODATA2018
-from .core import (DerivedScales, SystemConfig, classify_phase,
+from .core import (DerivedScales, SystemConfig, _finite, classify_phase,
                    load_config_file)
 from .eft import (EftConfig, casimir_energy_density, casimir_pressure,
                   chemical_potential, effective_coupling, eft_chi_aa,
@@ -297,6 +297,9 @@ def cmd_response(kind: str, config: SystemConfig | None = None,
         eta = 0.01 * wt
     if eta <= 0:
         raise ConfigError(f"eta must be positive, got {eta}")
+    if sweep is None:   # linspace takes the span 6 wt
+        _finite(6 * wt, f"the span of the default sweep w = -3..3 omega_tilde "
+                        f"at omega_tilde = {wt!r}")
     grid = sweep.grid() if sweep is not None else np.linspace(-3 * wt, 3 * wt, 1201)
     with np.errstate(all="ignore"):
         val = _RESPONSE_FUNCS[kind](BroadenedFrequency(grid, eta), scales)

@@ -21,10 +21,13 @@ from __future__ import annotations
 import enum
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Mapping
+
+import numpy as np
 
 from .constants import CODATA2018
 from .exceptions import ConfigError, DomainError, UnitModeError
@@ -79,6 +82,9 @@ class SystemConfig:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
+        for name in ("n_electrons", "cavity_index"):   # used as floats
+            if abs(getattr(self, name) or 0) > sys.float_info.max:
+                raise ConfigError(f"{name} is past the float range")
         if self.units_mode is UnitsMode.SI:
             if self.n_electrons is None or self.area is None or self.mirror_gap is None:
                 raise ConfigError(
@@ -180,20 +186,16 @@ class DerivedScales:
         cfg = self.config
         if cfg.mode_frequency is not None:
             return cfg.mode_frequency
-        omega = CODATA2018.c * math.pi * cfg.cavity_index / cfg.mirror_gap
-        if math.isinf(omega):
-            raise DomainError(f"mirror_gap = {cfg.mirror_gap!r} puts the "
-                              f"mode frequency past the float range")
-        return omega
+        return _finite(
+            CODATA2018.c * math.pi * cfg.cavity_index / cfg.mirror_gap,
+            f"the mode frequency at mirror_gap = {cfg.mirror_gap!r}")
 
     @cached_property
     def n_2d(self) -> float:
         self._si("n_2d")
-        n_2d = self.config.n_electrons / self.config.area
-        if math.isinf(n_2d):
-            raise DomainError(f"area = {self.config.area!r} puts the density "
-                              f"past the float range")
-        return n_2d
+        area = self.config.area
+        return _finite(self.config.n_electrons / area,
+                       f"the density at area = {area!r}")
 
     @cached_property
     def n_e(self) -> float:
@@ -207,11 +209,9 @@ class DerivedScales:
         gap = self.config.mirror_gap
         den = k.m_e * k.eps0 * gap   # 0 for gaps below ~3e-283 m
         omega_p_sq = k.e**2 * self.n_2d / den if den > 0.0 else math.inf
-        if math.isinf(omega_p_sq):
-            raise DomainError(f"omega_p is past the float range at "
-                              f"mirror_gap = {gap!r} and n_2d = "
-                              f"n_electrons/area = {self.n_2d!r}")
-        return math.sqrt(omega_p_sq)
+        return math.sqrt(_finite(
+            omega_p_sq, f"omega_p^2 at mirror_gap = {gap!r} and n_2d = "
+                        f"n_electrons/area = {self.n_2d!r}"))
 
     @cached_property
     def omega_tilde(self) -> float:
@@ -225,9 +225,7 @@ class DerivedScales:
         else:
             r, field = self.omega_p / self.omega, "omega_p/omega"
         # gamma and omega_tilde_over_omega square it
-        if math.isinf(r * r):  # type: ignore[operator]
-            raise DomainError(f"{field} = {r!r} is too large: its square "
-                              f"overflows")
+        _finite(r * r, f"the square of {field} = {r!r}")  # type: ignore
         return r  # type: ignore[return-value]
 
     @cached_property
@@ -247,6 +245,23 @@ class DerivedScales:
     def k_fermi(self) -> float:
         self._si("k_fermi")
         return fermi_wavevector(self.n_2d)
+
+
+def _finite(x, what: str):
+    """x, or DomainError where ``what`` left the float range (one check for
+    a scalar and for a whole array)."""
+    if not np.isfinite(x).all():
+        raise DomainError(f"{what} overflows the float range")
+    return x
+
+
+def _pow(x: float, p: float) -> float:
+    """x ** p for a Python float, or inf where ``**`` raises OverflowError
+    (``*`` and numpy give inf there); in range it is the same ``**``."""
+    try:
+        return x ** p
+    except OverflowError:
+        return math.inf
 
 
 def plasma_frequency(config: SystemConfig) -> float:

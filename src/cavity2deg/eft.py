@@ -34,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .constants import CODATA2018
-from .core import DerivedScales, SystemConfig, UnitsMode
+from .core import DerivedScales, SystemConfig, UnitsMode, _finite, _pow
 from .exceptions import DomainError, PoleError, UnitModeError
 from .response import BroadenedFrequency, ResponseKind, ResponseValue
 
@@ -99,11 +99,9 @@ class EftConfig:
         """Per-electron coupling density e^2/(4 pi c^2 eps0 m_e L_z)."""
         k = CODATA2018
         gap = self.system.mirror_gap
-        den = 4.0 * math.pi * k.c**2 * k.eps0 * k.m_e * gap
-        if den == 0.0:   # gaps below ~3e-301 m
-            raise DomainError(f"mirror_gap = {gap!r} puts alpha past the "
-                              f"float range")
-        return k.e**2 / den
+        den = 4.0 * math.pi * k.c**2 * k.eps0 * k.m_e * gap  # 0 below 3e-301
+        return _finite(k.e**2 / den if den else math.inf,
+                       f"alpha at mirror_gap = {gap!r}")
 
     @cached_property
     def n_alpha(self) -> float:
@@ -116,12 +114,15 @@ class EftConfig:
     @cached_property
     def omega_tilde_sq_cutoff(self) -> float:
         """Lower continuum edge omega_t^2(kappa_z) in rad^2/s^2."""
-        return (CODATA2018.c * self.kappa_z) ** 2 + self.scales.omega_p**2
+        return _finite(
+            _pow(CODATA2018.c * self.kappa_z, 2) + self.scales.omega_p**2,
+            f"the continuum edge at mirror_gap = {self.system.mirror_gap!r}")
 
     @cached_property
     def lambda_freq2(self) -> float:
         """Dimensionful cutoff Lambda = lambda0 * omega_t^2(kappa_z)."""
-        return self.lambda0 * self.omega_tilde_sq_cutoff
+        return _finite(self.lambda0 * self.omega_tilde_sq_cutoff,
+                       f"the cutoff Lambda at lambda0 = {self.lambda0!r}")
 
     @cached_property
     def lambda0_pole(self) -> float:
@@ -150,14 +151,6 @@ def _cutoffs(ecfg: EftConfig, lambda0: float | np.ndarray | None):
 def _value(x, lambda0: float | np.ndarray | None):
     """A Python float for the scalar API, the array for a sweep."""
     return float(x) if lambda0 is None else x
-
-
-def _finite(x, what: str):
-    """x, or DomainError where a closed form left the float range (one
-    check per call, for a scalar and for a whole sweep)."""
-    if not np.isfinite(x).all():
-        raise DomainError(f"{what} overflows the float range")
-    return x
 
 
 def _cutoff_growth(ecfg: EftConfig, lambda0: float | np.ndarray | None):
@@ -247,8 +240,8 @@ def chemical_potential(ecfg: EftConfig, k_fermi: float | None = None,
     k_f = ecfg.scales.k_fermi if k_fermi is None else k_fermi
     if k_f < 0:
         raise DomainError(f"k_fermi must be non-negative, got {k_f}")
-    return (CODATA2018.hbar**2 * k_f**2
-            / (2.0 * renormalized_mass(ecfg, lambda0)))
+    return _finite(CODATA2018.hbar**2 * _pow(k_f, 2)
+                   / (2.0 * renormalized_mass(ecfg, lambda0)), "mu")
 
 
 def quasiparticle_energy(k: float, ecfg: EftConfig,
@@ -320,9 +313,11 @@ def casimir_energy_density(ecfg: EftConfig,
     A cutoff whose Lambda0^{3/2} overflows raises DomainError.
     """
     k = CODATA2018
-    omega_t3 = ecfg.omega_tilde_sq_cutoff ** 1.5
+    omega_t3 = _pow(ecfg.omega_tilde_sq_cutoff, 1.5)
     grow = _cutoff_growth(ecfg, lambda0)
-    return _value(k.hbar * grow * omega_t3 / (6.0 * math.pi * k.c**2), lambda0)
+    energy = _finite(k.hbar * grow * omega_t3 / (6.0 * math.pi * k.c**2),
+                     "the Casimir energy density")
+    return _value(energy, lambda0)
 
 
 def casimir_pressure(ecfg: EftConfig,
@@ -338,8 +333,10 @@ def casimir_pressure(ecfg: EftConfig,
     omega_t = math.sqrt(ecfg.omega_tilde_sq_cutoff)
     bracket = 2.0 * (k.c * ecfg.kappa_z) ** 2 + ecfg.scales.omega_p**2
     grow = _cutoff_growth(ecfg, lambda0)
-    return _value(k.hbar * grow * omega_t * bracket
-                  / (4.0 * math.pi * k.c**2 * ecfg.system.mirror_gap), lambda0)
+    pressure = _finite(k.hbar * grow * omega_t * bracket
+                       / (4.0 * math.pi * k.c**2 * ecfg.system.mirror_gap),
+                       "the Casimir pressure")
+    return _value(pressure, lambda0)
 
 
 def coupling_1d(kappa_max: float, omega: float, omega_p: float) -> float:

@@ -15,7 +15,8 @@ a rank-one update of a diagonal, and its two scanned quantities use that
 structure instead of a dense solve: the collective coupling is the
 Sherman-Morrison closed form, and the lowest mode is the lowest root of the
 secular equation 1 + omega_p^2 sum_n 1/(omega_n^2 - lam) = 0 (Golub, SIAM
-Rev. 15, 1973; Bunch, Nielsen & Sorensen, Numer. Math. 31, 1978).
+Rev. 15, 1973; Bunch, Nielsen & Sorensen, Numer. Math. 31, 1978), solved
+alone by the one secular solver that normal_modes also uses.
 
 Every W that build_w makes is also structured: with P the (M, 3) matrix of
 unit polarizations, W = D + omega_p^2 P P^T with D = diag(omega^2 +
@@ -50,6 +51,7 @@ from typing import Sequence
 import numpy as np
 
 from .constants import CODATA2018
+from .core import _finite
 from .exceptions import (ConvergenceError, DegenerateModeError, DomainError,
                          PreconditionError)
 
@@ -298,9 +300,8 @@ def diagonalize_w(w_matrix: np.ndarray) -> NormalModes:
         raise DomainError("W must be finite")
     with np.errstate(over="ignore"):
         norm_fro = float(np.linalg.norm(a))
-    if not math.isfinite(norm_fro):
-        # an infinite tolerance would stop Jacobi at sweep 0, unrotated
-        raise DomainError("||W||_F overflows; rescale W")
+    # an infinite tolerance would stop Jacobi at sweep 0, unrotated
+    _finite(norm_fro, "||W||_F")
     if norm_fro > 0 and float(np.linalg.norm(a - a.T)) > 1e-12 * norm_fro:
         raise DomainError("W must be symmetric")
     n = a.shape[0]
@@ -344,16 +345,18 @@ def rotated_polarizations(modes: ModeSet, u: np.ndarray) -> np.ndarray:
     return u.T @ modes.pol
 
 
-def _secular_eig(d: np.ndarray, z: np.ndarray,
-                 rho: float) -> tuple[np.ndarray, np.ndarray, int]:
+def _secular_eig(d: np.ndarray, z: np.ndarray, rho: float,
+                 count: int | None = None
+                 ) -> tuple[np.ndarray, np.ndarray | None, int]:
     """Eigenpairs of diag(d) + rho z z^T for strictly ascending d, z with no
-    zero entry and norm 1, and rho > 0.  Returns (roots, V, steps).
+    zero entry and norm 1, and rho > 0.  Returns (roots, V, steps); with
+    ``count`` set, only the lowest ``count`` roots are solved and V is None.
 
     The roots solve f(lam) = 1 + sum_j s_j / (d_j - lam) = 0, s = rho z^2.
     Root i lies in (d_i, d_{i+1}), the last one in (d_K, d_K + rho].  Each
     is measured as tau = lam - d_o from its nearer pole d_o, picked by the
     sign of f at the interval midpoint, so that every d_j - lam =
-    (d_j - d_o) - tau keeps full relative accuracy.  All K roots iterate
+    (d_j - d_o) - tau keeps full relative accuracy.  All roots iterate
     together, by Newton steps on g = (d_i - lam)(d_{i+1} - lam) f, the
     secular function with both interval poles removed (only d_K for the
     last root): g is smooth on the bracket and changes sign once there.
@@ -362,7 +365,9 @@ def _secular_eig(d: np.ndarray, z: np.ndarray,
     leaves the bracket is bisected instead.  A root stops once |g| is
     within its rounding bound 8 eps sum|terms| (as ``erretm`` in LAPACK
     dlaed4) or once its bracket has collapsed; every root settles within
-    ``MAX_SECULAR_STEPS`` steps or ConvergenceError is raised.
+    ``MAX_SECULAR_STEPS`` steps or ConvergenceError is raised.  Each root's
+    iteration reads only its own row, so a subset costs O(K) per step per
+    root and gives the same bits as the full solve.
 
     The eigenvectors are zhat_j / (d_j - lam_i), normalized, with zhat from
     the Loewner formula zhat_j^2 = prod_i (d_j - lam_i) / (d_j - d_i) over
@@ -372,25 +377,25 @@ def _secular_eig(d: np.ndarray, z: np.ndarray,
     bounds, so the product can neither overflow nor underflow.
     """
     k = d.size
+    m = k if count is None else count
     s = rho * z * z
-    ar = np.arange(k)
+    ar = np.arange(m)
     last = ar == k - 1
-    gap = d - d[:, None]                      # gap[i, j] = d_j - d_i
-    half = 0.5 * np.diff(d)
-    probe = np.append(half, rho)              # midpoint, or d_K + rho
+    nxt = np.minimum(ar + 1, k - 1)
+    # midpoint of each root's interval, or d_K + rho for the last root
+    probe = np.append(0.5 * np.diff(d), rho)[:m]
     # s without the interval poles of each root: columns i and i + 1 of row i
-    s_rest = np.tile(s, (k, 1))
+    s_rest = np.tile(s, (m, 1))
     s_rest[ar, ar] = 0.0
-    s_rest[ar[:-1], ar[1:]] = 0.0
-    s_l = s
-    s_r = np.append(s[1:], 0.0)
-    c = 1.0 + (s_rest / (gap - probe[:, None])).sum(axis=1)
-    right = np.zeros(k, dtype=bool)
-    right[:-1] = c[:-1] + (s_r[:-1] - s_l[:-1]) / half < 0.0  # f(mid) < 0
+    s_rest[ar, nxt] = 0.0
+    s_l = s[:m]
+    s_r = np.where(last, 0.0, s[nxt])
+    c = 1.0 + (s_rest / (d - d[:m, None] - probe[:, None])).sum(axis=1)
+    right = (c + (s_r - s_l) / probe < 0.0) & ~last   # f(mid) < 0
     origin = ar + right
-    delta = gap[origin]                       # delta[i, j] = d_j - d_origin
+    delta = d - d[origin, None]               # delta[i, j] = d_j - d_origin
     d_l = delta[ar, ar]
-    d_r = np.where(last, 0.0, delta[ar, np.minimum(ar + 1, k - 1)])
+    d_r = np.where(last, 0.0, delta[ar, nxt])
     slope_b = np.where(last, 0.0, -1.0)       # d(d_r - tau)/dtau
     lo = np.where(right, -probe, 0.0)
     # the last root reaches d_K + rho when the other z_j vanish
@@ -402,10 +407,10 @@ def _secular_eig(d: np.ndarray, z: np.ndarray,
     qc = np.where(last, s_l, s_l * d_r + s_r * d_l)
     q = qb + np.copysign(np.sqrt(np.abs(qb * qb - 4.0 * qa * qc)), qb)
     near = 2.0 * qc / q
-    far = np.divide(q, 2.0 * qa, out=np.full(k, np.nan), where=qa != 0.0)
+    far = np.divide(q, 2.0 * qa, out=np.full(m, np.nan), where=qa != 0.0)
     tau = np.where((lo < near) & (near < hi), near,
                    np.where((lo < far) & (far < hi), far, 0.5 * (lo + hi)))
-    active = np.ones(k, dtype=bool)
+    active = np.ones(m, dtype=bool)
     for steps in range(1, MAX_SECULAR_STEPS + 1):
         den = delta - tau[:, None]
         term = s_rest / den
@@ -419,7 +424,7 @@ def _secular_eig(d: np.ndarray, z: np.ndarray,
               + s_l * slope_b - s_r)
         lo = np.where(g > 0.0, tau, lo)
         hi = np.where(g < 0.0, tau, hi)
-        step = tau - np.divide(g, dg, out=np.full(k, np.inf), where=dg != 0.0)
+        step = tau - np.divide(g, dg, out=np.full(m, np.inf), where=dg != 0.0)
         inside = (lo < step) & (step < hi)
         mid = 0.5 * (lo + hi)
         collapsed = ~inside & ((mid <= lo) | (mid >= hi))
@@ -431,7 +436,10 @@ def _secular_eig(d: np.ndarray, z: np.ndarray,
         raise ConvergenceError(
             f"secular roots not settled in {MAX_SECULAR_STEPS} steps "
             f"(K = {k})")
+    if count is not None:
+        return d[origin] + tau, None, steps
     # den[i, j] = d_j - lam_i, from the pass in which the last root settled
+    gap = d - d[:, None]
     np.fill_diagonal(gap, -rho)
     zhat = np.copysign(np.sqrt(np.prod(den / gap, axis=0)), z)
     v = zhat / den
@@ -581,48 +589,6 @@ def exact_coupling_1d(n_modes: int, omega_fundamental: float,
     return rho * s / (1.0 + rho * s)
 
 
-def _ladder_lowest(omega_sq: np.ndarray, rho: float) -> float:
-    """Lowest eigenvalue of diag(omega_sq) + rho 1 1^T, omega_sq ascending
-    with omega_sq[0] < omega_sq[1], rho >= 0.
-
-    It is the root of the secular equation 1 + rho sum_n 1/(omega_sq[n] - lam)
-    = 0 on (omega_sq[0], omega_sq[1]) (Golub 1973; Bunch, Nielsen & Sorensen
-    1978), found in t = lam - omega_sq[0] so that it keeps full relative
-    accuracy next to the first pole.  There it is the root of
-    h(t) = t (1 + psi(t)) - rho, psi(t) = rho sum_{n>=1} 1/(d_n - t),
-    d_n = omega_sq[n] - omega_sq[0], which is increasing and convex on
-    [0, d_1).  Newton starts at rho / (1 + psi(0)), where h >= 0, inside the
-    bracket (0, start]; a step that leaves the bracket is replaced by its
-    midpoint, and the iteration stops once a step no longer moves t.
-    """
-    if rho == 0.0 or omega_sq.size == 1:
-        return float(omega_sq[0]) + rho
-    d = omega_sq[1:] - omega_sq[0]
-    lo = 0.0
-    t = hi = rho / (1.0 + rho * float(np.sum(1.0 / d)))
-    for _ in range(MAX_SECULAR_STEPS):
-        r = 1.0 / (d - t)
-        psi = rho * float(np.sum(r))
-        h = t * (1.0 + psi) - rho
-        if h > 0.0:
-            hi = t
-        else:
-            lo = t
-        step = t - h / (1.0 + psi + t * rho * float(r @ r))
-        if step == t:
-            break
-        if not lo < step < hi:
-            step = 0.5 * (lo + hi)
-            if step in (lo, hi):
-                break
-        t = step
-    else:
-        raise ConvergenceError(
-            f"secular root not settled in {MAX_SECULAR_STEPS} steps "
-            f"(M = {omega_sq.size}, omega_p^2 = {rho!r})")
-    return float(omega_sq[0]) + t
-
-
 def lowest_mode_scan(ratios: Sequence[float],
                      n_modes: int = 100) -> np.ndarray:
     """Percent difference between the dressed continuum edge and the lowest
@@ -630,14 +596,24 @@ def lowest_mode_scan(ratios: Sequence[float],
 
     Returns rows (ratio, 100*|omega_t(kappa_z) - Omega_lowest|/omega_t) for
     the parallel ladder in fundamental-frequency units.  Omega_lowest^2 is
-    the root of the ladder's secular equation (see ``_ladder_lowest``), not
-    an eigendecomposition of W; at ratio 0 and at M = 1 it is exact.
+    the lowest root of the ladder's secular equation, solved alone by
+    ``_secular_eig``; it is exact at ratio 0 and at M = 1.  Below
+    omega_p^2 = eps omega_1^2 / 4 the root is omega_1^2 + omega_p^2 to
+    rounding; above M (omega_M^2 - omega_1^2) / eps the 1 in the secular
+    equation is below rounding, so the root takes omega_p^2 capped there.
     """
     rows = np.empty((len(ratios), 2))
-    omega_sq = ModeSet.ladder_1d(n_modes, 1.0).omega ** 2
+    d = ModeSet.ladder_1d(n_modes, 1.0).omega ** 2
+    z = np.full(n_modes, 1.0 / math.sqrt(n_modes))
+    rho_min = 0.25 * EPS * d[0]
+    rho_max = n_modes * (d[-1] - d[0]) / EPS
     for i, ratio in enumerate(ratios):
         rho = _omega_p_sq(ratio)
-        omega_lowest = math.sqrt(_ladder_lowest(omega_sq, rho))
+        if rho < rho_min or n_modes == 1:
+            lam = float(d[0]) + rho
+        else:   # rho 1 1^T = (M rho) z z^T
+            r = n_modes * min(rho, rho_max)
+            lam = float(_secular_eig(d, z, r, 1)[0][0])
         edge = math.sqrt(1.0 + rho)
-        rows[i] = (ratio, 100.0 * abs(edge - omega_lowest) / edge)
+        rows[i] = (ratio, 100.0 * abs(edge - math.sqrt(lam)) / edge)
     return rows

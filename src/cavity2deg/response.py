@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import CODATA2018
-from .core import DerivedScales, UnitsMode
+from .core import DerivedScales, UnitsMode, _finite, _pow
 from .exceptions import DomainError, InstabilityError, UnitModeError
 
 __all__ = [
@@ -150,10 +150,8 @@ def _pole_denominators(f: BroadenedFrequency, omega_t: float):
         w_plus, w_minus = w + omega_t, w - omega_t
         d_plus = w_plus * w_plus + eta * eta
         d_minus = w_minus * w_minus + eta * eta
-    if not (np.isfinite(d_plus).all() and np.isfinite(d_minus).all()):
-        raise DomainError("(w +- omega_t)^2 + eta^2 overflows the float "
-                          "range; the probe is too far off resonance")
-    return d_plus, d_minus
+    return (_finite(d_plus, "(w + omega_t)^2 + eta^2"),
+            _finite(d_minus, "(w - omega_t)^2 + eta^2"))
 
 
 def chi_aa_freq(f: BroadenedFrequency, scales: DerivedScales) -> ResponseValue:
@@ -186,7 +184,9 @@ def chi_ea_freq(f: BroadenedFrequency, scales: DerivedScales) -> ResponseValue:
 
 def chi_jj_freq(f: BroadenedFrequency, scales: DerivedScales) -> ResponseValue:
     """Current-current response (e^2 N/m_e)^2 * chi_AA; SI only."""
-    pref = _matter_prefactor(scales) ** 2
+    pref = _finite(_pow(_matter_prefactor(scales), 2),
+                   f"(e^2 N/m_e)^2 at n_electrons = "
+                   f"{scales.config.n_electrons:.6g}")
     base = chi_aa_freq(f, scales)
     return ResponseValue(ResponseKind.JJ, pref * base.re, pref * base.im)
 
@@ -232,12 +232,15 @@ def optical_conductivity(f: BroadenedFrequency,
     """
     _require_broadening(f)
     omega_p, omega_t, eps0, _ = _mode_params(scales)
+    ratio_mode = scales.config.units_mode is UnitsMode.RATIO
+    field = "ratio" if ratio_mode else "omega_p"
+    omega_p4 = _finite(_pow(omega_p, 4), f"{field}^4 at {field} = {omega_p!r}")
     w, eta = f.w, f.eta
     d_plus, d_minus = _pole_denominators(f, omega_t)
     lorentz = w**2 + eta**2
     drude_re = eps0 * eta * omega_p**2 / lorentz
     drude_im = eps0 * w * omega_p**2 / lorentz
-    pref = eps0 * omega_p**4 / (2.0 * omega_t * lorentz)
+    pref = eps0 * omega_p4 / (2.0 * omega_t * lorentz)
     re = drude_re - eta * pref * ((2.0 * w + omega_t) / d_plus
                                   - (2.0 * w - omega_t) / d_minus)
     im = drude_im - pref * ((w**2 - eta**2 + w * omega_t) / d_plus

@@ -494,13 +494,45 @@ CONFIG_FIELDS = ("n_electrons", "area", "mirror_gap", "cavity_index",
                  "mode_frequency", "ratio")
 
 
-# finite config files and the field each names: m_e eps0 L_z underflows to 0
-# at the tiny gap, and ratio^2 overflows at the huge ratio
+# finite config files, the field each names, its exit code and the
+# sub-commands that reach it: m_e eps0 L_z underflows to 0 at the tiny gap,
+# ratio^2 overflows at the huge ratio, (c kappa_z)^2 at the small gap and
+# omega_p^4 at the large ratio; 10**400 electrons are past the float range
 EXTREME_CONFIGS = {
     "tiny_gap": ("n_electrons = 100000000\narea = 1e-8\nmirror_gap = 1e-320\n",
-                 "mirror_gap"),
-    "huge_ratio": ("units_mode = ratio\nratio = 1e200\n", "ratio"),
+                 "mirror_gap", 3, [("phase",), ("response", "aa"),
+                                   ("response", "sigma"), ("eft", "coupling")]),
+    "huge_ratio": ("units_mode = ratio\nratio = 1e200\n", "ratio", 3,
+                   [("phase",), ("response", "aa"), ("response", "sigma")]),
+    "small_gap": ("n_electrons = 100000000\narea = 1e-8\nmirror_gap = 1e-200\n",
+                  "mirror_gap", 3, [("eft", "chi")]),
+    "large_ratio": ("units_mode = ratio\nratio = 1e150\n", "ratio", 3,
+                    [("response", "sigma")]),
+    "huge_count": (f"n_electrons = {10**400}\narea = 1e-8\nmirror_gap = 1e-6\n",
+                   "n_electrons", 2, [("phase",), ("response", "aa"),
+                                      ("eft", "coupling")]),
 }
+
+ALL_COMMANDS = ([("phase",)]
+                + [("response", kind) for kind in cli._RESPONSE_FUNCS]
+                + [("eft", sub) for sub in ("coupling", "mass", "mu",
+                                            "casimir", "jellium", "chi")]
+                + [("manymode", sub) for sub in ("diag", "lowest-scan",
+                                                 "coupling-run")])
+# log-uniform over the positive doubles, and integers up to ~1e400
+POSITIVE_DOUBLES = st.floats(-323.3, 308.25).map(lambda e: 10.0 ** e)
+LARGE_INTEGERS = st.builds(lambda m, e: m * 10**e, st.integers(1, 999),
+                           st.integers(0, 397))
+# each SI field at its default or anywhere in its range
+EXTREME_FIELDS = st.one_of(
+    st.fixed_dictionaries(
+        {"n_electrons": st.just(100_000_000) | LARGE_INTEGERS,
+         "area": st.just(1e-8) | POSITIVE_DOUBLES,
+         "mirror_gap": st.just(1e-6) | POSITIVE_DOUBLES},
+        optional={"cavity_index": LARGE_INTEGERS,
+                  "mode_frequency": POSITIVE_DOUBLES}),
+    st.fixed_dictionaries({"units_mode": st.just("ratio"),
+                           "ratio": POSITIVE_DOUBLES}))
 
 
 class TestNonFiniteInput:
@@ -594,25 +626,48 @@ class TestNonFiniteInput:
 
     @pytest.mark.parametrize("case, command", [
         pytest.param(case, command, id=f"{case}-{'-'.join(command)}")
-        for case, commands in (
-            ("tiny_gap", [("phase",), ("response", "aa"),
-                          ("response", "sigma"), ("eft", "coupling")]),
-            ("huge_ratio", [("phase",), ("response", "aa"),
-                            ("response", "sigma")]))
+        for case, (*_, commands) in EXTREME_CONFIGS.items()
         for command in commands])
     def test_extreme_finite_config(self, capsys, tmp_path, case, command):
-        # finite values whose derived scales leave the float range: exit 3,
-        # with the field named, instead of a traceback
-        text, field = EXTREME_CONFIGS[case]
+        # finite values whose derived scales leave the float range: exit 3
+        # (2 for an integer past the float range), with the field named,
+        # instead of a traceback
+        text, field, expected, _ = EXTREME_CONFIGS[case]
         cfg = tmp_path / "c.txt"
         cfg.write_text(text)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run(capsys, *command, "--config", str(cfg))
-        assert code == 3
+        assert code == expected
         assert out == ""
         assert err.startswith("error: ")
         assert field in err
+
+    @settings(max_examples=80)
+    @given(st.sampled_from(ALL_COMMANDS), EXTREME_FIELDS)
+    def test_finite_config_extremes_property(self, command, data):
+        # finite config fields anywhere in their range, alone or together:
+        # exit 0, 2 or 3, never a traceback; output only on exit 0, and
+        # then every number in it finite
+        text = "".join(f"{k} = {v}\n" for k, v in data.items())
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "c.cfg"
+            cfg.write_text(text)
+            out, err = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                warnings.simplefilter("error")
+                code = main([*command, "--config", str(cfg)])
+        assert code in (0, 2, 3), (command, text, err.getvalue())
+        if code:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error: ")
+        for line in out.getvalue().splitlines():
+            for token in line.split(","):
+                try:
+                    assert math.isfinite(float(token)), (command, text, line)
+                except ValueError:   # a header, a column name or a label
+                    pass
 
     @pytest.mark.parametrize("text", [
         "units_mode = ratio\nratio = nan\n",

@@ -6,6 +6,7 @@ digits.
 """
 
 import math
+import sys
 
 import pytest
 from hypothesis import given
@@ -66,6 +67,16 @@ class TestSystemConfig:
         kw[field] = bad
         with pytest.raises(ConfigError, match="finite"):
             SystemConfig.si(**kw)
+
+    @pytest.mark.parametrize("field", ["n_electrons", "cavity_index"])
+    def test_si_rejects_integers_past_the_float_range(self, field):
+        # the scales use them as floats: the largest double is accepted
+        kw = dict(n_electrons=10, area=1e-8, mirror_gap=1e-6)
+        kw[field] = 2**1024
+        with pytest.raises(ConfigError, match=field):
+            SystemConfig.si(**kw)
+        kw[field] = int(sys.float_info.max)
+        SystemConfig.si(**kw)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_ratio_rejects_non_finite(self, bad):

@@ -9,7 +9,9 @@ Oracles:
     rank-one ladder problem,
   * dense Jacobi and LAPACK for the ladder's closed-form coupling and
     secular-equation lowest root, which the library computes directly,
-  * dense Jacobi on build_w (and LAPACK) for the structured normal modes.
+  * dense Jacobi on build_w (and LAPACK) for the structured normal modes,
+  * a 50-digit mpmath root for lowest_mode_scan's rows, and the full secular
+    solve, bit for bit, for the subset of roots that lowest_mode_scan asks.
 """
 
 import logging
@@ -459,6 +461,18 @@ def te_tm_pairs(rng, m):
     return ModeSet(omega=omega, pol=pol, kappa=np.repeat(kappa, 2, axis=0))
 
 
+def graded_updates(n, seed=7):
+    """n rank-one problems (d, z, rho) with poles spaced from 1e-14 to 1 and
+    weights from 1e-12 to 1, K from 3 to 39."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        k = int(rng.integers(3, 40))
+        d = np.cumsum(10.0 ** rng.uniform(-14, 0, k))
+        z = rng.normal(size=k) * 10.0 ** rng.uniform(-12, 0, k)
+        z /= np.linalg.norm(z)
+        yield d, z, 10.0 ** rng.uniform(-4, 3)
+
+
 def assert_structured_matches(modes, omega_p, lapack=True):
     """normal_modes' structured path against dense Jacobi on build_w (and
     LAPACK within rel 1e-12 or eps ||W||_F)."""
@@ -517,22 +531,39 @@ class TestStructuredModes:
         assert_structured_matches(modes, 1.1)
 
     def test_graded_updates_stay_orthogonal(self):
-        # one rank-one update with poles spaced from 1e-14 to 1 and weights
-        # from 1e-12 to 1: the Loewner vector keeps U orthogonal to ~1e-15
-        # where vectors from z itself drift to ~1e-13
-        rng = np.random.default_rng(7)
-        for _ in range(800):
-            k = int(rng.integers(3, 40))
-            d = np.cumsum(10.0 ** rng.uniform(-14, 0, k))
-            z = rng.normal(size=k) * 10.0 ** rng.uniform(-12, 0, k)
-            z /= np.linalg.norm(z)
-            rho = 10.0 ** rng.uniform(-4, 3)
+        # the Loewner vector keeps U orthogonal to ~1e-15 where vectors from
+        # z itself drift to ~1e-13
+        for d, z, rho in graded_updates(800):
+            k = d.size
             lam, q, _ = manymode._rank_one_update(d.copy(), np.eye(k),
                                                   z.copy(), rho)
             w = np.diag(d) + rho * np.outer(z, z)
             assert np.linalg.norm(q.T @ q - np.eye(k)) <= 1e-14
             assert (np.linalg.norm((q * lam) @ q.T - w)
                     <= 1e-14 * np.linalg.norm(w))
+
+    def test_root_subset_matches_full_solve(self, monkeypatch):
+        # _secular_eig(d, z, rho, count) gives the lowest count roots of the
+        # full solve bit for bit, on every secular problem that the graded
+        # updates hand it after deflation and on the ladder
+        calls = []
+        solve = manymode._secular_eig
+        monkeypatch.setattr(manymode, "_secular_eig",
+                            lambda *args: calls.append(args) or solve(*args))
+        for d, z, rho in graded_updates(200):
+            manymode._rank_one_update(d, np.eye(d.size), z, rho)
+        monkeypatch.undo()
+        for m in (2, 3, 40, 200):
+            d = np.arange(1.0, m + 1) ** 2
+            for ratio in (1e-4, 0.3, 0.9, 30.0, 1e8):
+                calls.append((d, np.full(m, 1.0 / math.sqrt(m)),
+                              m * ratio**2))
+        for d, z, rho in calls:
+            roots = solve(d, z, rho)[0]
+            for count in sorted({1, max(1, d.size // 2), d.size}):
+                sub, v, _ = solve(d, z, rho, count)
+                assert v is None
+                assert sub.tobytes() == roots[:count].tobytes()
 
     def test_lowest_scan_root_is_lowest_mode(self):
         for m in (2, 9, 40, 100, 200):
@@ -701,6 +732,30 @@ class TestLadderCoupling:
         assert nm.omega_sq[0] == pytest.approx(root, rel=1e-10)
 
 
+def reference_row(mpmath, m, ratio):
+    """The lowest-scan row at 50 digits.  The lowest root is 1 + t, with t
+    the root of h(t) = t (1 + rho sum_n 1/(n^2 - 1 - t)) - rho, n = 2..M,
+    which is increasing and convex on [0, 3).  Newton falls onto it from
+    rho / (1 + rho sum_n 1/(n^2 - 1)) or from 3 (1 - 1e-40), whichever is
+    lower (at large rho the first rounds onto the pole 3); h >= 0 at both."""
+    with mpmath.workdps(50):
+        rho = mpmath.mpf(ratio) ** 2
+        d = [mpmath.mpf(n * n - 1) for n in range(2, m + 1)]
+        t = rho / (1 + rho * mpmath.fsum(1 / x for x in d))
+        if d:
+            t = min(t, 3 * (1 - mpmath.mpf(10) ** -40))
+        for _ in range(200):
+            psi = rho * mpmath.fsum(1 / (x - t) for x in d)
+            dpsi = rho * mpmath.fsum(1 / (x - t) ** 2 for x in d)
+            step = (t * (1 + psi) - rho) / (1 + psi + t * dpsi)
+            t -= step
+            if abs(step) <= t * mpmath.mpf(10) ** -45:
+                break
+        edge = mpmath.sqrt(1 + rho)
+        # edge - Omega = (edge^2 - Omega^2) / (edge + Omega), no cancellation
+        return 100 * (rho - t) / (edge * (edge + mpmath.sqrt(1 + t)))
+
+
 class TestLowestModeScan:
     def test_zero_coupling_row(self):
         rows = lowest_mode_scan([0.0], n_modes=20)
@@ -723,6 +778,29 @@ class TestLowestModeScan:
     def test_non_finite_ratio_rejected(self, bad):
         with pytest.raises(DomainError):
             lowest_mode_scan([0.5, bad])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("m", [1, 2, 3, 100])
+    def test_matches_50_digit_root(self, m):
+        # the bound is about one ulp of Omega, plus 100 eps for the
+        # cancellation in edge - Omega at small ratios.  At M = 2 and ratio
+        # 2e8 a scalar Newton once returned the pole 4 for the root 2.5
+        mpmath = pytest.importorskip("mpmath")
+        ratios = [*(10.0 ** np.arange(-160, 151, 31)).tolist(), 1.0, 2e8]
+        eps = np.finfo(float).eps
+        for ratio, row in lowest_mode_scan(ratios, n_modes=m):
+            ref = reference_row(mpmath, m, ratio)
+            assert abs(mpmath.mpf(row) - ref) <= np.spacing(row) + 100 * eps, (
+                ratio, row, ref)
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 500), st.floats(-324.0, 154.1))
+    def test_any_accepted_ratio_property(self, m, exponent):
+        # every ratio whose square is finite, subnormal ones included; the
+        # row is a percentage, to its two roundings
+        row = lowest_mode_scan([10.0 ** exponent], n_modes=m)[0, 1]
+        assert 0.0 <= row <= 100.0 + np.spacing(100.0)
 
     def test_matches_dense_solvers(self):
         # the secular root against the lowest eigenvalue of the dense W from
