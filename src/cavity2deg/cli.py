@@ -21,10 +21,11 @@ import hashlib
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass, field, replace
-from functools import cache
+from functools import cache, partial
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,14 +33,15 @@ from . import __version__
 from .constants import CODATA2018
 from .core import (DerivedScales, SystemConfig, _finite, classify_phase,
                    load_config_file)
-from .eft import (EftConfig, casimir_energy_density, casimir_pressure,
-                  chemical_potential, effective_coupling, eft_chi_aa,
-                  jellium, per_particle_coupling, renormalized_mass)
+from .eft import (EftConfig, _edges, casimir_energy_density,
+                  casimir_pressure, chemical_potential, effective_coupling,
+                  eft_chi_aa, jellium, per_particle_coupling,
+                  renormalized_mass)
 from .exceptions import (Cavity2degError, ConfigError, ConvergenceError,
                          DomainError, PreconditionError, UnitModeError)
 from .io_utils import FLOAT_DIGITS, format_rows
-from .manymode import (ModeSet, exact_coupling_1d, lowest_mode_scan,
-                       normal_modes)
+from .manymode import (ModeSet, _coupling_fraction, exact_coupling_1d,
+                       lowest_mode_scan, normal_modes)
 from .response import (BroadenedFrequency, ResponseKind, _mode_params,
                        chi_aa_freq, chi_ea_freq, chi_jj_freq, chi_mixed_freq,
                        dc_conductivity, drude_effective_mass,
@@ -52,8 +54,6 @@ __all__ = ["SweepSpec", "OutputRecord", "cmd_phase", "cmd_response",
 DEFAULT_N = 100_000_000
 DEFAULT_AREA = 1e-8        # m^2  -> n_2d = 1e16 m^-2
 DEFAULT_GAP = 1e-6         # m
-
-SWEEPABLE = ("gamma", "w", "lambda0", "rs", "ratio", "modes")
 
 
 @dataclass(frozen=True)
@@ -89,11 +89,9 @@ class SweepSpec:
         parts = rhs.split(":")
         if len(parts) not in (3, 4):
             raise ConfigError(f"--sweep expects start:stop:count[:log], got {rhs!r}")
-        log = False
-        if len(parts) == 4:
-            if parts[3] != "log":
-                raise ConfigError(f"unknown spacing {parts[3]!r}; only 'log'")
-            log = True
+        log = len(parts) == 4
+        if log and parts[3] != "log":
+            raise ConfigError(f"unknown spacing {parts[3]!r}; only 'log'")
         try:
             start, stop = float(parts[0]), float(parts[1])
             count = int(parts[2])
@@ -239,37 +237,184 @@ def _default_config() -> SystemConfig:
                            mirror_gap=DEFAULT_GAP)
 
 
-def _check_sweep_var(sweep: SweepSpec | None, allowed: tuple[str, ...],
-                     command: str) -> None:
-    if sweep is not None and sweep.variable not in allowed:
-        raise ConfigError(
-            f"{command} sweeps over {', '.join(allowed)}; "
-            f"got {sweep.variable!r}")
+class _Sub(NamedTuple):
+    sweep: str | None           # the --sweep variable; None: no --sweep
+    columns: tuple[str, ...]
+    reads: tuple[str, ...]      # flags read besides --sweep and the output
+    body: Callable | None = None    # eft and manymode: computes the columns
+
+
+def _grid(command: str, sub: str | None, sweep: SweepSpec | None,
+          default: Callable[[], np.ndarray]) -> np.ndarray:
+    """The grid of ``sweep``, which must name the sub-command's variable, or
+    ``default()`` without one."""
+    if sweep is None:
+        return default()
+    var = _SUBCOMMANDS[command, sub].sweep
+    if sweep.variable != var:
+        name = command if sub is None else f"{command} {sub}"
+        raise ConfigError(f"{name} does not read --sweep" if var is None else
+                          f"{name} sweeps over {var}; got {sweep.variable!r}")
+    return sweep.grid()
+
+
+def _subcommand(command: str, sub: str, **flags) -> _Sub:
+    """The entry of ``command sub``; ConfigError for an unknown one or for a
+    flag it does not read (which would change the hash and no row)."""
+    spec = _SUBCOMMANDS.get((command, sub))
+    if spec is None:
+        raise ConfigError(f"unknown {command} sub-command {sub!r}; "
+                          f"choose from {', '.join(_menu(command))}")
+    for flag, value in flags.items():
+        if value is not None and flag not in spec.reads:
+            hint = f"; sweep {flag} instead" if flag == spec.sweep else ""
+            raise ConfigError(f"{command} {sub} does not read --{flag}{hint}")
+    return spec
+
+
+def _menu(command: str) -> tuple[str, ...]:
+    return tuple(sub for cmd, sub in _SUBCOMMANDS if cmd == command)
+
+
+def _record(command: str, sub: str | None, config: SystemConfig | None,
+            params: dict, sweep: SweepSpec | None, rows: list,
+            summary: dict) -> OutputRecord:
+    """The dataset of one sub-command under its declared columns."""
+    return OutputRecord(
+        command=command, config=(config or _default_config()).as_mapping(),
+        params={**params, "sweep": None if sweep is None else str(sweep)},
+        columns=_SUBCOMMANDS[command, sub].columns, rows=rows, summary=summary)
+
+
+# eft bodies: (grid, ecfg, params, summary) -> columns, where grid(default)
+# is _grid; a body reads its flags from params and adds to the summary
+
+def _cutoff(columns: tuple[str, ...], values: Callable,
+            to_pole: bool = False) -> _Sub:
+    """A sub-command over a lambda0 sweep (or the one --lambda0): lambda0,
+    then the ``columns`` of ``values(ecfg, lams)``.  ``to_pole`` ends the
+    sweep where the per-particle coupling reaches the pole of the mass."""
+    return _Sub("lambda0", ("lambda0", *columns), ("config", "lambda0"),
+                partial(_cutoff_sweep, values, to_pole))
+
+
+def _cutoff_sweep(values: Callable, to_pole: bool, grid, ecfg: EftConfig,
+                  params: dict, summary: dict) -> tuple:
+    pole, lambda0 = ecfg.lambda0_pole, params["lambda0"]
+    lams = grid(lambda: np.linspace(1.0, min(0.999 * pole, 1e6), 200)
+                if lambda0 is None else np.array([lambda0]))
+    if np.any(lams < 1.0):
+        raise ConfigError("lambda0 values must be >= 1")
+    stop = lams.size
+    if to_pole:
+        g_per = per_particle_coupling(ecfg, lams)
+        at_pole = np.flatnonzero(g_per >= 1.0)
+        if at_pole.size:
+            stop = int(at_pole[0])
+            summary["truncation_notice"] = (
+                f"sweep truncated at lambda0 = {lams[stop].item()!r}: "
+                f"per-particle coupling {g_per[stop]:g} at or beyond "
+                "the pole")
+    # the cutoff that reaches the pole is counted too, though it has no row
+    beyond_window = int(np.count_nonzero(lams[:stop + 1] > pole))
+    if beyond_window:
+        summary["rows_beyond_stability_window"] = beyond_window
+    return (lams[:stop], *values(ecfg, lams[:stop]))
+
+
+def _jellium(grid, ecfg: EftConfig, params: dict, summary: dict) -> tuple:
+    res = jellium(grid(lambda: np.linspace(0.5, 12.0, 200)), ecfg)
+    summary.update(rs_min=res.rs_min, lambda0=ecfg.lambda0)
+    return res.rs, res.tau, res.eps_x, res.total
+
+
+def _chi(grid, ecfg: EftConfig, params: dict, summary: dict) -> tuple:
+    """Continuum field-field response over a frequency sweep."""
+    w = grid(lambda: np.linspace(0.0, 1.5 * _edges(ecfg)[1], 600))
+    lo, hi = _edges(ecfg)   # no point of the 600 above is on hi
+    if params["eta"] is None:
+        params["eta"] = 1e-3 * lo
+    if params["eta"] < 0:
+        raise ConfigError(f"eta must be non-negative, got {params['eta']}")
+    val = eft_chi_aa(BroadenedFrequency(w, params["eta"]), ecfg)
+    summary.update(window_low=lo, window_high=hi, lambda0=ecfg.lambda0)
+    return w, val.re, val.im
+
+
+# manymode bodies: (grid, n_modes, ratio, summary) -> columns
+
+def _diag(grid, n_modes: int, ratio: float, summary: dict) -> tuple:
+    index = grid(lambda: np.arange(1, n_modes + 1))
+    nm = normal_modes(ModeSet.ladder_1d(n_modes, 1.0), ratio)
+    summary.update(sweeps=nm.sweeps, edge_omega_tilde=math.sqrt(1 + ratio**2))
+    return index, nm.omega
+
+
+def _lowest_scan(grid, n_modes: int, ratio: float, summary: dict) -> tuple:
+    ratios = grid(lambda: np.linspace(0.0, 0.9, 10))
+    if ratios[0] < 0:
+        raise ConfigError("ratio sweep endpoints must be non-negative")
+    table = lowest_mode_scan(ratios.tolist(), n_modes=n_modes)
+    summary["max_rel_diff_percent"] = float(table[:, 1].max())
+    return table[:, 0], table[:, 1]
+
+
+def _coupling_run(grid, n_modes: int, ratio: float, summary: dict) -> tuple:
+    """Exact coupling against the mode count at one ratio."""
+    sizes = grid(lambda: np.arange(1, n_modes + 1)).tolist()
+    counts = sorted({round(m) for m in sizes if m >= 1})
+    g = [exact_coupling_1d(m, 1.0, ratio) for m in counts]
+    # the ladder has omega_n = n, so sum 1/omega_n^2 -> pi^2/6 as M -> inf
+    summary.update(ratio=ratio,
+                   single_mode_gamma=ratio**2 / (1.0 + ratio**2),
+                   g_limit=_coupling_fraction(ratio**2 * math.pi**2 / 6.0))
+    return np.array(counts, dtype=int), np.array(g, dtype=float)
+
+
+# Every sub-command once; the response kinds share one entry and are
+# listed in _RESPONSE_FUNCS.
+_SUBCOMMANDS: dict[tuple[str, str | None], _Sub] = {
+    ("phase", None): _Sub("gamma", ("gamma", "phase"), ("config",)),
+    ("response", None): _Sub("w", ("w", "re", "im"), ("config", "eta")),
+    ("eft", "coupling"): _cutoff(
+        ("g",), lambda e, x: (effective_coupling(e, x),)),
+    ("eft", "mass"): _cutoff(
+        ("mass_kg",), lambda e, x: (renormalized_mass(e, x),), to_pole=True),
+    ("eft", "mu"): _cutoff(("mu_joule",), lambda e, x: (
+        chemical_potential(e, lambda0=x),), to_pole=True),
+    ("eft", "casimir"): _cutoff(
+        ("energy_density_j_m2", "pressure_pa"),
+        lambda e, x: (casimir_energy_density(e, x), casimir_pressure(e, x))),
+    ("eft", "jellium"): _Sub(
+        "rs", ("rs", "kinetic_ry", "exchange_ry", "total_ry"),
+        ("config", "lambda0"), _jellium),
+    ("eft", "chi"): _Sub("w", ("w", "re", "im"),
+                         ("config", "lambda0", "eta"), _chi),
+    ("manymode", "diag"): _Sub(None, ("mode_index", "omega_over_omega1"),
+                               ("modes", "ratio"), _diag),
+    ("manymode", "lowest-scan"): _Sub("ratio", ("ratio", "rel_diff_percent"),
+                                      ("modes",), _lowest_scan),
+    ("manymode", "coupling-run"): _Sub("modes", ("n_modes", "g_exact"),
+                                       ("modes", "ratio"), _coupling_run),
+}
+SWEEPABLE = tuple(dict.fromkeys(s.sweep for s in _SUBCOMMANDS.values()
+                                if s.sweep))
 
 
 def cmd_phase(config: SystemConfig | None = None,
               sweep: SweepSpec | None = None) -> OutputRecord:
-    """Stability label over a collective-coupling sweep."""
-    _check_sweep_var(sweep, ("gamma",), "phase")
-    if sweep is not None:
-        if sweep.start < 0 or sweep.stop < 0:
-            raise ConfigError("gamma sweep endpoints must be non-negative")
-        gammas = sweep.grid()
-        params = {"sweep": str(sweep)}
-    elif config is not None:
-        gammas = np.array([DerivedScales(config).gamma])
-        params = {"sweep": None}
-    else:
-        gammas = np.linspace(0.0, 1.2, 121)
-        params = {"sweep": "gamma=0.0:1.2:121"}
-    cfg_map = (config or _default_config()).as_mapping()
-    rows = [(float(g), classify_phase(float(g)).value) for g in gammas]
-    counts: dict[str, int] = {}
-    for _, label in rows:
-        counts[label] = counts.get(label, 0) + 1
-    return OutputRecord(command="phase", config=cfg_map, params=params,
-                        columns=("gamma", "phase"), rows=rows,
-                        summary={"band_counts": counts})
+    """Stability label over a collective-coupling sweep: the documented
+    default diagram, or the one gamma of ``config``."""
+    if sweep is None and config is None:
+        sweep = SweepSpec(_SUBCOMMANDS["phase", None].sweep, 0.0, 1.2, 121)
+    gammas = _grid("phase", None, sweep,
+                   lambda: np.array([DerivedScales(config).gamma]))
+    if gammas[0] < 0 or gammas[-1] < 0:
+        raise ConfigError("gamma sweep endpoints must be non-negative")
+    labels = [classify_phase(g).value for g in gammas.tolist()]
+    rows = [row + (label,) for row, label in zip(_rows(gammas), labels)]
+    return _record("phase", None, config, {}, sweep, rows,
+                   {"band_counts": dict(Counter(labels))})
 
 
 _RESPONSE_FUNCS = {
@@ -289,208 +434,76 @@ def cmd_response(kind: str, config: SystemConfig | None = None,
     if kind not in _RESPONSE_FUNCS:
         raise ConfigError(f"unknown response kind {kind!r}; "
                           f"choose from {', '.join(_RESPONSE_FUNCS)}")
-    _check_sweep_var(sweep, ("w",), "response")
     config = config or _default_config()
     scales = DerivedScales(config)
     wt = _mode_params(scales)[1]
+    if sweep is None:   # linspace takes the span 6 wt
+        _finite(6 * wt, f"the span of the default sweep w = -3..3 omega_tilde "
+                        f"at omega_tilde = {wt!r}")
+    grid = _grid("response", None, sweep,
+                 lambda: np.linspace(-3 * wt, 3 * wt, 1201))
     if eta is None:
         eta = 0.01 * wt
     if eta <= 0:
         raise ConfigError(f"eta must be positive, got {eta}")
-    if sweep is None:   # linspace takes the span 6 wt
-        _finite(6 * wt, f"the span of the default sweep w = -3..3 omega_tilde "
-                        f"at omega_tilde = {wt!r}")
-    grid = sweep.grid() if sweep is not None else np.linspace(-3 * wt, 3 * wt, 1201)
     with np.errstate(all="ignore"):
         val = _RESPONSE_FUNCS[kind](BroadenedFrequency(grid, eta), scales)
     rows = _rows(grid, val.re, val.im)
     summary: dict = {"eta": eta, "omega_tilde": wt, "gamma": scales.gamma}
     if kind == "sigma":
-        s0 = sigma0_dc(scales, eta)
-        summary["sigma0"] = s0
-        gamma = scales.gamma
-        if gamma < 1.0:
-            summary["sigma_dc"] = dc_conductivity(gamma, s0)
-            summary["sigma_dc_over_sigma0"] = 1.0 - gamma
-            summary["effective_mass_over_m_e"] = (
-                drude_effective_mass(gamma) / CODATA2018.m_e)
-    params = {"kind": kind, "eta": eta,
-              "sweep": None if sweep is None else str(sweep)}
-    return OutputRecord(command="response", config=config.as_mapping(),
-                        params=params, columns=("w", "re", "im"), rows=rows,
-                        summary=summary)
+        s0 = summary["sigma0"] = sigma0_dc(scales, eta)
+        if (gamma := scales.gamma) < 1.0:
+            summary.update(sigma_dc=dc_conductivity(gamma, s0),
+                           sigma_dc_over_sigma0=1.0 - gamma,
+                           effective_mass_over_m_e=(drude_effective_mass(gamma)
+                                                    / CODATA2018.m_e))
+    return _record("response", None, config, {"kind": kind, "eta": eta},
+                   sweep, rows, summary)
 
 
 def cmd_eft(sub: str, config: SystemConfig | None = None,
             sweep: SweepSpec | None = None, lambda0: float | None = None,
             eta: float | None = None) -> OutputRecord:
-    """Continuum-theory datasets; see --help for the sub-command menu."""
-    subs = ("coupling", "mass", "mu", "casimir", "jellium", "chi")
-    if sub not in subs:
-        raise ConfigError(f"unknown eft sub-command {sub!r}; "
-                          f"choose from {', '.join(subs)}")
-    if eta is not None and sub != "chi":
-        raise ConfigError(f"eft {sub} does not read --eta")
+    """Continuum-theory datasets; see --help for the sub-command menu.
+    Without --lambda0 the one cutoff is mid-window (at most 1e6)."""
+    spec = _subcommand("eft", sub, eta=eta)
     config = config or _default_config()
     ecfg = EftConfig(system=config, lambda0=lambda0 if lambda0 is not None else 1.0)
     pole = ecfg.lambda0_pole
     summary: dict = {"n_alpha": ecfg.n_alpha, "lambda0_pole": pole}
-    params: dict = {"sub": sub, "lambda0": lambda0, "eta": eta,
-                    "sweep": None if sweep is None else str(sweep)}
-    if sub in ("jellium", "chi") and lambda0 is None:
+    params: dict = {"sub": sub, "lambda0": lambda0, "eta": eta}
+    if lambda0 is None:
         ecfg = replace(ecfg, lambda0=min(0.5 * (1 + pole), 1e6))
-
-    if sub in ("coupling", "mass", "mu", "casimir"):
-        _check_sweep_var(sweep, ("lambda0",), "eft " + sub)
-        if sweep is not None:
-            lams = sweep.grid()
-        elif lambda0 is not None:
-            lams = np.array([lambda0])
-        else:
-            hi = min(0.999 * pole, 1e6)
-            lams = np.linspace(1.0, hi, 200)
-        if np.any(lams < 1.0):
-            raise ConfigError("lambda0 values must be >= 1")
-        stop = lams.size
-        if sub in ("mass", "mu"):
-            g_per = per_particle_coupling(ecfg, lams)
-            at_pole = np.flatnonzero(g_per >= 1.0)
-            if at_pole.size:
-                stop = int(at_pole[0])
-                summary["truncation_notice"] = (
-                    f"sweep truncated at lambda0 = {lams[stop].item()!r}: "
-                    f"per-particle coupling {g_per[stop]:g} at or beyond "
-                    "the pole")
-        # the cutoff that reaches the pole is counted too, though it has no row
-        beyond_window = int(np.count_nonzero(lams[:stop + 1] > pole))
-        lams = lams[:stop]
-        with np.errstate(all="ignore"):
-            if sub == "coupling":
-                values = (effective_coupling(ecfg, lams),)
-            elif sub == "mass":
-                values = (renormalized_mass(ecfg, lams),)
-            elif sub == "mu":
-                values = (chemical_potential(ecfg, lambda0=lams),)
-            else:
-                values = (casimir_energy_density(ecfg, lams),
-                          casimir_pressure(ecfg, lams))
-        rows = _rows(lams, *values)
-        if beyond_window:
-            summary["rows_beyond_stability_window"] = beyond_window
-        columns = {"coupling": ("lambda0", "g"),
-                   "mass": ("lambda0", "mass_kg"),
-                   "mu": ("lambda0", "mu_joule"),
-                   "casimir": ("lambda0", "energy_density_j_m2",
-                               "pressure_pa")}[sub]
-        return OutputRecord(command="eft", config=config.as_mapping(),
-                            params=params, columns=columns, rows=rows,
-                            summary=summary)
-
-    if sub == "jellium":
-        _check_sweep_var(sweep, ("rs",), "eft jellium")
-        rs_grid = sweep.grid() if sweep is not None else np.linspace(0.5, 12.0, 200)
-        with np.errstate(all="ignore"):
-            res = jellium(rs_grid, ecfg)
-        rows = _rows(res.rs, res.tau, res.eps_x, res.total)
-        summary["rs_min"] = res.rs_min
-        summary["lambda0"] = ecfg.lambda0
-        return OutputRecord(command="eft", config=config.as_mapping(),
-                            params=params,
-                            columns=("rs", "kinetic_ry", "exchange_ry",
-                                     "total_ry"),
-                            rows=rows, summary=summary)
-
-    # sub == "chi": continuum field-field response over a frequency sweep
-    _check_sweep_var(sweep, ("w",), "eft chi")
-    lo = math.sqrt(ecfg.omega_tilde_sq_cutoff)
-    hi = math.sqrt(ecfg.lambda_freq2)
-    if eta is None:
-        eta = 1e-3 * lo
-    if eta < 0:
-        raise ConfigError(f"eta must be non-negative, got {eta}")
-    grid = sweep.grid() if sweep is not None else np.linspace(0.0, 1.5 * hi, 601)
     with np.errstate(all="ignore"):
-        val = eft_chi_aa(BroadenedFrequency(grid, eta), ecfg)
-    rows = _rows(grid, val.re, val.im)
-    params["eta"] = eta
-    summary.update({"window_low": lo, "window_high": hi,
-                    "lambda0": ecfg.lambda0})
-    return OutputRecord(command="eft", config=config.as_mapping(),
-                        params=params, columns=("w", "re", "im"), rows=rows,
-                        summary=summary)
+        columns = spec.body(partial(_grid, "eft", sub, sweep), ecfg, params,
+                            summary)
+    return _record("eft", sub, config, params, sweep, _rows(*columns),
+                   summary)
 
 
 def cmd_manymode(sub: str, n_modes: int = 100, ratio: float | None = None,
                  sweep: SweepSpec | None = None,
                  config: SystemConfig | None = None) -> OutputRecord:
-    """Exact multi-mode scans for the parallel-polarization ladder.
-
-    The ladder is dimensionless, so no sub-command reads a config; ratio
-    (default 0.5) is not read by lowest-scan, which sweeps it.
-    """
-    subs = ("diag", "lowest-scan", "coupling-run")
-    if sub not in subs:
-        raise ConfigError(f"unknown manymode sub-command {sub!r}; "
-                          f"choose from {', '.join(subs)}")
-    if config is not None:
-        raise ConfigError(f"manymode {sub} does not read --config")
-    if ratio is None:
-        ratio = 0.5
-    elif sub == "lowest-scan":
-        raise ConfigError("manymode lowest-scan does not read --ratio; "
-                          "sweep ratio instead")
+    """Exact multi-mode scans for the parallel-polarization ladder.  It is
+    dimensionless, so no sub-command reads a config; ratio (default 0.5) is
+    not read by the scan that sweeps it."""
+    spec = _subcommand("manymode", sub, config=config, ratio=ratio)
+    ratio = 0.5 if ratio is None else ratio
     if n_modes < 1:
         raise ConfigError(f"--modes must be >= 1, got {n_modes}")
     if not (ratio >= 0 and math.isfinite(ratio * ratio)):
         raise ConfigError(f"--ratio must be non-negative with a finite "
                           f"square, got {ratio}")
-    cfg_map = _default_config().as_mapping()
-    params: dict = {"sub": sub, "modes": n_modes, "ratio": ratio,
-                    "sweep": None if sweep is None else str(sweep)}
+    params, summary = {"sub": sub, "modes": n_modes, "ratio": ratio}, {}
+    columns = spec.body(partial(_grid, "manymode", sub, sweep), n_modes,
+                        ratio, summary)
+    return _record("manymode", sub, None, params, sweep, _rows(*columns),
+                   summary)
 
-    if sub == "diag":
-        _check_sweep_var(sweep, (), "manymode diag")
-        modes = ModeSet.ladder_1d(n_modes, 1.0)
-        nm = normal_modes(modes, ratio)
-        rows = [(i + 1, float(om)) for i, om in enumerate(nm.omega)]
-        summary = {"sweeps": nm.sweeps,
-                   "edge_omega_tilde": math.sqrt(1.0 + ratio**2)}
-        return OutputRecord(command="manymode", config=cfg_map, params=params,
-                            columns=("mode_index", "omega_over_omega1"),
-                            rows=rows, summary=summary)
 
-    if sub == "lowest-scan":
-        _check_sweep_var(sweep, ("ratio",), "manymode lowest-scan")
-        if sweep is not None:
-            if sweep.start < 0:
-                raise ConfigError("ratio sweep endpoints must be non-negative")
-            ratios = sweep.grid()
-        else:
-            ratios = np.linspace(0.0, 0.9, 10)
-        table = lowest_mode_scan([float(r) for r in ratios], n_modes=n_modes)
-        rows = [(float(a), float(b)) for a, b in table]
-        summary = {"max_rel_diff_percent": max(b for _, b in rows)}
-        return OutputRecord(command="manymode", config=cfg_map, params=params,
-                            columns=("ratio", "rel_diff_percent"), rows=rows,
-                            summary=summary)
-
-    # sub == "coupling-run": exact coupling vs mode count at fixed ratio
-    _check_sweep_var(sweep, ("modes",), "manymode coupling-run")
-    if sweep is not None:
-        counts = sorted({int(round(m)) for m in sweep.grid() if m >= 1})
-    else:
-        counts = list(range(1, n_modes + 1))
-    rows = []
-    for m in counts:
-        rows.append((m, exact_coupling_1d(m, 1.0, ratio)))
-    # the ladder has omega_n = n, so sum 1/omega_n^2 -> pi^2/6 as M -> inf
-    rho_zeta2 = ratio**2 * math.pi**2 / 6.0
-    summary = {"ratio": ratio,
-               "single_mode_gamma": ratio**2 / (1.0 + ratio**2),
-               "g_limit": rho_zeta2 / (1.0 + rho_zeta2)}
-    return OutputRecord(command="manymode", config=cfg_map, params=params,
-                        columns=("n_modes", "g_exact"), rows=rows,
-                        summary=summary)
+# exit code of an error: the first class that matches (3: domain, pole, ...)
+_EXIT_CODES = ((ConfigError, 2), (UnitModeError, 2), (OSError, 2),
+               (ConvergenceError, 4), (Cavity2degError, 3))
 
 
 @cache
@@ -527,8 +540,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_eft = subs.add_parser("eft", parents=[common],
                             help="continuum-theory datasets")
-    p_eft.add_argument("sub", choices=("coupling", "mass", "mu", "casimir",
-                                       "jellium", "chi"))
+    p_eft.add_argument("sub", choices=_menu("eft"))
     p_eft.add_argument("--lambda0", type=float, default=None,
                        help="dimensionless cutoff >= 1")
     p_eft.add_argument("--eta", type=float, default=None,
@@ -536,20 +548,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_many = subs.add_parser("manymode", parents=[common],
                              help="exact multi-mode diagonalization scans")
-    p_many.add_argument("sub", choices=("diag", "lowest-scan", "coupling-run"))
+    p_many.add_argument("sub", choices=_menu("manymode"))
     p_many.add_argument("--modes", type=int, default=100,
                         help="mode count M (default 100)")
     p_many.add_argument("--ratio", type=float, default=None,
                         help="omega_p/omega_1 (default 0.5)")
     return parser
-
-
-def _emit(record: OutputRecord, fmt: str, out: str, digits: int) -> None:
-    text = record.render(fmt, digits)
-    if out == "-":
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8")
 
 
 def _dispatch(args: argparse.Namespace) -> OutputRecord:
@@ -561,9 +565,7 @@ def _dispatch(args: argparse.Namespace) -> OutputRecord:
         return cmd_response(args.kind, config, sweep, args.eta)
     if args.command == "eft":
         return cmd_eft(args.sub, config, sweep, args.lambda0, args.eta)
-    if args.command == "manymode":
-        return cmd_manymode(args.sub, args.modes, args.ratio, sweep, config)
-    raise ConfigError(f"unknown command {args.command!r}")
+    return cmd_manymode(args.sub, args.modes, args.ratio, sweep, config)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -572,17 +574,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.digits < 1 or args.digits > FLOAT_DIGITS:
         parser.error(f"--digits must be in [1, {FLOAT_DIGITS}]")
     try:
-        record = _dispatch(args)
-        _emit(record, args.format, args.out, args.digits)
-    except (ConfigError, UnitModeError, OSError) as exc:
+        text = _dispatch(args).render(args.format, args.digits)
+        if args.out == "-":
+            sys.stdout.write(text)
+        else:
+            Path(args.out).write_text(text, encoding="utf-8")
+    except (Cavity2degError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except Cavity2degError as exc:  # domain, pole, precondition, ...
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
     return 0
 
 

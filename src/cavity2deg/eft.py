@@ -188,15 +188,18 @@ def effective_energy(kinetic_sum: float, K: tuple[float, float],
     kinetic_sum and K follow the single-mode spectrum conventions.  The photon
     zero-point continuum enters as area * casimir_energy_density; discrete
     excitations on top are passed as (frequency rad/s, occupation) pairs.
+    An energy past the float range raises DomainError.
     """
     k = CODATA2018
     n = ecfg.system.n_electrons
     g = effective_coupling(ecfg)
-    k2 = K[0] ** 2 + K[1] ** 2
+    k2 = _pow(K[0], 2) + _pow(K[1], 2)
     electronic = k.hbar**2 / (2.0 * k.m_e) * (kinetic_sum - g * k2 / n)
     zero_point = ecfg.system.area * casimir_energy_density(ecfg)
     excited = sum(k.hbar * om * occ for om, occ in photon_excitations)
-    return electronic + zero_point + excited
+    return _finite(electronic + zero_point + excited,
+                   f"the effective energy at kinetic_sum = {kinetic_sum!r}, "
+                   f"K = {K!r}")
 
 
 def band_energy(k: float, ecfg: EftConfig) -> float:
@@ -206,10 +209,12 @@ def band_energy(k: float, ecfg: EftConfig) -> float:
     the per-particle share g(Lambda)/N = alpha ln Lambda0 of the collective
     coupling; the band flattens at the single-particle pole alpha ln
     Lambda0 = 1 and inverts beyond it.  Equal to effective_energy(k^2, (k, 0))
-    minus the zero-point contribution.
+    minus the zero-point contribution.  An energy past the float range raises
+    DomainError.
     """
     g_per = per_particle_coupling(ecfg)
-    return CODATA2018.hbar**2 * k * k * (1.0 - g_per) / (2.0 * CODATA2018.m_e)
+    return _finite(CODATA2018.hbar**2 * k * k * (1.0 - g_per)
+                   / (2.0 * CODATA2018.m_e), f"the band energy at k = {k!r}")
 
 
 def renormalized_mass(ecfg: EftConfig,
@@ -384,9 +389,12 @@ def pole_3d() -> float:
 
 
 def _edges(ecfg: EftConfig) -> tuple[float, float]:
-    """(lower, upper) frequency edges omega_t(kappa_z) and sqrt(Lambda)."""
+    """(lower, upper) frequency edges omega_t(kappa_z) and sqrt(Lambda); a
+    cutoff Lambda past the float range raises DomainError."""
     lo = math.sqrt(ecfg.omega_tilde_sq_cutoff)
-    return lo, lo * math.sqrt(ecfg.lambda0)
+    hi = lo * math.sqrt(ecfg.lambda0)
+    _finite(hi * hi, f"the cutoff Lambda at lambda0 = {ecfg.lambda0!r}")
+    return lo, hi
 
 
 def eft_chi_aa(f: BroadenedFrequency, ecfg: EftConfig) -> ResponseValue:
@@ -398,7 +406,8 @@ def eft_chi_aa(f: BroadenedFrequency, ecfg: EftConfig) -> ResponseValue:
     sqrt(Lambda), negative on the positive-frequency window; the real part
     stays finite except at the four edge frequencies, where the log diverges
     and a PoleError is raised.  An ndarray f.w gives arrays of its shape;
-    at eta = 0 the first probe on an edge raises.
+    at eta = 0 the first probe on an edge raises.  A cutoff Lambda past the
+    float range raises DomainError.
     """
     w, eta = f.w, f.eta
     k = CODATA2018
@@ -438,20 +447,30 @@ def appendix_integrals(w: float, eta: float,
     companions; the response assembles as
         Re chi = (w A - B - w C - D)/(8 pi^2 eps0 L_z),
         Im chi = eta (C - A)/(8 pi^2 eps0 L_z).
+    A value past the float range raises DomainError, as does w on a window
+    edge once eta^2 underflows (the sharp-window log divergence).
     """
     if eta <= 0:
         raise DomainError(f"integral table needs eta > 0, got {eta}")
     lo, hi = _edges(ecfg)
     c2 = CODATA2018.c**2
+    what = f"an appendix integral at w = {w!r}, eta = {eta!r}"
     at_minus = math.atan((hi - w) / eta) - math.atan((lo - w) / eta)
     at_plus = math.atan((hi + w) / eta) - math.atan((lo + w) / eta)
-    log_minus = math.log(((w - hi) ** 2 + eta**2) / ((w - lo) ** 2 + eta**2))
-    log_plus = math.log(((w + hi) ** 2 + eta**2) / ((w + lo) ** 2 + eta**2))
+    eta2 = _pow(eta, 2)
+    # squared distances to the edges; 0 where w sits on one and eta^2
+    # underflows, which is the log divergence of the sharp window
+    m_hi, m_lo, p_hi, p_lo = (_pow(w - edge, 2) + eta2
+                              for edge in (hi, lo, -hi, -lo))
+    if 0.0 in (m_hi, m_lo, p_hi, p_lo):
+        raise DomainError(f"{what} diverges: w is on a window edge")
+    log_minus = math.log(m_hi / m_lo)
+    log_plus = math.log(p_hi / p_lo)
     a = 2.0 * math.pi / (c2 * eta) * at_minus
     b = math.pi / c2 * (2.0 * w / eta * at_minus + log_minus)
     c = 2.0 * math.pi / (c2 * eta) * at_plus
     d = math.pi / c2 * (log_plus - 2.0 * w / eta * at_plus)
-    return a, b, c, d
+    return _finite((a, b, c, d), what)
 
 
 def eft_summary(ecfg: EftConfig) -> dict:

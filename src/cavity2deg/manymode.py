@@ -586,7 +586,13 @@ def exact_coupling_1d(n_modes: int, omega_fundamental: float,
     if not math.isfinite(s):
         raise DomainError(f"sum of 1/omega_n^2 overflows at omega_fundamental "
                           f"= {omega_fundamental}")
-    return rho * s / (1.0 + rho * s)
+    return _coupling_fraction(rho * s)
+
+
+def _coupling_fraction(x: float) -> float:
+    """x / (1 + x), the coupling of a rank-one sum x = omega_p^2 s; 1.0
+    where x overflowed to inf (the limit, where inf/inf would be NaN)."""
+    return 1.0 if x == math.inf else x / (1.0 + x)
 
 
 def lowest_mode_scan(ratios: Sequence[float],

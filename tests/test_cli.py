@@ -6,12 +6,14 @@ captured with capsys.  Exit code conventions under test:
     errors, 4 convergence failures.
 """
 
+import argparse
 import contextlib
 import io
 import json
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -320,6 +322,32 @@ class TestEftCommand:
         assert out == ""
         assert "n_alpha" in err
 
+    def test_chi_sweep_ending_on_window_high_is_pole(self, capsys):
+        # the summary's window_high is the upper edge eft_chi_aa uses, so
+        # a sharp-window sweep that ends on it hits the log divergence
+        _, out, _ = run(capsys, "eft", "chi", "--format", "json")
+        high = json.loads(out)["summary"]["window_high"]
+        code, out, err = run(capsys, "eft", "chi", "--eta", "0",
+                             "--sweep", f"w=1e15:{high!r}:3")
+        assert (code, out) == (3, "")
+        assert "log divergence" in err
+
+    def test_chi_cutoff_past_the_float_range(self, capsys):
+        # hi = omega_t sqrt(lambda0) is finite, but Lambda = hi^2 is not
+        with pytest.warns(RuntimeWarning, match="Landau pole"):
+            code, out, err = run(capsys, "eft", "chi", "--lambda0", "1e300")
+        assert (code, out) == (3, "")
+        assert "the cutoff Lambda at lambda0 = 1e+300 overflows" in err
+
+    @pytest.mark.parametrize("lambda0", [None, "4", "6.25", "9", "16"])
+    def test_chi_default_grid_misses_the_edges(self, capsys, lambda0):
+        # 600 points on [0, 1.5 window_high]: neither edge is a grid point
+        argv = ["eft", "chi", "--eta", "0"]
+        argv += [] if lambda0 is None else ["--lambda0", lambda0]
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert len(json.loads(out)["rows"]) == 600
+
     def test_chi_sharp_edge_is_pole(self, capsys):
         # eta = 0 exactly on the lower edge: domain bucket
         code, out, _ = run(capsys, "eft", "chi", "--format", "json",
@@ -401,6 +429,21 @@ class TestManymodeCommand:
     def test_invalid_mode_count(self, capsys):
         code, _, err = run(capsys, "manymode", "diag", "--modes", "0")
         assert code == 2
+
+    def test_coupling_run_where_the_limit_sum_overflows(self, capsys):
+        # ratio^2 is finite but ratio^2 pi^2/6 overflows: the limit is 1
+        code, out, err = run(capsys, "manymode", "coupling-run", "--ratio",
+                             "1.3e154", "--modes", "3", "--format", "json")
+        assert (code, err) == (0, "")
+        body = json.loads(out)
+        assert body["rows"] == [[1, 1.0], [2, 1.0], [3, 1.0]]
+        assert body["summary"]["g_limit"] == 1.0
+
+    def test_diag_reads_no_sweep(self, capsys):
+        code, out, err = run(capsys, "manymode", "diag",
+                             "--sweep", "ratio=0:1:3")
+        assert (code, out) == (2, "")
+        assert err == "error: manymode diag does not read --sweep\n"
 
     def test_convergence_maps_to_exit_4(self, capsys, monkeypatch):
         import cavity2deg.cli as climod
@@ -789,6 +832,44 @@ class TestSweepsMatchPointwise:
                 for r in rec.rows]
         assert_matches_loop([r[1] for r in rec.rows], [v.re for v in want])
         assert_matches_loop([r[2] for r in rec.rows], [v.im for v in want])
+
+
+def _default_argvs() -> list[tuple[str, ...]]:
+    """The default invocation of each entry of cli._SUBCOMMANDS; the
+    response entry once per kind."""
+    argvs = []
+    for command, sub in cli._SUBCOMMANDS:
+        if command == "response":
+            argvs += [(command, kind) for kind in cli._RESPONSE_FUNCS]
+        else:
+            argvs.append((command,) if sub is None else (command, sub))
+    return argvs
+
+
+class TestSubcommandTable:
+    """cli._SUBCOMMANDS declares each sub-command once; the parser and
+    every default invocation follow it."""
+
+    @pytest.mark.parametrize("argv", _default_argvs())
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_default_invocation(self, capsys, argv, fmt):
+        first = run(capsys, *argv, "--format", fmt)
+        assert first[0] == 0 and first[2] == ""
+        assert run(capsys, *argv, "--format", fmt) == first
+        tokens = re.findall(r"[A-Za-z]+", first[1])
+        assert not {"nan", "inf", "NaN", "Infinity"} & set(tokens)
+
+    def test_parser_choices_are_the_table(self):
+        subparsers = next(a for a in cli._build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        declared = []
+        for command, parser in subparsers.choices.items():
+            subs = [a.choices for a in parser._actions if a.dest == "sub"]
+            declared += [(command, sub) for sub in (subs[0] if subs
+                                                    else [None])]
+        assert declared == list(cli._SUBCOMMANDS)
+        assert cli.SWEEPABLE == ("gamma", "w", "lambda0", "rs", "ratio",
+                                 "modes")
 
 
 class TestImportFloor:

@@ -24,7 +24,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
@@ -643,3 +643,45 @@ class TestEftSummary:
         # coupling and casimir stay defined beyond the mass pole
         assert math.isfinite(out["coupling_g"])
         assert math.isfinite(out["casimir_energy_density"])
+
+
+# log-uniform over the positive doubles
+POSITIVE_DOUBLES = st.floats(-323.3, 308.25).map(lambda e: 10.0 ** e)
+
+
+class TestScalarExtremes:
+    """The scalar helpers outside the CLI paths, at lambda0 = 2 on the
+    default config: past the float range they raise a DomainError that
+    names the quantity, never a bare OverflowError or an inf."""
+
+    ECFG = EftConfig(system=default_system(), lambda0=2.0)
+
+    @pytest.mark.parametrize("func, args, quantity", [
+        (appendix_integrals, (1e200, 1.0), "appendix integral"),
+        (effective_energy, (1e300, (1e200, 0.0)), "effective energy"),
+        (band_energy, (1e200,), "band energy"),
+    ])
+    def test_overflow_is_domain_error(self, func, args, quantity):
+        with pytest.raises(DomainError, match=quantity):
+            func(*args, self.ECFG)
+
+    def test_edge_with_underflowing_eta(self):
+        # eta^2 underflows to 0, so w on an edge is the sharp-window pole
+        lo = math.sqrt(self.ECFG.omega_tilde_sq_cutoff)
+        for w in (lo, -lo * math.sqrt(2.0)):
+            with pytest.raises(DomainError, match="window edge"):
+                appendix_integrals(w, 1e-200, self.ECFG)
+
+    @settings(max_examples=200)
+    @given(POSITIVE_DOUBLES, POSITIVE_DOUBLES, POSITIVE_DOUBLES)
+    def test_finite_or_domain_error_property(self, x, y, z):
+        calls = [lambda: appendix_integrals(x, y, self.ECFG),
+                 lambda: appendix_integrals(-x, y, self.ECFG),
+                 lambda: effective_energy(x, (y, z), self.ECFG),
+                 lambda: band_energy(x, self.ECFG)]
+        for call in calls:
+            try:
+                out = call()
+            except DomainError:
+                continue
+            assert np.all(np.isfinite(out))
