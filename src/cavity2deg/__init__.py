@@ -32,64 +32,16 @@ __version__ = "0.1.0"
 
 logging.getLogger(__name__).addHandler(logging.NullHandler())
 
-from .constants import CODATA2018, Constants
-from .core import (DerivedScales, Phase, SystemConfig, UnitsMode,
-                   classify_phase, collective_coupling, dressed_frequency,
-                   fermi_wavevector, load_config_file, plasma_frequency,
-                   single_particle_coupling)
-from .exceptions import (Cavity2degError, ConfigError, ConvergenceError,
-                         DegenerateModeError, DomainError, InstabilityError,
-                         PoleError, PreconditionError, UnitModeError)
-from .singlemode import (DistributionMoments, OccupancyGrid, SpectrumIndex,
-                         distribution_moments, eigenenergy, eigenenergy_no_a2,
-                         energy_density, ground_photon_occupation,
-                         instability_witness, optimal_origin)
-from .response import (BroadenedFrequency, ResponseKind, ResponseValue,
-                       absorption_rate, chi_aa_freq, chi_aa_time, chi_ea_freq,
-                       chi_ea_time, chi_jj_freq, chi_mixed_freq,
-                       dc_conductivity, drude_effective_mass,
-                       optical_conductivity, response_table, sigma0_dc)
-from .eft import (EftConfig, JelliumResult, appendix_integrals, band_energy,
-                  casimir_energy_density, casimir_pressure,
-                  chemical_potential, coupling_1d, coupling_3d,
-                  effective_coupling, effective_energy, eft_chi_aa,
-                  eft_summary, jellium, landau_pole, mass_3d,
-                  mass_3d_first_order, per_particle_coupling, pole_3d,
-                  quasiparticle_energy, renormalized_mass, rs_minimum)
-from .manymode import (ModeSet, NormalModes, build_w, diagonalize_w,
-                       exact_coupling_1d, lowest_mode_scan, manymode_spectrum,
-                       normal_modes, rotated_polarizations)
+# each module's own __all__ is the one list of its public names
+from . import constants, core, eft, exceptions, manymode, response, singlemode
+from .constants import *
+from .exceptions import *
+from .core import *
+from .singlemode import *
+from .response import *
+from .eft import *
+from .manymode import *
 
-__all__ = [
-    "__version__",
-    # constants / exceptions
-    "CODATA2018", "Constants",
-    "Cavity2degError", "ConfigError", "ConvergenceError",
-    "DegenerateModeError", "DomainError", "InstabilityError", "PoleError",
-    "PreconditionError", "UnitModeError",
-    # core
-    "DerivedScales", "Phase", "SystemConfig", "UnitsMode", "classify_phase",
-    "collective_coupling", "dressed_frequency", "fermi_wavevector",
-    "load_config_file", "plasma_frequency", "single_particle_coupling",
-    # singlemode
-    "DistributionMoments", "OccupancyGrid", "SpectrumIndex",
-    "distribution_moments", "eigenenergy", "eigenenergy_no_a2",
-    "energy_density", "ground_photon_occupation", "instability_witness",
-    "optimal_origin",
-    # response
-    "BroadenedFrequency", "ResponseKind", "ResponseValue", "absorption_rate",
-    "chi_aa_freq", "chi_aa_time", "chi_ea_freq", "chi_ea_time", "chi_jj_freq",
-    "chi_mixed_freq", "dc_conductivity", "drude_effective_mass",
-    "optical_conductivity", "response_table", "sigma0_dc",
-    # eft
-    "EftConfig", "JelliumResult", "appendix_integrals", "band_energy",
-    "casimir_energy_density", "casimir_pressure", "chemical_potential",
-    "coupling_1d", "coupling_3d", "effective_coupling", "effective_energy",
-    "eft_chi_aa", "eft_summary", "jellium", "landau_pole", "mass_3d",
-    "mass_3d_first_order", "per_particle_coupling", "pole_3d",
-    "quasiparticle_energy", "renormalized_mass", "rs_minimum",
-    # manymode
-    "ModeSet", "NormalModes", "build_w", "diagonalize_w", "exact_coupling_1d",
-    "lowest_mode_scan", "manymode_spectrum", "normal_modes",
-    "rotated_polarizations",
-]
+__all__ = ["__version__", *constants.__all__, *exceptions.__all__,
+           *core.__all__, *singlemode.__all__, *response.__all__,
+           *eft.__all__, *manymode.__all__]

@@ -352,7 +352,7 @@ def _diag(grid, n_modes: int, ratio: float, summary: dict) -> tuple:
 
 def _lowest_scan(grid, n_modes: int, ratio: float, summary: dict) -> tuple:
     ratios = grid(lambda: np.linspace(0.0, 0.9, 10))
-    if ratios[0] < 0:
+    if ratios[0] < 0 or ratios[-1] < 0:
         raise ConfigError("ratio sweep endpoints must be non-negative")
     table = lowest_mode_scan(ratios.tolist(), n_modes=n_modes)
     summary["max_rel_diff_percent"] = float(table[:, 1].max())

@@ -107,6 +107,8 @@ class SystemConfig:
             for name in ("n_electrons", "area", "mirror_gap", "mode_frequency"):
                 if getattr(self, name) is not None:
                     raise ConfigError(f"{name} is an SI field; remove it from a Ratio config")
+            if self.cavity_index != 1:
+                raise ConfigError("cavity_index is an SI field; remove it from a Ratio config")
 
     @classmethod
     def si(cls, n_electrons: int, area: float, mirror_gap: float,
@@ -157,11 +159,12 @@ class SystemConfig:
                 return conv(data[key])
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"bad value for {key!r}: {exc}") from None
+        index = fget("cavity_index", int)
         return cls(units_mode=mode,
                    n_electrons=fget("n_electrons", int),
                    area=fget("area", float),
                    mirror_gap=fget("mirror_gap", float),
-                   cavity_index=fget("cavity_index", int) or 1,
+                   cavity_index=1 if index is None else index,
                    mode_frequency=fget("mode_frequency", float),
                    ratio=fget("ratio", float))
 
@@ -255,6 +258,21 @@ def _finite(x, what: str):
     return x
 
 
+def _positive(x: float, name: str, why: str = "") -> float:
+    """x if it is finite and > 0, else DomainError naming the argument
+    (NaN fails the comparison, so it is rejected too)."""
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"{name} must be finite and positive, got {x}{why}")
+    return x
+
+
+def _non_negative(x: float, name: str) -> float:
+    """x if it is finite and >= 0, else DomainError naming the argument."""
+    if not 0.0 <= x < math.inf:
+        raise DomainError(f"{name} must be finite and non-negative, got {x}")
+    return x
+
+
 def _pow(x: float, p: float) -> float:
     """x ** p for a Python float, or inf where ``**`` raises OverflowError
     (``*`` and numpy give inf there); in range it is the same ``**``."""
@@ -272,19 +290,14 @@ def plasma_frequency(config: SystemConfig) -> float:
 
 def dressed_frequency(omega: float, omega_p: float) -> float:
     """Dressed (plasmon-polariton) frequency sqrt(omega^2 + omega_p^2)."""
-    if omega <= 0:
-        raise DomainError(f"omega must be positive, got {omega}")
-    if omega_p < 0:
-        raise DomainError(f"omega_p must be non-negative, got {omega_p}")
-    return math.hypot(omega, omega_p)
+    return math.hypot(_positive(omega, "omega"),
+                      _non_negative(omega_p, "omega_p"))
 
 
 def collective_coupling(omega: float, omega_p: float) -> float:
     """gamma = omega_p^2/(omega^2 + omega_p^2), in [0, 1) for omega > 0."""
-    if omega <= 0:
-        raise DomainError(f"omega must be positive, got {omega}")
-    if omega_p < 0:
-        raise DomainError(f"omega_p must be non-negative, got {omega_p}")
+    _positive(omega, "omega")
+    _non_negative(omega_p, "omega_p")
     return omega_p**2 / (omega**2 + omega_p**2)
 
 
@@ -302,19 +315,13 @@ def single_particle_coupling(config: SystemConfig) -> float:
 
 def fermi_wavevector(n_2d: float) -> float:
     """k_F = sqrt(2 pi n_2d) for the spin-degenerate 2D Fermi disk."""
-    if n_2d < 0:
-        raise DomainError(f"n_2d must be non-negative, got {n_2d}")
-    return math.sqrt(2.0 * math.pi * n_2d)
+    return math.sqrt(2.0 * math.pi * _non_negative(n_2d, "n_2d"))
 
 
 def classify_phase(gamma: float) -> Phase:
     """Stable for gamma < 1, Critical at gamma = 1 (within PHASE_TOL),
     Unstable above."""
-    if not math.isfinite(gamma):
-        raise DomainError(f"gamma must be finite, got {gamma}")
-    if gamma < 0:
-        raise DomainError(f"gamma must be non-negative, got {gamma}")
-    if gamma < 1.0 - PHASE_TOL:
+    if _non_negative(gamma, "gamma") < 1.0 - PHASE_TOL:
         return Phase.STABLE
     if gamma > 1.0 + PHASE_TOL:
         return Phase.UNSTABLE

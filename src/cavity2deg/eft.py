@@ -34,7 +34,8 @@ from functools import cached_property
 import numpy as np
 
 from .constants import CODATA2018
-from .core import DerivedScales, SystemConfig, UnitsMode, _finite, _pow
+from .core import (DerivedScales, SystemConfig, UnitsMode, _finite,
+                   _non_negative, _positive, _pow)
 from .exceptions import DomainError, PoleError, UnitModeError
 from .response import BroadenedFrequency, ResponseKind, ResponseValue
 
@@ -242,9 +243,8 @@ def chemical_potential(ecfg: EftConfig, k_fermi: float | None = None,
 
     k_fermi defaults to the config's spin-degenerate Fermi wavevector.
     """
-    k_f = ecfg.scales.k_fermi if k_fermi is None else k_fermi
-    if k_f < 0:
-        raise DomainError(f"k_fermi must be non-negative, got {k_f}")
+    k_f = (ecfg.scales.k_fermi if k_fermi is None
+           else _non_negative(k_fermi, "k_fermi"))
     return _finite(CODATA2018.hbar**2 * _pow(k_f, 2)
                    / (2.0 * renormalized_mass(ecfg, lambda0)), "mu")
 
@@ -256,11 +256,13 @@ def quasiparticle_energy(k: float, ecfg: EftConfig,
 
     v_fermi defaults to hbar k_F / m_e(Lambda), the dressed group velocity.
     """
-    if k < 0:
-        raise DomainError(f"k must be non-negative, got {k}")
-    k_f = ecfg.scales.k_fermi if k_fermi is None else k_fermi
+    _non_negative(k, "k")
+    k_f = (ecfg.scales.k_fermi if k_fermi is None
+           else _non_negative(k_fermi, "k_fermi"))
     if v_fermi is None:
         v_fermi = CODATA2018.hbar * k_f / renormalized_mass(ecfg)
+    else:
+        _non_negative(v_fermi, "v_fermi")
     return (chemical_potential(ecfg, k_f)
             + CODATA2018.hbar * v_fermi * (k - k_f))
 
@@ -350,21 +352,16 @@ def coupling_1d(kappa_max: float, omega: float, omega_p: float) -> float:
     omega is the fundamental cavity frequency c pi/L_z; kappa_max the
     out-of-plane momentum cutoff.  Saturates at pi omega_p/(4 omega).
     """
-    if omega <= 0:
-        raise DomainError(f"omega must be positive, got {omega}")
-    if kappa_max < 0:
-        raise DomainError(f"kappa_max must be non-negative, got {kappa_max}")
-    if omega_p < 0:
-        raise DomainError(f"omega_p must be non-negative, got {omega_p}")
-    if omega_p == 0.0:
+    _positive(omega, "omega")
+    _non_negative(kappa_max, "kappa_max")
+    if _non_negative(omega_p, "omega_p") == 0.0:
         return 0.0
     return (omega_p / (2.0 * omega)) * math.atan(CODATA2018.c * kappa_max / omega_p)
 
 
 def coupling_3d(lambda_mom: float) -> float:
     """Free-space single-electron coupling (4 alpha_fs/3 pi) hbar Lambda/(m_e c)."""
-    if lambda_mom < 0:
-        raise DomainError(f"lambda_mom must be non-negative, got {lambda_mom}")
+    _non_negative(lambda_mom, "lambda_mom")
     k = CODATA2018
     return 4.0 * k.alpha_fs / (3.0 * math.pi) * k.hbar * lambda_mom / (k.m_e * k.c)
 
@@ -450,8 +447,7 @@ def appendix_integrals(w: float, eta: float,
     A value past the float range raises DomainError, as does w on a window
     edge once eta^2 underflows (the sharp-window log divergence).
     """
-    if eta <= 0:
-        raise DomainError(f"integral table needs eta > 0, got {eta}")
+    _positive(eta, "eta")
     lo, hi = _edges(ecfg)
     c2 = CODATA2018.c**2
     what = f"an appendix integral at w = {w!r}, eta = {eta!r}"

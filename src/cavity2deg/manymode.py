@@ -51,7 +51,7 @@ from typing import Sequence
 import numpy as np
 
 from .constants import CODATA2018
-from .core import _finite
+from .core import _finite, _non_negative
 from .exceptions import (ConvergenceError, DegenerateModeError, DomainError,
                          PreconditionError)
 
@@ -561,6 +561,8 @@ def manymode_spectrum(n_gamma: Sequence[int], K: Sequence[float],
     k3[:len(K)] = np.asarray(K, dtype=float)
     if n_electrons < 1:
         raise PreconditionError("n_electrons must be at least 1")
+    _non_negative(omega_p, "omega_p")
+    _non_negative(kinetic_sum, "kinetic_sum")
     hbar, m_e = CODATA2018.hbar, CODATA2018.m_e
     proj = normal.eps_tilde @ k3
     collective = omega_p**2 / n_electrons * float(np.sum(proj**2 / normal.omega_sq))
@@ -603,7 +605,12 @@ def lowest_mode_scan(ratios: Sequence[float],
     Returns rows (ratio, 100*|omega_t(kappa_z) - Omega_lowest|/omega_t) for
     the parallel ladder in fundamental-frequency units.  Omega_lowest^2 is
     the lowest root of the ladder's secular equation, solved alone by
-    ``_secular_eig``; it is exact at ratio 0 and at M = 1.  Below
+    ``_secular_eig``; it is exact at ratio 0 and at M = 1.  The difference
+    is never a subtraction: edge - Omega = (edge^2 - Omega^2)/(edge + Omega),
+    and the secular equation gives edge^2 - Omega^2 = rho x/(1 + x) with
+    x = rho sum_{n>=2} 1/(n^2 - lam).  The root stays below 2.5 (the M = 2
+    limit; more modes lower it), so every n^2 - lam >= 1.5 and x is
+    accurate: small rows keep their relative accuracy.  Below
     omega_p^2 = eps omega_1^2 / 4 the root is omega_1^2 + omega_p^2 to
     rounding; above M (omega_M^2 - omega_1^2) / eps the 1 in the secular
     equation is below rounding, so the root takes omega_p^2 capped there.
@@ -620,6 +627,9 @@ def lowest_mode_scan(ratios: Sequence[float],
         else:   # rho 1 1^T = (M rho) z z^T
             r = n_modes * min(rho, rho_max)
             lam = float(_secular_eig(d, z, r, 1)[0][0])
+        # x/(1 + x), 1.0 where x overflows
+        frac = _coupling_fraction(rho * float(np.sum(1.0 / (d[1:] - lam))))
         edge = math.sqrt(1.0 + rho)
-        rows[i] = (ratio, 100.0 * abs(edge - math.sqrt(lam)) / edge)
+        gap = rho * frac / (edge + math.sqrt(lam))      # edge - Omega
+        rows[i] = (ratio, 100.0 * gap / edge)
     return rows

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import CODATA2018
-from .core import DerivedScales, UnitsMode, _finite, _pow
+from .core import (DerivedScales, UnitsMode, _finite, _non_negative,
+                   _positive, _pow)
 from .exceptions import DomainError, InstabilityError, UnitModeError
 
 __all__ = [
@@ -68,18 +69,17 @@ class ResponseKind(enum.Enum):
 class BroadenedFrequency:
     """Probe frequency w with Lorentzian broadening eta (same units as w).
 
-    w is a float or an ndarray of probe frequencies (a sweep); eta is one
-    finite, non-negative float.
+    w is a finite float or an ndarray of finite probe frequencies (a
+    sweep); eta is one finite, non-negative float.
     """
 
     w: float | np.ndarray
     eta: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.eta):
-            raise DomainError(f"eta must be finite, got {self.eta}")
-        if self.eta < 0:
-            raise DomainError(f"eta must be non-negative, got {self.eta}")
+        if not np.isfinite(self.w).all():
+            raise DomainError("probe frequencies w must be finite")
+        _non_negative(self.eta, "eta")
 
 
 @dataclass(frozen=True)
@@ -117,9 +117,7 @@ def _matter_prefactor(scales: DerivedScales) -> float:
 
 
 def _require_broadening(f: BroadenedFrequency) -> None:
-    if f.eta <= 0:
-        raise DomainError("single-mode frequency responses need eta > 0 "
-                          "(the undamped kernel is on-pole)")
+    _positive(f.eta, "eta", " (the undamped single-mode kernel is on-pole)")
 
 
 def chi_aa_time(tau: float, scales: DerivedScales) -> float:
@@ -127,7 +125,8 @@ def chi_aa_time(tau: float, scales: DerivedScales) -> float:
     _, omega_t, eps0, volume = _mode_params(scales)
     if tau < 0:
         return 0.0
-    return -math.sin(omega_t * tau) / (eps0 * volume * omega_t)
+    return (-math.sin(omega_t * _non_negative(tau, "tau"))
+            / (eps0 * volume * omega_t))
 
 
 def chi_ea_time(tau: float, scales: DerivedScales) -> float:
@@ -135,7 +134,7 @@ def chi_ea_time(tau: float, scales: DerivedScales) -> float:
     _, omega_t, eps0, volume = _mode_params(scales)
     if tau < 0:
         return 0.0
-    return math.cos(omega_t * tau) / (eps0 * volume)
+    return math.cos(omega_t * _non_negative(tau, "tau")) / (eps0 * volume)
 
 
 def _pole_denominators(f: BroadenedFrequency, omega_t: float):
@@ -213,7 +212,7 @@ def absorption_rate(f: BroadenedFrequency, scales: DerivedScales,
                     j_ext: float) -> float:
     """Mean absorbed power -w Im[chi_AA(w)] |J_ext|^2; non-negative."""
     val = chi_aa_freq(f, scales)
-    return -f.w * val.im * abs(j_ext) ** 2
+    return -f.w * val.im * _non_negative(abs(j_ext), "|j_ext|") ** 2
 
 
 def optical_conductivity(f: BroadenedFrequency,
@@ -250,27 +249,21 @@ def optical_conductivity(f: BroadenedFrequency,
 
 def sigma0_dc(scales: DerivedScales, eta: float) -> float:
     """Free-gas Drude DC value sigma0 = eps0 omega_p^2/eta."""
-    if eta <= 0:
-        raise DomainError(f"eta must be positive, got {eta}")
     omega_p, _, eps0, _ = _mode_params(scales)
-    return eps0 * omega_p**2 / eta
+    return eps0 * omega_p**2 / _positive(eta, "eta")
 
 
 def dc_conductivity(gamma: float, sigma0: float) -> float:
     """Drude peak of the coupled gas, sigma0 (1 - gamma); needs gamma < 1."""
-    if gamma < 0:
-        raise DomainError(f"gamma must be non-negative, got {gamma}")
-    if gamma >= 1.0:
+    if _non_negative(gamma, "gamma") >= 1.0:
         raise InstabilityError(
             f"no stable ground state at gamma = {gamma}; DC limit undefined")
-    return sigma0 * (1.0 - gamma)
+    return _non_negative(sigma0, "sigma0") * (1.0 - gamma)
 
 
 def drude_effective_mass(gamma: float) -> float:
     """Effective mass m_e/(1 - gamma) read off the suppressed Drude peak."""
-    if gamma < 0:
-        raise DomainError(f"gamma must be non-negative, got {gamma}")
-    if gamma >= 1.0:
+    if _non_negative(gamma, "gamma") >= 1.0:
         raise InstabilityError(
             f"effective mass diverges at gamma = {gamma}")
     return CODATA2018.m_e / (1.0 - gamma)

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence, TextIO
 import numpy as np
 
 from .constants import CODATA2018
-from .core import DerivedScales
+from .core import DerivedScales, _non_negative, _positive
 from .exceptions import DomainError, PreconditionError
 from .io_utils import format_rows
 
@@ -100,10 +100,9 @@ def eigenenergy_no_a2(idx: SpectrumIndex, omega: float,
     gamma' = omega_p^2/omega^2, which is unbounded: the witness built on it
     shows the absence of a ground state.
     """
-    if omega <= 0:
-        raise DomainError(f"omega must be positive, got {omega}")
     hbar, m_e = CODATA2018.hbar, CODATA2018.m_e
-    gamma_p = (omega_p / omega) ** 2
+    gamma_p = (_non_negative(omega_p, "omega_p")
+               / _positive(omega, "omega")) ** 2
     k2 = idx.K[0] ** 2 + idx.K[1] ** 2
     photon = hbar * omega * (idx.n1 + idx.n2 + 1)
     matter = (hbar**2 / (2.0 * m_e)) * (
@@ -113,11 +112,8 @@ def eigenenergy_no_a2(idx: SpectrumIndex, omega: float,
 
 def ground_photon_occupation(omega: float, omega_p: float) -> float:
     """Virtual photon number in the ground state: (omega_t - omega)^2/(2 omega omega_t)."""
-    if omega <= 0:
-        raise DomainError(f"omega must be positive, got {omega}")
-    if omega_p < 0:
-        raise DomainError(f"omega_p must be non-negative, got {omega_p}")
-    omega_t = math.hypot(omega, omega_p)
+    omega_t = math.hypot(_positive(omega, "omega"),
+                         _non_negative(omega_p, "omega_p"))
     return (omega_t - omega) ** 2 / (2.0 * omega * omega_t)
 
 
@@ -177,8 +173,7 @@ class OccupancyGrid:
         fill * (overlap area)/(cell area).  fill=2 is the spin-summed full
         Fermi disk, fill=1 a singly-occupied one.
         """
-        if radius <= 0:
-            raise DomainError(f"radius must be positive, got {radius}")
+        _positive(radius, "radius")
         if not 0.0 < fill <= MAX_OCCUPANCY:
             raise DomainError(f"fill must lie in (0, {MAX_OCCUPANCY}], got {fill}")
         if cells_per_radius < 2:
@@ -348,10 +343,8 @@ def energy_density(m: DistributionMoments, q: tuple[float, float],
         E = (hbar^2/2 m_e) [ t_d + 2 q.K + q^2 n
                              - (gamma/n) * |K + q n|^2 ].
     """
-    if m.n_2d <= 0:
-        raise DomainError("distribution has non-positive density")
-    if gamma < 0:
-        raise DomainError(f"gamma must be non-negative, got {gamma}")
+    _positive(m.n_2d, "the density m.n_2d")
+    _non_negative(gamma, "gamma")
     qx, qy = q
     kx, ky = m.k_d
     bracket = (m.t_d + 2.0 * (qx * kx + qy * ky) + (qx**2 + qy**2) * m.n_2d
@@ -362,8 +355,7 @@ def energy_density(m: DistributionMoments, q: tuple[float, float],
 
 def optimal_origin(m: DistributionMoments) -> tuple[float, float]:
     """Energy-minimizing rigid shift q0 = -K_d/n_2d (independent of gamma < 1)."""
-    if m.n_2d <= 0:
-        raise DomainError("distribution has non-positive density")
+    _positive(m.n_2d, "the density m.n_2d")
     return (-m.k_d[0] / m.n_2d, -m.k_d[1] / m.n_2d)
 
 
@@ -375,7 +367,7 @@ def instability_witness(m: DistributionMoments, gamma: float,
     ground state); gamma = 1 gives a flat, degenerate sequence.  Sub-critical
     gamma is rejected since the witness would just find the minimum.
     """
-    if gamma < 1.0:
+    if _non_negative(gamma, "gamma") < 1.0:
         raise PreconditionError(
             f"witness needs gamma >= 1 (critical or beyond), got {gamma}")
     return np.array([energy_density(m, (float(qx), 0.0), gamma)

@@ -402,6 +402,14 @@ class TestManymodeCommand:
         assert body["summary"]["max_rel_diff_percent"] == pytest.approx(
             body["rows"][-1][1], rel=1e-12)
 
+    @pytest.mark.parametrize("sweep", ["ratio=-1:1:3", "ratio=1:-1:3"])
+    def test_lowest_scan_negative_endpoint(self, capsys, sweep):
+        # both endpoints are checked, as phase does
+        code, out, err = run(capsys, "manymode", "lowest-scan", "--sweep",
+                             sweep)
+        assert (code, out) == (2, "")
+        assert "non-negative" in err
+
     @pytest.mark.filterwarnings("error")
     def test_diag_500_modes_matches_lapack(self, capsys):
         # the structured path: no Jacobi sweep, rows within eps ||W||_F of
@@ -487,6 +495,26 @@ class TestUsageErrors:
         assert code == 2
         assert out == ""
         assert "does not read --config" in err
+
+    @pytest.mark.parametrize("text", [
+        "n_electrons = 100000000\narea = 1e-8\nmirror_gap = 1e-6\n"
+        "cavity_index = 0\n",
+        "units_mode = ratio\nratio = 0.5\ncavity_index = 7\n"])
+    def test_cavity_index_config_rejected(self, capsys, tmp_path, text):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(text)
+        code, out, err = run(capsys, "phase", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert "cavity_index" in err
+
+    def test_si_config_without_cavity_index_keeps_its_hash(self, capsys,
+                                                            tmp_path):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("n_electrons = 100000000\narea = 1e-8\n"
+                       "mirror_gap = 1e-6\n")
+        code, out, _ = run(capsys, "phase", "--config", str(cfg))
+        assert code == 0
+        assert "# config_hash: 892d49c61e586074" in out.splitlines()
 
     def test_bad_digits(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -281,6 +281,29 @@ class TestConfigFiles:
         with pytest.raises(ConfigError):
             load_config_file(tmp_path / "absent.txt")
 
+    @pytest.mark.parametrize("name, text", [
+        ("si.txt", "n_electrons = 100000000\narea = 1e-8\nmirror_gap = 1e-6\n"
+                   "cavity_index = 0\n"),
+        ("ratio.txt", "units_mode = ratio\nratio = 0.5\ncavity_index = 7\n"),
+        ("ratio.json", '{"units_mode": "ratio", "ratio": 0.5, '
+                       '"cavity_index": 7}'),
+    ])
+    def test_cavity_index_rejected(self, tmp_path, name, text):
+        # an index of 0 used to read as 1, and a Ratio config's index was
+        # accepted and then dropped from the echo
+        p = tmp_path / name
+        p.write_text(text)
+        with pytest.raises(ConfigError, match="cavity_index"):
+            load_config_file(p)
+
+    def test_cavity_index_defaults_to_the_fundamental(self, tmp_path):
+        base = "n_electrons = 100000000\narea = 1e-8\nmirror_gap = 1e-6\n"
+        bare, explicit = tmp_path / "bare.txt", tmp_path / "explicit.txt"
+        bare.write_text(base)
+        explicit.write_text(base + "cavity_index = 1\n")
+        assert load_config_file(bare) == load_config_file(explicit)
+        assert load_config_file(bare).cavity_index == 1
+
     def test_bad_value_diagnostic(self, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("n_electrons = lots\narea = 1e-8\nmirror_gap = 1e-6\n")
