@@ -40,8 +40,8 @@ from .eft import (EftConfig, _edges, casimir_energy_density,
 from .exceptions import (Cavity2degError, ConfigError, ConvergenceError,
                          DomainError, PreconditionError, UnitModeError)
 from .io_utils import FLOAT_DIGITS, format_rows
-from .manymode import (ModeSet, _coupling_fraction, exact_coupling_1d,
-                       lowest_mode_scan, normal_modes)
+from .manymode import (MAX_MODES, ModeSet, _coupling_fraction,
+                       exact_coupling_1d, lowest_mode_scan, normal_modes)
 from .response import (BroadenedFrequency, ResponseKind, _mode_params,
                        chi_aa_freq, chi_ea_freq, chi_jj_freq, chi_mixed_freq,
                        dc_conductivity, drude_effective_mass,
@@ -489,8 +489,14 @@ def cmd_manymode(sub: str, n_modes: int = 100, ratio: float | None = None,
     not read by the scan that sweeps it."""
     spec = _subcommand("manymode", sub, config=config, ratio=ratio)
     ratio = 0.5 if ratio is None else ratio
-    if n_modes < 1:
-        raise ConfigError(f"--modes must be >= 1, got {n_modes}")
+    if not 1 <= n_modes <= MAX_MODES:
+        raise ConfigError(f"--modes must be in [1, {MAX_MODES}], "
+                          f"got {n_modes}")
+    # checked before any grid is built: a count past the cap would allocate
+    if (sweep is not None and sweep.variable == spec.sweep == "modes"
+            and max(sweep.start, sweep.stop) > MAX_MODES):
+        raise ConfigError(f"modes sweep endpoints must be <= {MAX_MODES}, "
+                          f"got {sweep.start}:{sweep.stop}")
     if not (ratio >= 0 and math.isfinite(ratio * ratio)):
         raise ConfigError(f"--ratio must be non-negative with a finite "
                           f"square, got {ratio}")

@@ -16,7 +16,9 @@ structure instead of a dense solve: the collective coupling is the
 Sherman-Morrison closed form, and the lowest mode is the lowest root of the
 secular equation 1 + omega_p^2 sum_n 1/(omega_n^2 - lam) = 0 (Golub, SIAM
 Rev. 15, 1973; Bunch, Nielsen & Sorensen, Numer. Math. 31, 1978), solved
-alone by the one secular solver that normal_modes also uses.
+alone by the one secular solver that normal_modes also uses.  Both are O(M)
+in the frequencies alone, which they take from the ladder's one checked
+helper without building a ModeSet.
 
 Every W that build_w makes is also structured: with P the (M, 3) matrix of
 unit polarizations, W = D + omega_p^2 P P^T with D = diag(omega^2 +
@@ -70,6 +72,9 @@ __all__ = [
 OFFDIAG_TOL_FACTOR = 1e-12   # convergence: off-diagonal Frobenius vs ||W||_F
 MAX_SWEEPS = 30
 MAX_SECULAR_STEPS = 100      # Newton/bisection steps per secular root
+# the most ladder modes: the largest M whose M x M float64 matrix (build_w,
+# normal_modes) fits in 1 GiB, so no mode count reaches the array size limit
+MAX_MODES = 11_585
 EPS = float(np.finfo(float).eps)
 
 _log = logging.getLogger(__name__)
@@ -99,7 +104,8 @@ class ModeSet:
         if pol.shape != (omega.size, 3):
             raise PreconditionError("pol must have shape (M, 3)")
         norms = np.linalg.norm(pol, axis=1)
-        if not np.allclose(norms, 1.0, rtol=0.0, atol=1e-12):
+        # a NaN norm makes the max NaN, which fails the compare
+        if not float(np.abs(norms - 1.0).max()) <= 1e-12:
             raise PreconditionError("polarizations must be unit vectors")
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "pol", pol)
@@ -124,15 +130,31 @@ class ModeSet:
                   omega_fundamental: float = 1.0) -> "ModeSet":
         """Standing-wave ladder omega_n = n * omega_fundamental, n = 1..M,
         all polarized along x (the maximal-coupling stress case)."""
-        if n_modes < 1:
-            raise PreconditionError(f"n_modes must be >= 1, got {n_modes}")
-        if not (math.isfinite(omega_fundamental) and omega_fundamental > 0):
-            raise PreconditionError(
-                f"omega_fundamental must be finite and positive, "
-                f"got {omega_fundamental}")
-        omega = omega_fundamental * np.arange(1, n_modes + 1, dtype=float)
+        omega = _ladder_omega(n_modes, omega_fundamental)
         pol = np.tile([1.0, 0.0, 0.0], (n_modes, 1))
         return cls(omega=omega, pol=pol)
+
+
+def _ladder_omega(n_modes: int, omega_fundamental: float) -> np.ndarray:
+    """The ladder's frequencies omega_n = n * omega_fundamental, n = 1..M.
+
+    PreconditionError unless 1 <= n_modes <= MAX_MODES and
+    omega_fundamental is finite and positive, and for a top frequency past
+    the float range; that is checked on the Python float M omega_fundamental,
+    the last entry to the bit, before the array is built.
+    """
+    if n_modes < 1:
+        raise PreconditionError(f"n_modes must be >= 1, got {n_modes}")
+    if n_modes > MAX_MODES:
+        raise PreconditionError(f"n_modes must be <= MAX_MODES = {MAX_MODES}, "
+                                f"got {n_modes}")
+    if not (math.isfinite(omega_fundamental) and omega_fundamental > 0):
+        raise PreconditionError(
+            f"omega_fundamental must be finite and positive, "
+            f"got {omega_fundamental}")
+    if not math.isfinite(float(omega_fundamental) * n_modes):
+        raise PreconditionError("mode frequencies must be finite")
+    return omega_fundamental * np.arange(1, n_modes + 1, dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -417,10 +439,13 @@ def _secular_eig(d: np.ndarray, z: np.ndarray, rho: float,
         rest = 1.0 + term.sum(axis=1)
         a = d_l - tau
         b = np.where(last, 1.0, d_r - tau)
-        g = a * b * rest + s_l * b + s_r * a
-        bound = (np.abs(a * b) * (1.0 + np.abs(term).sum(axis=1))
+        ab = a * b
+        g = ab * rest + s_l * b + s_r * a
+        bound = (np.abs(ab) * (1.0 + np.abs(term).sum(axis=1))
                  + s_l * np.abs(b) + s_r * np.abs(a))
-        dg = ((slope_b * a - b) * rest + a * b * (term / den).sum(axis=1)
+        # the trailing terms stay in this order: hoisting them regroups the
+        # sum and changes the bits
+        dg = ((slope_b * a - b) * rest + ab * (term / den).sum(axis=1)
               + s_l * slope_b - s_r)
         lo = np.where(g > 0.0, tau, lo)
         hi = np.where(g < 0.0, tau, hi)
@@ -580,11 +605,14 @@ def exact_coupling_1d(n_modes: int, omega_fundamental: float,
     p the bare x components.  The ladder's
     W = diag(omega_n^2) + omega_p^2 1 1^T is a rank-one update of a
     diagonal, so Sherman-Morrison gives
-    g = omega_p^2 s / (1 + omega_p^2 s) with s = sum_n 1/omega_n^2.
+    g = omega_p^2 s / (1 + omega_p^2 s) with s = sum_n 1/omega_n^2, an O(M)
+    sum over the frequencies alone: no ModeSet is built.
     """
-    modes = ModeSet.ladder_1d(n_modes, omega_fundamental)
+    omega = _ladder_omega(n_modes, omega_fundamental)
     rho = _omega_p_sq(omega_p)
-    s = float(np.sum(1.0 / modes.omega**2))
+    # omega^2 may underflow to 0 and 1/omega^2 overflow: s is then inf
+    with np.errstate(divide="ignore", over="ignore"):
+        s = float((1.0 / omega**2).sum())
     if not math.isfinite(s):
         raise DomainError(f"sum of 1/omega_n^2 overflows at omega_fundamental "
                           f"= {omega_fundamental}")
@@ -616,7 +644,7 @@ def lowest_mode_scan(ratios: Sequence[float],
     equation is below rounding, so the root takes omega_p^2 capped there.
     """
     rows = np.empty((len(ratios), 2))
-    d = ModeSet.ladder_1d(n_modes, 1.0).omega ** 2
+    d = _ladder_omega(n_modes, 1.0) ** 2
     z = np.full(n_modes, 1.0 / math.sqrt(n_modes))
     rho_min = 0.25 * EPS * d[0]
     rho_max = n_modes * (d[-1] - d[0]) / EPS

@@ -212,7 +212,10 @@ def absorption_rate(f: BroadenedFrequency, scales: DerivedScales,
                     j_ext: float) -> float:
     """Mean absorbed power -w Im[chi_AA(w)] |J_ext|^2; non-negative."""
     val = chi_aa_freq(f, scales)
-    return -f.w * val.im * _non_negative(abs(j_ext), "|j_ext|") ** 2
+    j_sq = _pow(_non_negative(abs(j_ext), "|j_ext|"), 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = -f.w * val.im * j_sq
+    return _finite(power, f"the absorbed power at j_ext = {j_ext!r}")
 
 
 def optical_conductivity(f: BroadenedFrequency,

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence, TextIO
 import numpy as np
 
 from .constants import CODATA2018
-from .core import DerivedScales, _non_negative, _positive
+from .core import DerivedScales, _finite, _non_negative, _positive, _pow
 from .exceptions import DomainError, PreconditionError
 from .io_utils import format_rows
 
@@ -65,7 +65,11 @@ class SpectrumIndex:
             raise PreconditionError("photon numbers must be non-negative")
         if self.n_electrons < 1:
             raise PreconditionError("n_electrons must be at least 1")
-        k2 = self.K[0] ** 2 + self.K[1] ** 2
+        if not all(map(math.isfinite, (*self.K, self.kinetic_sum))):
+            raise DomainError(f"K and kinetic_sum must be finite, got "
+                              f"K = {self.K}, kinetic_sum = {self.kinetic_sum}")
+        # an overflowing |K|^2 is inf, which Cauchy-Schwarz then rejects
+        k2 = _pow(self.K[0], 2) + _pow(self.K[1], 2)
         # Cauchy-Schwarz: sum k_j^2 >= |sum k_j|^2 / N for any momentum list
         if self.kinetic_sum < k2 / self.n_electrons * (1.0 - 1e-12):
             raise PreconditionError(
@@ -180,6 +184,13 @@ class OccupancyGrid:
             raise DomainError("cells_per_radius must be at least 2")
         h = radius / cells_per_radius
         cx, cy = center
+        if not (math.isfinite(cx) and math.isfinite(cy)):
+            raise DomainError(f"center must be finite, got {center}")
+        # cell centers lie within reach + h/2 <= 1.5 radius of the center
+        # per axis, so every square on the grid is at most 4.5 radius^2
+        _finite(4.5 * _pow(radius, 2),
+                f"4.5 radius^2, the grid's largest square, at radius = "
+                f"{radius!r}")
         reach = radius * DISK_MARGIN
         i_lo = math.floor((cx - reach) / h)
         i_hi = math.ceil((cx + reach) / h)
@@ -346,11 +357,15 @@ def energy_density(m: DistributionMoments, q: tuple[float, float],
     _positive(m.n_2d, "the density m.n_2d")
     _non_negative(gamma, "gamma")
     qx, qy = q
+    if not (math.isfinite(qx) and math.isfinite(qy)):
+        raise DomainError(f"q must be finite, got {q}")
     kx, ky = m.k_d
-    bracket = (m.t_d + 2.0 * (qx * kx + qy * ky) + (qx**2 + qy**2) * m.n_2d
-               - (gamma / m.n_2d) * ((kx + qx * m.n_2d) ** 2
-                                     + (ky + qy * m.n_2d) ** 2))
-    return CODATA2018.hbar**2 / (2.0 * CODATA2018.m_e) * bracket
+    bracket = (m.t_d + 2.0 * (qx * kx + qy * ky)
+               + (_pow(qx, 2) + _pow(qy, 2)) * m.n_2d
+               - (gamma / m.n_2d) * (_pow(kx + qx * m.n_2d, 2)
+                                     + _pow(ky + qy * m.n_2d, 2)))
+    return CODATA2018.hbar**2 / (2.0 * CODATA2018.m_e) * _finite(
+        bracket, f"the energy density at q = {q}")
 
 
 def optimal_origin(m: DistributionMoments) -> tuple[float, float]:
@@ -370,5 +385,8 @@ def instability_witness(m: DistributionMoments, gamma: float,
     if _non_negative(gamma, "gamma") < 1.0:
         raise PreconditionError(
             f"witness needs gamma >= 1 (critical or beyond), got {gamma}")
-    return np.array([energy_density(m, (float(qx), 0.0), gamma)
-                     for qx in qx_values])
+    qx = np.asarray(qx_values, dtype=float)
+    if not np.isfinite(qx).all():
+        raise DomainError("qx_values must be finite")
+    return np.array([energy_density(m, (q, 0.0), gamma)
+                     for q in qx.tolist()])

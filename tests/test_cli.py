@@ -36,6 +36,7 @@ from cavity2deg import (BroadenedFrequency, ConfigError, ConvergenceError,
 from cavity2deg import cli
 from cavity2deg.cli import (OutputRecord, SweepSpec, cmd_eft, cmd_manymode,
                             cmd_response, main)
+from cavity2deg.manymode import MAX_MODES
 
 
 def run(capsys, *argv):
@@ -437,6 +438,21 @@ class TestManymodeCommand:
     def test_invalid_mode_count(self, capsys):
         code, _, err = run(capsys, "manymode", "diag", "--modes", "0")
         assert code == 2
+
+    # refused before any array is built; none of these counts is run
+    @pytest.mark.parametrize("argv", [
+        *[(sub, "--modes", str(m)) for sub in ("diag", "lowest-scan",
+                                               "coupling-run")
+          for m in (MAX_MODES + 1, 10**19)],
+        ("coupling-run", "--sweep", "modes=1e19:1e20:3"),
+        ("coupling-run", "--sweep", "modes=1:1e19:3"),
+        ("coupling-run", "--sweep", "modes=1e19:1:3"),
+        ("coupling-run", "--sweep", f"modes=1:{MAX_MODES + 1}:2"),
+    ])
+    def test_mode_count_over_the_cap(self, capsys, argv):
+        code, out, err = run(capsys, "manymode", *argv)
+        assert (code, out) == (2, "")
+        assert str(MAX_MODES) in err
 
     def test_coupling_run_where_the_limit_sum_overflows(self, capsys):
         # ratio^2 is finite but ratio^2 pi^2/6 overflows: the limit is 1

@@ -203,6 +203,21 @@ class TestModeSet:
         with pytest.raises(PreconditionError, match="finite"):
             ModeSet.ladder_1d(3, omega_fundamental=bad)
 
+    @pytest.mark.parametrize("delta", [0.0, 1e-13, -1e-13, 1e-12, -1e-12,
+                                       2e-12, -2e-12, 0.5, math.nan,
+                                       math.inf, -math.inf])
+    def test_unit_norm_check_is_allclose(self, delta):
+        # one max compare accepts exactly what np.allclose(norms, 1, rtol=0,
+        # atol=1e-12) accepts, NaN and +-inf included
+        pol = np.array([[1.0, 0.0, 0.0], [1.0 + delta, 0.0, 0.0]])
+        norms = np.linalg.norm(pol, axis=1)
+        omega = np.array([1.0, 2.0])
+        if np.allclose(norms, 1.0, rtol=0.0, atol=1e-12):
+            ModeSet(omega=omega, pol=pol)
+        else:
+            with pytest.raises(PreconditionError, match="unit vectors"):
+                ModeSet(omega=omega, pol=pol)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_momenta_rejected(self, bad):
         # a NaN momentum makes every transversality comparison False
@@ -662,6 +677,66 @@ class TestManymodeSpectrum:
         e2 = manymode_spectrum((0, 0), (1.0, 0.5), 2.0, nm, 0.5, 10)
         e3 = manymode_spectrum((0, 0), (1.0, 0.5, 0.0), 2.0, nm, 0.5, 10)
         assert e2 == e3
+
+
+def modeset_ladder(m, w0):
+    """The ladder as ModeSet.ladder_1d built it before the closed forms
+    stopped building one: the frequencies through a full ModeSet."""
+    return ModeSet(omega=w0 * np.arange(1, m + 1, dtype=float),
+                   pol=np.tile([1.0, 0.0, 0.0], (m, 1)))
+
+
+class TestLadderFrequencies:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 500), st.floats(-300.0, 300.0),
+           st.floats(-8.0, 4.0))
+    def test_closed_forms_match_the_modeset_route(self, m, w_exp, r_exp):
+        # the helper's frequencies and the coupling built on them are the
+        # ModeSet route's, bit for bit
+        w0, ratio = 10.0**w_exp, 10.0**r_exp
+        omega = modeset_ladder(m, w0).omega
+        assert same_bytes(manymode._ladder_omega(m, w0), omega)
+        assert same_bytes(ModeSet.ladder_1d(m, w0).omega, omega)
+        with np.errstate(all="ignore"):
+            s = float(np.sum(1.0 / omega**2))
+        if math.isfinite(s):
+            ref = manymode._coupling_fraction(ratio**2 * s)
+            assert same_bytes(np.float64(exact_coupling_1d(m, w0, ratio)),
+                              np.float64(ref))
+        else:
+            with pytest.raises(DomainError):
+                exact_coupling_1d(m, w0, ratio)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("w0", [1e-200, 1e-160])
+    def test_vanishing_fundamental_is_a_domain_error(self, w0):
+        # omega^2 underflows to 0, or 1/omega^2 overflows: no RuntimeWarning
+        with pytest.raises(DomainError, match="omega_fundamental"):
+            exact_coupling_1d(3, w0, 0.5)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_ladder_is_a_precondition_error(self):
+        # M omega_fundamental past the float range is refused before the
+        # array is built, with ModeSet's message
+        with pytest.raises(PreconditionError, match="must be finite"):
+            exact_coupling_1d(3, 1e308, 0.5)
+        with pytest.raises(PreconditionError, match="must be finite"):
+            ModeSet.ladder_1d(3, 1e308)
+        # omega^2 overflows but M omega does not: s underflows to 0
+        assert exact_coupling_1d(3, 1e200, 0.5) == 0.0
+
+    def test_mode_count_cap(self):
+        # the largest M whose M x M float64 matrix fits in 1 GiB
+        cap = manymode.MAX_MODES
+        assert cap * cap * 8 <= 2**30 < (cap + 1) ** 2 * 8
+        assert 0.0 < exact_coupling_1d(cap, 1.0, 0.5) < 1.0   # O(M) memory
+        calls = (lambda m: manymode._ladder_omega(m, 1.0), ModeSet.ladder_1d,
+                 lambda m: exact_coupling_1d(m, 1.0, 0.5),
+                 lambda m: lowest_mode_scan([0.5], n_modes=m))
+        for call in calls:
+            for m in (cap + 1, 10**19):
+                with pytest.raises(PreconditionError, match="MAX_MODES"):
+                    call(m)
 
 
 class TestLadderCoupling:

@@ -3,7 +3,9 @@
 Every closed form that takes a positive or non-negative scalar rejects NaN
 and +-inf for it with a DomainError that names the argument, instead of
 returning NaN (NaN fails every ``x <= 0`` comparison) or raising a bare
-ValueError.
+ValueError; so does a signed scalar inside a tuple or a sequence.  A finite
+argument whose square leaves the float range raises a named DomainError
+too, not a bare OverflowError.
 """
 
 import math
@@ -15,12 +17,14 @@ import pytest
 import cavity2deg
 from cavity2deg import (BroadenedFrequency, DerivedScales,
                         DistributionMoments, DomainError, EftConfig, ModeSet,
-                        OccupancyGrid, SpectrumIndex, SystemConfig,
+                        OccupancyGrid, PreconditionError, SpectrumIndex,
+                        SystemConfig,
                         absorption_rate, appendix_integrals, chemical_potential,
                         chi_aa_time, chi_ea_time, classify_phase,
                         collective_coupling, constants, core, coupling_1d,
                         coupling_3d, dc_conductivity, dressed_frequency,
-                        drude_effective_mass, eft, eigenenergy_no_a2,
+                        drude_effective_mass, eft, eigenenergy,
+                        eigenenergy_no_a2,
                         energy_density, exceptions, fermi_wavevector,
                         ground_photon_occupation, instability_witness,
                         manymode, manymode_spectrum, mass_3d, normal_modes,
@@ -50,6 +54,24 @@ def instability_witness_at(n_2d):
     return instability_witness(_moments(n_2d), 1.5, [1.0])
 
 
+# a scalar inside a tuple or a sequence, named as the argument that holds it
+
+def energy_density_boosted(q):
+    return energy_density(MOMENTS, (q, 0.0), 0.5)
+
+
+def instability_witness_over(qx_values):
+    return instability_witness(MOMENTS, 1.5, [0.0, qx_values])
+
+
+def eigenenergy_of(K, kinetic_sum):
+    return eigenenergy(SpectrumIndex(0, 0, (K, 0.0), kinetic_sum, 1), SCALES)
+
+
+def disk_around(center):
+    return OccupancyGrid.disk(1.0, center=(0.0, center))
+
+
 NON_FINITE = (math.nan, math.inf, -math.inf)
 # a causal kernel is 0.0 for every tau < 0, -inf too
 REJECTED = {"tau": (math.nan, math.inf)}
@@ -71,6 +93,10 @@ DOMAINS = [
     (partial(instability_witness, MOMENTS, qx_values=[0.0, 1.0]),
      {"gamma": 1.5}),
     (instability_witness_at, {"n_2d": 1.0}),
+    (energy_density_boosted, {"q": 1.0}),
+    (instability_witness_over, {"qx_values": 1.0}),
+    (eigenenergy_of, {"K": 1e7, "kinetic_sum": 1e16}),
+    (disk_around, {"center": 0.5}),
     (BroadenedFrequency, {"w": 1.0, "eta": 0.1}),
     (partial(chi_aa_time, scales=SCALES), {"tau": 1e-15}),
     (partial(chi_ea_time, scales=SCALES), {"tau": 1e-15}),
@@ -112,6 +138,34 @@ def test_non_finite_scalar_argument_is_a_named_domain_error(func, valid,
         func(**{**valid, name: bad})
     assert re.search(rf"\b{re.escape(name)}\b", str(info.value)), (
         str(info.value))
+
+
+# finite arguments whose float ** or product leaves the float range
+OVERFLOWS = [
+    (energy_density_boosted, {"q": 1e200}, "q"),
+    (partial(absorption_rate, PROBE, SCALES), {"j_ext": 1e200}, "j_ext"),
+    (partial(absorption_rate, PROBE, SCALES), {"j_ext": 1e154}, "j_ext"),
+    (OccupancyGrid.disk, {"radius": 1.7e308}, "radius"),
+    (OccupancyGrid.disk, {"radius": 1e200}, "radius"),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("func, args, name", OVERFLOWS,
+                         ids=[f"{_label(f)}-{n}-{a[n]:g}"
+                              for f, a, n in OVERFLOWS])
+def test_overflowing_finite_argument_is_a_named_domain_error(func, args,
+                                                             name):
+    with pytest.raises(DomainError) as info:
+        func(**args)
+    assert re.search(rf"\b{re.escape(name)}\b", str(info.value)), (
+        str(info.value))
+
+
+def test_overflowing_momentum_fails_cauchy_schwarz():
+    # |K|^2 overflows to inf, above any finite N kinetic_sum
+    with pytest.raises(PreconditionError, match="Cauchy-Schwarz"):
+        SpectrumIndex(0, 0, (1e200, 0.0), 1.0, 1)
 
 
 def test_package_exports_each_module_list_once():
