@@ -241,7 +241,7 @@ class _Sub(NamedTuple):
     sweep: str | None           # the --sweep variable; None: no --sweep
     columns: tuple[str, ...]
     reads: tuple[str, ...]      # flags read besides --sweep and the output
-    body: Callable | None = None    # eft and manymode: computes the columns
+    body: Callable | None = None    # all but phase: computes the values
 
 
 def _grid(command: str, sub: str | None, sweep: SweepSpec | None,
@@ -371,11 +371,23 @@ def _coupling_run(grid, n_modes: int, ratio: float, summary: dict) -> tuple:
     return np.array(counts, dtype=int), np.array(g, dtype=float)
 
 
-# Every sub-command once; the response kinds share one entry and are
-# listed in _RESPONSE_FUNCS.
+def _response(body: Callable) -> _Sub:
+    """A response kind: (w, Re, Im) of ``body(frequency, scales)``; body
+    calls its function by module-level name, so a wrapper there is seen."""
+    return _Sub("w", ("w", "re", "im"), ("config", "eta"), body)
+
+
+# Every sub-command once, each response kind too.
 _SUBCOMMANDS: dict[tuple[str, str | None], _Sub] = {
     ("phase", None): _Sub("gamma", ("gamma", "phase"), ("config",)),
-    ("response", None): _Sub("w", ("w", "re", "im"), ("config", "eta")),
+    ("response", "aa"): _response(lambda f, s: chi_aa_freq(f, s)),
+    ("response", "ea"): _response(lambda f, s: chi_ea_freq(f, s)),
+    ("response", "jj"): _response(lambda f, s: chi_jj_freq(f, s)),
+    ("response", "ja"): _response(
+        lambda f, s: chi_mixed_freq(f, s, ResponseKind.JA)),
+    ("response", "aj"): _response(
+        lambda f, s: chi_mixed_freq(f, s, ResponseKind.AJ)),
+    ("response", "sigma"): _response(lambda f, s: optical_conductivity(f, s)),
     ("eft", "coupling"): _cutoff(
         ("g",), lambda e, x: (effective_coupling(e, x),)),
     ("eft", "mass"): _cutoff(
@@ -417,37 +429,25 @@ def cmd_phase(config: SystemConfig | None = None,
                    {"band_counts": dict(Counter(labels))})
 
 
-_RESPONSE_FUNCS = {
-    "aa": chi_aa_freq,
-    "ea": chi_ea_freq,
-    "jj": chi_jj_freq,
-    "ja": lambda f, s: chi_mixed_freq(f, s, ResponseKind.JA),
-    "aj": lambda f, s: chi_mixed_freq(f, s, ResponseKind.AJ),
-    "sigma": optical_conductivity,
-}
-
-
 def cmd_response(kind: str, config: SystemConfig | None = None,
                  sweep: SweepSpec | None = None,
                  eta: float | None = None) -> OutputRecord:
     """Broadened spectrum (w, Re, Im) of one response kind."""
-    if kind not in _RESPONSE_FUNCS:
-        raise ConfigError(f"unknown response kind {kind!r}; "
-                          f"choose from {', '.join(_RESPONSE_FUNCS)}")
+    spec = _subcommand("response", kind)
     config = config or _default_config()
     scales = DerivedScales(config)
     wt = _mode_params(scales)[1]
     if sweep is None:   # linspace takes the span 6 wt
         _finite(6 * wt, f"the span of the default sweep w = -3..3 omega_tilde "
                         f"at omega_tilde = {wt!r}")
-    grid = _grid("response", None, sweep,
+    grid = _grid("response", kind, sweep,
                  lambda: np.linspace(-3 * wt, 3 * wt, 1201))
     if eta is None:
         eta = 0.01 * wt
     if eta <= 0:
         raise ConfigError(f"eta must be positive, got {eta}")
     with np.errstate(all="ignore"):
-        val = _RESPONSE_FUNCS[kind](BroadenedFrequency(grid, eta), scales)
+        val = spec.body(BroadenedFrequency(grid, eta), scales)
     rows = _rows(grid, val.re, val.im)
     summary: dict = {"eta": eta, "omega_tilde": wt, "gamma": scales.gamma}
     if kind == "sigma":
@@ -457,7 +457,7 @@ def cmd_response(kind: str, config: SystemConfig | None = None,
                            sigma_dc_over_sigma0=1.0 - gamma,
                            effective_mass_over_m_e=(drude_effective_mass(gamma)
                                                     / CODATA2018.m_e))
-    return _record("response", None, config, {"kind": kind, "eta": eta},
+    return _record("response", kind, config, {"kind": kind, "eta": eta},
                    sweep, rows, summary)
 
 
@@ -540,7 +540,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_resp = subs.add_parser("response", parents=[common],
                              help="broadened response spectra")
-    p_resp.add_argument("kind", choices=tuple(_RESPONSE_FUNCS))
+    p_resp.add_argument("kind", choices=_menu("response"))
     p_resp.add_argument("--eta", type=float, default=None,
                         help="broadening (default 0.01 omega_tilde)")
 

@@ -179,13 +179,10 @@ class DerivedScales:
     def __init__(self, config: SystemConfig):
         self.config = config
 
-    def _si(self, what: str) -> None:
-        self.config._require_si(what)
-
     @cached_property
     def omega(self) -> float:
         """Bare mode frequency in rad/s."""
-        self._si("omega")
+        self.config._require_si("omega")
         cfg = self.config
         if cfg.mode_frequency is not None:
             return cfg.mode_frequency
@@ -195,19 +192,19 @@ class DerivedScales:
 
     @cached_property
     def n_2d(self) -> float:
-        self._si("n_2d")
+        self.config._require_si("n_2d")
         area = self.config.area
         return _finite(self.config.n_electrons / area,
                        f"the density at area = {area!r}")
 
     @cached_property
     def n_e(self) -> float:
-        self._si("n_e")
+        self.config._require_si("n_e")
         return self.config.n_electrons / self.config.volume
 
     @cached_property
     def omega_p(self) -> float:
-        self._si("omega_p")
+        self.config._require_si("omega_p")
         k = CODATA2018
         gap = self.config.mirror_gap
         den = k.m_e * k.eps0 * gap   # 0 for gaps below ~3e-283 m
@@ -218,7 +215,7 @@ class DerivedScales:
 
     @cached_property
     def omega_tilde(self) -> float:
-        self._si("omega_tilde")
+        self.config._require_si("omega_tilde")
         return dressed_frequency(self.omega, self.omega_p)
 
     @cached_property
@@ -246,7 +243,7 @@ class DerivedScales:
 
     @cached_property
     def k_fermi(self) -> float:
-        self._si("k_fermi")
+        self.config._require_si("k_fermi")
         return fermi_wavevector(self.n_2d)
 
 

@@ -46,14 +46,14 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .constants import CODATA2018
-from .core import _finite, _non_negative
+from .core import _finite, _non_negative, _pow
 from .exceptions import (ConvergenceError, DegenerateModeError, DomainError,
                          PreconditionError)
 
@@ -206,8 +206,8 @@ def _round_robin_schedule(n: int) -> np.ndarray:
     """
     m = n + n % 2
     k = m - 1
-    rounds = np.arange(k, dtype=np.int32)
-    partner = 2 * rounds[:, None] - 1 - np.arange(m, dtype=np.int32)
+    rounds = np.arange(k)
+    partner = 2 * rounds[:, None] - 1 - np.arange(m)
     partner %= k
     partner += 1
     fixed = 1 + (rounds - 1) % k
@@ -243,19 +243,9 @@ def _jacobi_round_robin(av: np.ndarray, skip_thr: float, tol_fro: float,
     work = np.empty_like(av)
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
     partner = _round_robin_schedule(n)
-    idx = np.arange(n, dtype=np.int32)
-    # per round the flat positions of a[lo, hi], a[hi, hi] and a[lo, lo],
-    # lo and hi the pair of each index; int32 and built in place, the
-    # schedule takes 2 (n, n) matrices' worth of memory (flat positions fit
-    # in int32 for n < 46341)
-    flat = np.empty((partner.shape[0], 3, n), dtype=np.int32)
-    pq, qq, pp = flat[:, 0], flat[:, 1], flat[:, 2]
-    np.minimum(idx, partner, out=pp)
-    np.maximum(idx, partner, out=qq)
-    np.multiply(pp, n, out=pq)
-    pq += qq
-    pp *= n + 1
-    qq *= n + 1
+    idx = np.arange(n)
+    lo, hi = np.minimum(idx, partner), np.maximum(idx, partner)
+    flat = np.stack([lo * n + hi, hi * (n + 1), lo * (n + 1)], axis=1)
     # s changes sign on the lower index of each pair and on an idle index,
     # which keeps the sign of a zero s and so every output byte
     flip = idx <= partner
@@ -314,7 +304,7 @@ def diagonalize_w(w_matrix: np.ndarray) -> NormalModes:
     positive.  Non-finite entries, an empty W and a W whose Frobenius norm
     overflows raise ``DomainError``.
     """
-    a = np.array(w_matrix, dtype=float, copy=True, order="C")
+    a = np.asarray(w_matrix, dtype=float, order="C")
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
         raise DomainError(
             f"W must be non-empty and square, got shape {a.shape}")
@@ -559,8 +549,7 @@ def normal_modes(modes: ModeSet, omega_p: float) -> NormalModes:
     nm = _normal_form(lam, u, 0)
     _log.debug("normal_modes: structured, M = %d, secular steps per "
                "update = %s", lam.size, steps)
-    return NormalModes(omega_sq=nm.omega_sq, u=nm.u, sweeps=0,
-                       eps_tilde=rotated_polarizations(modes, nm.u))
+    return replace(nm, eps_tilde=rotated_polarizations(modes, nm.u))
 
 
 def manymode_spectrum(n_gamma: Sequence[int], K: Sequence[float],
@@ -582,15 +571,26 @@ def manymode_spectrum(n_gamma: Sequence[int], K: Sequence[float],
         raise PreconditionError("photon occupations must be non-negative")
     if np.any(normal.omega_sq == 0.0):
         raise DegenerateModeError("zero-frequency normal mode in the spectrum")
+    K = np.asarray(K, dtype=float)
+    if K.ndim != 1 or K.size > 3:
+        raise PreconditionError(f"K must have at most 3 components, "
+                                f"got shape {K.shape}")
+    if not np.isfinite(K).all():
+        raise DomainError(f"K must be finite, got {K.tolist()}")
     k3 = np.zeros(3)
-    k3[:len(K)] = np.asarray(K, dtype=float)
+    k3[:K.size] = K
     if n_electrons < 1:
         raise PreconditionError("n_electrons must be at least 1")
     _non_negative(omega_p, "omega_p")
     _non_negative(kinetic_sum, "kinetic_sum")
     hbar, m_e = CODATA2018.hbar, CODATA2018.m_e
-    proj = normal.eps_tilde @ k3
-    collective = omega_p**2 / n_electrons * float(np.sum(proj**2 / normal.omega_sq))
+    # an overflow, or 0 * inf at omega_p = 0, ends in the _finite check
+    with np.errstate(over="ignore", invalid="ignore"):
+        proj = normal.eps_tilde @ k3
+        collective = _finite(
+            _pow(omega_p, 2) / n_electrons
+            * float(np.sum(proj**2 / normal.omega_sq)),
+            f"the collective term at K = {K.tolist()}, omega_p = {omega_p!r}")
     electronic = hbar**2 / (2.0 * m_e) * (kinetic_sum - collective)
     photon = hbar * float(np.sum(normal.omega * (n_gamma + 0.5)))
     return electronic + photon

@@ -25,7 +25,8 @@ from typing import Iterable, Sequence, TextIO
 import numpy as np
 
 from .constants import CODATA2018
-from .core import DerivedScales, _finite, _non_negative, _positive, _pow
+from .core import (DerivedScales, _finite, _non_negative, _positive, _pow,
+                   dressed_frequency)
 from .exceptions import DomainError, PreconditionError
 from .io_utils import format_rows
 
@@ -81,19 +82,17 @@ class SpectrumIndex:
         ks = np.atleast_2d(np.asarray(list(momenta), dtype=float))
         if ks.size == 0 or ks.shape[1] != 2:
             raise PreconditionError("momenta must be a non-empty list of 2-vectors")
-        kx, ky = ks[:, 0].sum(), ks[:, 1].sum()
-        return cls(n1, n2, (float(kx), float(ky)),
-                   float((ks**2).sum()), ks.shape[0])
+        # an overflowing sum is inf, which __post_init__ rejects
+        with np.errstate(over="ignore"):
+            kx, ky = ks[:, 0].sum(), ks[:, 1].sum()
+            kinetic_sum = (ks**2).sum()
+        return cls(n1, n2, (float(kx), float(ky)), float(kinetic_sum),
+                   ks.shape[0])
 
 
 def eigenenergy(idx: SpectrumIndex, scales: DerivedScales) -> float:
     """Exact eigenenergy in joules, both polarization zero-points included."""
-    hbar, m_e = CODATA2018.hbar, CODATA2018.m_e
-    k2 = idx.K[0] ** 2 + idx.K[1] ** 2
-    photon = hbar * scales.omega_tilde * (idx.n1 + idx.n2 + 1)
-    matter = (hbar**2 / (2.0 * m_e)) * (
-        idx.kinetic_sum - scales.gamma * k2 / idx.n_electrons)
-    return photon + matter
+    return _eigenenergy(idx, scales.omega_tilde, scales.gamma)
 
 
 def eigenenergy_no_a2(idx: SpectrumIndex, omega: float,
@@ -104,20 +103,23 @@ def eigenenergy_no_a2(idx: SpectrumIndex, omega: float,
     gamma' = omega_p^2/omega^2, which is unbounded: the witness built on it
     shows the absence of a ground state.
     """
+    return _eigenenergy(idx, omega, (_non_negative(omega_p, "omega_p")
+                                     / _positive(omega, "omega")) ** 2)
+
+
+def _eigenenergy(idx: SpectrumIndex, omega: float, coupling: float) -> float:
+    """The one spectrum: coupling is gamma with the A^2 term, gamma' without."""
     hbar, m_e = CODATA2018.hbar, CODATA2018.m_e
-    gamma_p = (_non_negative(omega_p, "omega_p")
-               / _positive(omega, "omega")) ** 2
     k2 = idx.K[0] ** 2 + idx.K[1] ** 2
     photon = hbar * omega * (idx.n1 + idx.n2 + 1)
     matter = (hbar**2 / (2.0 * m_e)) * (
-        idx.kinetic_sum - gamma_p * k2 / idx.n_electrons)
+        idx.kinetic_sum - coupling * k2 / idx.n_electrons)
     return photon + matter
 
 
 def ground_photon_occupation(omega: float, omega_p: float) -> float:
     """Virtual photon number in the ground state: (omega_t - omega)^2/(2 omega omega_t)."""
-    omega_t = math.hypot(_positive(omega, "omega"),
-                         _non_negative(omega_p, "omega_p"))
+    omega_t = dressed_frequency(omega, omega_p)
     return (omega_t - omega) ** 2 / (2.0 * omega * omega_t)
 
 
@@ -183,15 +185,18 @@ class OccupancyGrid:
         if cells_per_radius < 2:
             raise DomainError("cells_per_radius must be at least 2")
         h = radius / cells_per_radius
-        cx, cy = center
-        if not (math.isfinite(cx) and math.isfinite(cy)):
-            raise DomainError(f"center must be finite, got {center}")
         # cell centers lie within reach + h/2 <= 1.5 radius of the center
         # per axis, so every square on the grid is at most 4.5 radius^2
         _finite(4.5 * _pow(radius, 2),
                 f"4.5 radius^2, the grid's largest square, at radius = "
                 f"{radius!r}")
         reach = radius * DISK_MARGIN
+        # past 2**53 cells from the origin the cell indices are no longer
+        # exact floats; NaN and inf fail the comparison too
+        cx, cy = center
+        if not all((abs(c) + reach) / h < 2.0**53 for c in (cx, cy)):
+            raise DomainError(f"center must be finite and under 2**53 cells "
+                              f"of h = {h!r} from the origin, got {center}")
         i_lo = math.floor((cx - reach) / h)
         i_hi = math.ceil((cx + reach) / h)
         j_lo = math.floor((cy - reach) / h)

@@ -555,7 +555,7 @@ def _float_flag_argvs() -> list[tuple[str, ...]]:
     option."""
     commands = [(("phase",), (), "gamma")]
     commands += [(("response", kind), ("--eta",), "w")
-                 for kind in cli._RESPONSE_FUNCS]
+                 for kind in cli._menu("response")]
     commands += [(("eft", sub), ("--lambda0", "--eta"), var)
                  for sub, var in (("coupling", "lambda0"), ("mass", "lambda0"),
                                   ("mu", "lambda0"), ("casimir", "lambda0"),
@@ -601,7 +601,7 @@ EXTREME_CONFIGS = {
 }
 
 ALL_COMMANDS = ([("phase",)]
-                + [("response", kind) for kind in cli._RESPONSE_FUNCS]
+                + [("response", kind) for kind in cli._menu("response")]
                 + [("eft", sub) for sub in ("coupling", "mass", "mu",
                                             "casimir", "jellium", "chi")]
                 + [("manymode", sub) for sub in ("diag", "lowest-scan",
@@ -879,15 +879,9 @@ class TestSweepsMatchPointwise:
 
 
 def _default_argvs() -> list[tuple[str, ...]]:
-    """The default invocation of each entry of cli._SUBCOMMANDS; the
-    response entry once per kind."""
-    argvs = []
-    for command, sub in cli._SUBCOMMANDS:
-        if command == "response":
-            argvs += [(command, kind) for kind in cli._RESPONSE_FUNCS]
-        else:
-            argvs.append((command,) if sub is None else (command, sub))
-    return argvs
+    """The default invocation of each entry of cli._SUBCOMMANDS."""
+    return [(command,) if sub is None else (command, sub)
+            for command, sub in cli._SUBCOMMANDS]
 
 
 class TestSubcommandTable:
@@ -908,7 +902,8 @@ class TestSubcommandTable:
                           if isinstance(a, argparse._SubParsersAction))
         declared = []
         for command, parser in subparsers.choices.items():
-            subs = [a.choices for a in parser._actions if a.dest == "sub"]
+            subs = [a.choices for a in parser._actions
+                    if a.dest in ("sub", "kind")]
             declared += [(command, sub) for sub in (subs[0] if subs
                                                     else [None])]
         assert declared == list(cli._SUBCOMMANDS)

@@ -414,6 +414,25 @@ class TestDiagonalizeW:
         diagonalize_w(w)
         assert np.array_equal(w, keep)
 
+    @pytest.mark.parametrize("n", [5, 12])
+    def test_any_layout_of_w_gives_the_same_bytes(self, rng, n):
+        # W is read, not copied: a Fortran-ordered, a read-only and a
+        # nested-list W decompose to the bytes of the C-ordered one and
+        # are left as they were
+        w = random_symmetric(rng, n)
+        ref = diagonalize_w(w)
+        fortran = np.asfortranarray(w)
+        frozen = w.copy()
+        frozen.flags.writeable = False
+        for layout in (fortran, frozen, w.tolist()):
+            keep = np.array(layout)
+            nm = diagonalize_w(layout)
+            assert nm.sweeps == ref.sweeps
+            assert same_bytes(nm.omega_sq, ref.omega_sq)
+            assert same_bytes(nm.u, ref.u)
+            assert same_bytes(np.asarray(layout), keep)
+        assert fortran.flags.f_contiguous and not frozen.flags.writeable
+
 
 class TestNormalModes:
     def test_rotated_polarizations_attached(self):
@@ -677,6 +696,11 @@ class TestManymodeSpectrum:
         e2 = manymode_spectrum((0, 0), (1.0, 0.5), 2.0, nm, 0.5, 10)
         e3 = manymode_spectrum((0, 0), (1.0, 0.5, 0.0), 2.0, nm, 0.5, 10)
         assert e2 == e3
+
+    def test_four_vector_momentum_rejected(self):
+        nm = normal_modes(ModeSet.ladder_1d(2), 0.5)
+        with pytest.raises(PreconditionError, match="K"):
+            manymode_spectrum((0, 0), (1.0, 0.5, 0.0, 0.0), 2.0, nm, 0.5, 10)
 
 
 def modeset_ladder(m, w0):

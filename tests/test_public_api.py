@@ -72,6 +72,22 @@ def disk_around(center):
     return OccupancyGrid.disk(1.0, center=(0.0, center))
 
 
+def disk_along_x(center, radius=1.0):
+    return OccupancyGrid.disk(radius, center=(center, 0.0))
+
+
+LADDER_MODES = normal_modes(ModeSet.ladder_1d(2), 0.5)
+
+
+def ladder_spectrum_at(K):
+    return manymode_spectrum((0, 1), (K, 0.0), 1.0, LADDER_MODES, 0.5, 10)
+
+
+def electron_pair_at(K):
+    # two electrons at (K, 0): K sums to 2 K and kinetic_sum to 2 K^2
+    return SpectrumIndex.from_momenta([(K, 0.0), (K, 0.0)])
+
+
 NON_FINITE = (math.nan, math.inf, -math.inf)
 # a causal kernel is 0.0 for every tau < 0, -inf too
 REJECTED = {"tau": (math.nan, math.inf)}
@@ -112,8 +128,9 @@ DOMAINS = [
     (mass_3d, {"lambda_mom": 1e10}),
     (partial(appendix_integrals, ecfg=ECFG), {"w": 1e14, "eta": 1e12}),
     (partial(manymode_spectrum, (0, 1), (1.0, 0.0),
-             normal=normal_modes(ModeSet.ladder_1d(2), 0.5), n_electrons=10),
+             normal=LADDER_MODES, n_electrons=10),
      {"kinetic_sum": 1.0, "omega_p": 0.5}),
+    (ladder_spectrum_at, {"K": 1.0}),
 ]
 
 
@@ -147,6 +164,13 @@ OVERFLOWS = [
     (partial(absorption_rate, PROBE, SCALES), {"j_ext": 1e154}, "j_ext"),
     (OccupancyGrid.disk, {"radius": 1.7e308}, "radius"),
     (OccupancyGrid.disk, {"radius": 1e200}, "radius"),
+    # cell indices past 2**53, on either axis
+    (disk_along_x, {"center": 1e20}, "center"),
+    (disk_around, {"center": 1e20}, "center"),
+    (partial(disk_along_x, radius=1e100), {"center": 1.7e308}, "center"),
+    (ladder_spectrum_at, {"K": 1e200}, "K"),
+    (electron_pair_at, {"K": 1e160}, "K"),
+    (electron_pair_at, {"K": 1e308}, "K"),
 ]
 
 

@@ -483,3 +483,9 @@ class TestOccupancyGridValidation:
             OccupancyGrid.disk(1.0, fill=2.5)
         with pytest.raises(DomainError):
             OccupancyGrid.disk(1.0, cells_per_radius=1)
+
+    def test_disk_far_from_the_origin_builds(self):
+        # 6.4e14 cells out, below the 2**53 where cell indices stop being
+        # exact floats
+        g = OccupancyGrid.disk(1.0, center=(1e13, 0.0))
+        assert g.f.sum() > 0
