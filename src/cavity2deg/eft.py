@@ -35,7 +35,7 @@ import numpy as np
 
 from .constants import CODATA2018
 from .core import (DerivedScales, SystemConfig, UnitsMode, _finite,
-                   _non_negative, _positive, _pow)
+                   _non_negative, _positive)
 from .exceptions import DomainError, PoleError, UnitModeError
 from .response import BroadenedFrequency, ResponseKind, ResponseValue
 
@@ -100,9 +100,10 @@ class EftConfig:
         """Per-electron coupling density e^2/(4 pi c^2 eps0 m_e L_z)."""
         k = CODATA2018
         gap = self.system.mirror_gap
-        den = 4.0 * math.pi * k.c**2 * k.eps0 * k.m_e * gap  # 0 below 3e-301
-        return _finite(k.e**2 / den if den else math.inf,
-                       f"alpha at mirror_gap = {gap!r}")
+        # the denominator is 0 below mirror_gap ~3e-301 m
+        return _finite(
+            lambda: k.e**2 / (4.0 * math.pi * k.c**2 * k.eps0 * k.m_e * gap),
+            f"alpha at mirror_gap = {gap!r}")
 
     @cached_property
     def n_alpha(self) -> float:
@@ -116,7 +117,7 @@ class EftConfig:
     def omega_tilde_sq_cutoff(self) -> float:
         """Lower continuum edge omega_t^2(kappa_z) in rad^2/s^2."""
         return _finite(
-            _pow(CODATA2018.c * self.kappa_z, 2) + self.scales.omega_p**2,
+            lambda: (CODATA2018.c * self.kappa_z) ** 2 + self.scales.omega_p**2,
             f"the continuum edge at mirror_gap = {self.system.mirror_gap!r}")
 
     @cached_property
@@ -127,12 +128,9 @@ class EftConfig:
 
     @cached_property
     def lambda0_pole(self) -> float:
-        try:
-            return math.exp(1.0 / self.n_alpha)
-        except OverflowError:
-            raise DomainError(
-                f"the Landau pole exp(1/n_alpha) overflows the float range "
-                f"at n_alpha = {self.n_alpha:g}") from None
+        return _finite(lambda: math.exp(1.0 / self.n_alpha),
+                       f"the Landau pole exp(1/n_alpha) at n_alpha = "
+                       f"{self.n_alpha:g}")
 
     @property
     def in_stability_window(self) -> bool:
@@ -154,12 +152,10 @@ def _value(x, lambda0: float | np.ndarray | None):
     return float(x) if lambda0 is None else x
 
 
-def _cutoff_growth(ecfg: EftConfig, lambda0: float | np.ndarray | None):
+def _cutoff_growth(lam):
     """Lambda0^{3/2} - 1 as expm1(1.5 ln Lambda0), which keeps full relative
     accuracy next to Lambda0 = 1, where the subtraction cancels."""
-    with np.errstate(over="ignore"):
-        grow = np.expm1(1.5 * np.log(_cutoffs(ecfg, lambda0)))
-    return _finite(grow, "Lambda0^1.5")
+    return np.expm1(1.5 * np.log(lam))
 
 
 def effective_coupling(ecfg: EftConfig,
@@ -194,11 +190,11 @@ def effective_energy(kinetic_sum: float, K: tuple[float, float],
     k = CODATA2018
     n = ecfg.system.n_electrons
     g = effective_coupling(ecfg)
-    k2 = _pow(K[0], 2) + _pow(K[1], 2)
-    electronic = k.hbar**2 / (2.0 * k.m_e) * (kinetic_sum - g * k2 / n)
     zero_point = ecfg.system.area * casimir_energy_density(ecfg)
     excited = sum(k.hbar * om * occ for om, occ in photon_excitations)
-    return _finite(electronic + zero_point + excited,
+    return _finite(lambda: k.hbar**2 / (2.0 * k.m_e)
+                   * (kinetic_sum - g * (K[0] ** 2 + K[1] ** 2) / n)
+                   + zero_point + excited,
                    f"the effective energy at kinetic_sum = {kinetic_sum!r}, "
                    f"K = {K!r}")
 
@@ -245,8 +241,9 @@ def chemical_potential(ecfg: EftConfig, k_fermi: float | None = None,
     """
     k_f = (ecfg.scales.k_fermi if k_fermi is None
            else _non_negative(k_fermi, "k_fermi"))
-    return _finite(CODATA2018.hbar**2 * _pow(k_f, 2)
-                   / (2.0 * renormalized_mass(ecfg, lambda0)), "mu")
+    return _finite(lambda: CODATA2018.hbar**2 * k_f**2
+                   / (2.0 * renormalized_mass(ecfg, lambda0)),
+                   f"mu at k_fermi = {k_f!r}")
 
 
 def quasiparticle_energy(k: float, ecfg: EftConfig,
@@ -300,8 +297,7 @@ def jellium(rs: float | np.ndarray, ecfg: EftConfig) -> JelliumResult:
         first = float(radii[bad][0])
         raise DomainError(f"rs must be positive and finite, got {first}")
     mass_ratio = CODATA2018.m_e / renormalized_mass(ecfg)
-    with np.errstate(over="ignore", divide="ignore"):
-        tau = _finite(mass_ratio / radii**2, "the kinetic term 1/rs^2")
+    tau = _finite(lambda: mass_ratio / radii**2, "the kinetic term 1/rs^2")
     eps_x = -_EXCHANGE_COEFF / radii
     total = tau + eps_x
     if radii.ndim == 0:
@@ -320,10 +316,12 @@ def casimir_energy_density(ecfg: EftConfig,
     A cutoff whose Lambda0^{3/2} overflows raises DomainError.
     """
     k = CODATA2018
-    omega_t3 = _pow(ecfg.omega_tilde_sq_cutoff, 1.5)
-    grow = _cutoff_growth(ecfg, lambda0)
-    energy = _finite(k.hbar * grow * omega_t3 / (6.0 * math.pi * k.c**2),
-                     "the Casimir energy density")
+    cutoff = ecfg.omega_tilde_sq_cutoff
+    lam = _cutoffs(ecfg, lambda0)
+    energy = _finite(lambda: k.hbar * _cutoff_growth(lam) * cutoff**1.5
+                     / (6.0 * math.pi * k.c**2),
+                     f"the Casimir energy density at lambda0 = "
+                     f"{np.max(lam):g}")
     return _value(energy, lambda0)
 
 
@@ -338,11 +336,12 @@ def casimir_pressure(ecfg: EftConfig,
     """
     k = CODATA2018
     omega_t = math.sqrt(ecfg.omega_tilde_sq_cutoff)
-    bracket = 2.0 * (k.c * ecfg.kappa_z) ** 2 + ecfg.scales.omega_p**2
-    grow = _cutoff_growth(ecfg, lambda0)
-    pressure = _finite(k.hbar * grow * omega_t * bracket
-                       / (4.0 * math.pi * k.c**2 * ecfg.system.mirror_gap),
-                       "the Casimir pressure")
+    lam = _cutoffs(ecfg, lambda0)
+    pressure = _finite(
+        lambda: k.hbar * _cutoff_growth(lam) * omega_t
+        * (2.0 * (k.c * ecfg.kappa_z) ** 2 + ecfg.scales.omega_p**2)
+        / (4.0 * math.pi * k.c**2 * ecfg.system.mirror_gap),
+        f"the Casimir pressure at lambda0 = {np.max(lam):g}")
     return _value(pressure, lambda0)
 
 
@@ -453,11 +452,10 @@ def appendix_integrals(w: float, eta: float,
     what = f"an appendix integral at w = {w!r}, eta = {eta!r}"
     at_minus = math.atan((hi - w) / eta) - math.atan((lo - w) / eta)
     at_plus = math.atan((hi + w) / eta) - math.atan((lo + w) / eta)
-    eta2 = _pow(eta, 2)
     # squared distances to the edges; 0 where w sits on one and eta^2
     # underflows, which is the log divergence of the sharp window
-    m_hi, m_lo, p_hi, p_lo = (_pow(w - edge, 2) + eta2
-                              for edge in (hi, lo, -hi, -lo))
+    m_hi, m_lo, p_hi, p_lo = _finite(
+        lambda: [(w - edge) ** 2 + eta**2 for edge in (hi, lo, -hi, -lo)], what)
     if 0.0 in (m_hi, m_lo, p_hi, p_lo):
         raise DomainError(f"{what} diverges: w is on a window edge")
     log_minus = math.log(m_hi / m_lo)

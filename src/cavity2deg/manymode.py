@@ -53,7 +53,7 @@ from typing import Sequence
 import numpy as np
 
 from .constants import CODATA2018
-from .core import _finite, _non_negative, _pow
+from .core import _finite, _non_negative
 from .exceptions import (ConvergenceError, DegenerateModeError, DomainError,
                          PreconditionError)
 
@@ -310,10 +310,8 @@ def diagonalize_w(w_matrix: np.ndarray) -> NormalModes:
             f"W must be non-empty and square, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise DomainError("W must be finite")
-    with np.errstate(over="ignore"):
-        norm_fro = float(np.linalg.norm(a))
     # an infinite tolerance would stop Jacobi at sweep 0, unrotated
-    _finite(norm_fro, "||W||_F")
+    norm_fro = _finite(lambda: float(np.linalg.norm(a)), "||W||_F")
     if norm_fro > 0 and float(np.linalg.norm(a - a.T)) > 1e-12 * norm_fro:
         raise DomainError("W must be symmetric")
     n = a.shape[0]
@@ -512,14 +510,13 @@ def _structured_modes(modes: ModeSet,
 
     D + rho P P^T equals build_w exactly; the |eps_a| = 1 that ModeSet
     checks to 1e-12 is not assumed.  The problem is scaled by a power of two
-    so the solver works near 1 whatever the units.  A D that is not finite,
-    or eigenvalues that overflow, raise DomainError.
+    so the solver works near 1 whatever the units.  A D or eigenvalues
+    past the float range raise DomainError.
     """
     pol = modes.pol
-    with np.errstate(over="ignore"):
-        d = modes.omega ** 2 + rho * (1.0 - np.einsum("ij,ij->i", pol, pol))
-    if not np.isfinite(d).all():
-        raise DomainError("W must be finite")
+    d = _finite(lambda: modes.omega ** 2
+                + rho * (1.0 - np.einsum("ij,ij->i", pol, pol)),
+                "the diagonal of W")
     scale = math.ldexp(1.0, math.frexp(max(float(d.max()), rho))[1] - 1)
     order = np.argsort(d, kind="stable")
     lam = d[order] / scale
@@ -529,11 +526,7 @@ def _structured_modes(modes: ModeSet,
         if col.any():
             lam, q, n = _rank_one_update(lam, q, col, rho / scale)
             steps.append(n)
-    with np.errstate(over="ignore"):
-        lam = lam * scale
-    if not np.isfinite(lam).all():
-        raise DomainError("eigenvalues of W overflow; rescale W")
-    return lam, q, steps
+    return _finite(lambda: lam * scale, "an eigenvalue of W"), q, steps
 
 
 def normal_modes(modes: ModeSet, omega_p: float) -> NormalModes:
@@ -585,12 +578,10 @@ def manymode_spectrum(n_gamma: Sequence[int], K: Sequence[float],
     _non_negative(kinetic_sum, "kinetic_sum")
     hbar, m_e = CODATA2018.hbar, CODATA2018.m_e
     # an overflow, or 0 * inf at omega_p = 0, ends in the _finite check
-    with np.errstate(over="ignore", invalid="ignore"):
-        proj = normal.eps_tilde @ k3
-        collective = _finite(
-            _pow(omega_p, 2) / n_electrons
-            * float(np.sum(proj**2 / normal.omega_sq)),
-            f"the collective term at K = {K.tolist()}, omega_p = {omega_p!r}")
+    collective = _finite(
+        lambda: omega_p**2 / n_electrons
+        * float(np.sum((normal.eps_tilde @ k3) ** 2 / normal.omega_sq)),
+        f"the collective term at K = {K.tolist()}, omega_p = {omega_p!r}")
     electronic = hbar**2 / (2.0 * m_e) * (kinetic_sum - collective)
     photon = hbar * float(np.sum(normal.omega * (n_gamma + 0.5)))
     return electronic + photon

@@ -33,8 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import CODATA2018
-from .core import (DerivedScales, UnitsMode, _finite, _non_negative,
-                   _positive, _pow)
+from .core import DerivedScales, UnitsMode, _finite, _non_negative, _positive
 from .exceptions import DomainError, InstabilityError, UnitModeError
 
 __all__ = [
@@ -140,17 +139,14 @@ def chi_ea_time(tau: float, scales: DerivedScales) -> float:
 def _pole_denominators(f: BroadenedFrequency, omega_t: float):
     """|w + omega_t + i eta|^2 and |w - omega_t + i eta|^2.
 
-    Squares are products, so a Python float gives inf rather than raising;
-    a probe whose square leaves the float range raises DomainError (one
+    A probe whose square leaves the float range raises DomainError (one
     check per call, for a scalar and for a whole sweep).
     """
-    w, eta = f.w, f.eta
-    with np.errstate(over="ignore"):
-        w_plus, w_minus = w + omega_t, w - omega_t
-        d_plus = w_plus * w_plus + eta * eta
-        d_minus = w_minus * w_minus + eta * eta
-    return (_finite(d_plus, "(w + omega_t)^2 + eta^2"),
-            _finite(d_minus, "(w - omega_t)^2 + eta^2"))
+    def square(shift):   # w - omega_t is w + (-omega_t), to the bit
+        w_s = f.w + shift
+        return w_s * w_s + f.eta * f.eta
+    return (_finite(lambda: square(omega_t), "(w + omega_t)^2 + eta^2"),
+            _finite(lambda: square(-omega_t), "(w - omega_t)^2 + eta^2"))
 
 
 def chi_aa_freq(f: BroadenedFrequency, scales: DerivedScales) -> ResponseValue:
@@ -183,7 +179,8 @@ def chi_ea_freq(f: BroadenedFrequency, scales: DerivedScales) -> ResponseValue:
 
 def chi_jj_freq(f: BroadenedFrequency, scales: DerivedScales) -> ResponseValue:
     """Current-current response (e^2 N/m_e)^2 * chi_AA; SI only."""
-    pref = _finite(_pow(_matter_prefactor(scales), 2),
+    matter = _matter_prefactor(scales)
+    pref = _finite(lambda: matter**2,
                    f"(e^2 N/m_e)^2 at n_electrons = "
                    f"{scales.config.n_electrons:.6g}")
     base = chi_aa_freq(f, scales)
@@ -212,10 +209,9 @@ def absorption_rate(f: BroadenedFrequency, scales: DerivedScales,
                     j_ext: float) -> float:
     """Mean absorbed power -w Im[chi_AA(w)] |J_ext|^2; non-negative."""
     val = chi_aa_freq(f, scales)
-    j_sq = _pow(_non_negative(abs(j_ext), "|j_ext|"), 2)
-    with np.errstate(over="ignore", invalid="ignore"):
-        power = -f.w * val.im * j_sq
-    return _finite(power, f"the absorbed power at j_ext = {j_ext!r}")
+    j_abs = _non_negative(abs(j_ext), "|j_ext|")
+    return _finite(lambda: -f.w * val.im * j_abs**2,
+                   f"the absorbed power at j_ext = {j_ext!r}")
 
 
 def optical_conductivity(f: BroadenedFrequency,
@@ -236,7 +232,8 @@ def optical_conductivity(f: BroadenedFrequency,
     omega_p, omega_t, eps0, _ = _mode_params(scales)
     ratio_mode = scales.config.units_mode is UnitsMode.RATIO
     field = "ratio" if ratio_mode else "omega_p"
-    omega_p4 = _finite(_pow(omega_p, 4), f"{field}^4 at {field} = {omega_p!r}")
+    omega_p4 = _finite(lambda: omega_p**4,
+                       f"{field}^4 at {field} = {omega_p!r}")
     w, eta = f.w, f.eta
     d_plus, d_minus = _pole_denominators(f, omega_t)
     lorentz = w**2 + eta**2

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence, TextIO
 import numpy as np
 
 from .constants import CODATA2018
-from .core import (DerivedScales, _finite, _non_negative, _positive, _pow,
+from .core import (DerivedScales, _finite, _non_negative, _positive,
                    dressed_frequency)
 from .exceptions import DomainError, PreconditionError
 from .io_utils import format_rows
@@ -70,7 +70,7 @@ class SpectrumIndex:
             raise DomainError(f"K and kinetic_sum must be finite, got "
                               f"K = {self.K}, kinetic_sum = {self.kinetic_sum}")
         # an overflowing |K|^2 is inf, which Cauchy-Schwarz then rejects
-        k2 = _pow(self.K[0], 2) + _pow(self.K[1], 2)
+        k2 = self.K[0] * self.K[0] + self.K[1] * self.K[1]
         # Cauchy-Schwarz: sum k_j^2 >= |sum k_j|^2 / N for any momentum list
         if self.kinetic_sum < k2 / self.n_electrons * (1.0 - 1e-12):
             raise PreconditionError(
@@ -187,7 +187,7 @@ class OccupancyGrid:
         h = radius / cells_per_radius
         # cell centers lie within reach + h/2 <= 1.5 radius of the center
         # per axis, so every square on the grid is at most 4.5 radius^2
-        _finite(4.5 * _pow(radius, 2),
+        _finite(lambda: 4.5 * radius**2,
                 f"4.5 radius^2, the grid's largest square, at radius = "
                 f"{radius!r}")
         reach = radius * DISK_MARGIN
@@ -365,12 +365,11 @@ def energy_density(m: DistributionMoments, q: tuple[float, float],
     if not (math.isfinite(qx) and math.isfinite(qy)):
         raise DomainError(f"q must be finite, got {q}")
     kx, ky = m.k_d
-    bracket = (m.t_d + 2.0 * (qx * kx + qy * ky)
-               + (_pow(qx, 2) + _pow(qy, 2)) * m.n_2d
-               - (gamma / m.n_2d) * (_pow(kx + qx * m.n_2d, 2)
-                                     + _pow(ky + qy * m.n_2d, 2)))
     return CODATA2018.hbar**2 / (2.0 * CODATA2018.m_e) * _finite(
-        bracket, f"the energy density at q = {q}")
+        lambda: (m.t_d + 2.0 * (qx * kx + qy * ky) + (qx**2 + qy**2) * m.n_2d
+                 - (gamma / m.n_2d) * ((kx + qx * m.n_2d) ** 2
+                                       + (ky + qy * m.n_2d) ** 2)),
+        f"the energy density at q = {q}")
 
 
 def optimal_origin(m: DistributionMoments) -> tuple[float, float]:

@@ -635,8 +635,16 @@ class TestStructuredModes:
     def test_overflowing_frequencies_rejected(self):
         modes = ModeSet(omega=np.array([1.0, 1e200]),
                         pol=np.tile([1.0, 0, 0], (2, 1)))
-        with pytest.raises(DomainError, match="finite"):
+        with pytest.raises(DomainError, match="diagonal of W overflows"):
             normal_modes(modes, 0.5)
+
+    def test_overflowing_eigenvalue_rejected(self):
+        # the diagonal (1e308, 1.69e308) is finite, but the two eigenvalues
+        # sum to the trace 4.69e308, so the larger one overflows
+        modes = ModeSet(omega=np.array([1e154, 1.3e154]),
+                        pol=np.tile([1.0, 0, 0], (2, 1)))
+        with pytest.raises(DomainError, match="eigenvalue of W overflows"):
+            normal_modes(modes, 1e154)
 
     def test_logs_the_path(self, caplog):
         modes = ModeSet.ladder_1d(5)
