@@ -291,15 +291,17 @@ def plasma_frequency(config: SystemConfig) -> float:
 
 def dressed_frequency(omega: float, omega_p: float) -> float:
     """Dressed (plasmon-polariton) frequency sqrt(omega^2 + omega_p^2)."""
-    return math.hypot(_positive(omega, "omega"),
-                      _non_negative(omega_p, "omega_p"))
+    return _finite(math.hypot(_positive(omega, "omega"),
+                              _non_negative(omega_p, "omega_p")),
+                   f"omega_t at omega = {omega!r}, omega_p = {omega_p!r}")
 
 
 def collective_coupling(omega: float, omega_p: float) -> float:
     """gamma = omega_p^2/(omega^2 + omega_p^2), in [0, 1) for omega > 0."""
     _positive(omega, "omega")
     _non_negative(omega_p, "omega_p")
-    return omega_p**2 / (omega**2 + omega_p**2)
+    return _finite(lambda: omega_p**2 / (omega**2 + omega_p**2),
+                   f"gamma at omega = {omega!r}, omega_p = {omega_p!r}")
 
 
 def single_particle_coupling(config: SystemConfig) -> float:
@@ -316,7 +318,9 @@ def single_particle_coupling(config: SystemConfig) -> float:
 
 def fermi_wavevector(n_2d: float) -> float:
     """k_F = sqrt(2 pi n_2d) for the spin-degenerate 2D Fermi disk."""
-    return math.sqrt(2.0 * math.pi * _non_negative(n_2d, "n_2d"))
+    _non_negative(n_2d, "n_2d")
+    return math.sqrt(_finite(lambda: 2.0 * math.pi * n_2d,
+                             f"2 pi n_2d at n_2d = {n_2d!r}"))
 
 
 def classify_phase(gamma: float) -> Phase:

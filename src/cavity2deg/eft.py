@@ -260,8 +260,10 @@ def quasiparticle_energy(k: float, ecfg: EftConfig,
         v_fermi = CODATA2018.hbar * k_f / renormalized_mass(ecfg)
     else:
         _non_negative(v_fermi, "v_fermi")
-    return (chemical_potential(ecfg, k_f)
-            + CODATA2018.hbar * v_fermi * (k - k_f))
+    return _finite(lambda: chemical_potential(ecfg, k_f)
+                   + CODATA2018.hbar * v_fermi * (k - k_f),
+                   f"the quasiparticle energy at k = {k!r}, k_fermi = "
+                   f"{k_f!r}, v_fermi = {v_fermi!r}")
 
 
 @dataclass(frozen=True)
@@ -355,7 +357,10 @@ def coupling_1d(kappa_max: float, omega: float, omega_p: float) -> float:
     _non_negative(kappa_max, "kappa_max")
     if _non_negative(omega_p, "omega_p") == 0.0:
         return 0.0
-    return (omega_p / (2.0 * omega)) * math.atan(CODATA2018.c * kappa_max / omega_p)
+    return _finite(lambda: (omega_p / (2.0 * omega))
+                   * math.atan(CODATA2018.c * kappa_max / omega_p),
+                   f"the 1D coupling at kappa_max = {kappa_max!r}, "
+                   f"omega = {omega!r}, omega_p = {omega_p!r}")
 
 
 def coupling_3d(lambda_mom: float) -> float:
@@ -418,18 +423,20 @@ def eft_chi_aa(f: BroadenedFrequency, ecfg: EftConfig) -> ResponseValue:
             edge = next(e for e in (lo, hi, -lo, -hi) if w_edge == e)
             raise PoleError(
                 f"Re chi has a log divergence at w = {edge:g} for eta = 0")
-        re = pref_re * (np.log((w - lo) ** 2 / (w - hi) ** 2)
-                        + np.log((w + lo) ** 2 / (w + hi) ** 2))
-        im = np.where((lo < w) & (w < hi), -pref_im,
-                      np.where((-hi < w) & (w < -lo), pref_im, 0.0))
-    else:
+
+    def parts():
+        # at eta = 0 each (w - edge)^2 + 0.0 is (w - edge)^2, to the bit
         eta2 = eta * eta
         re = pref_re * (
             np.log(((w - lo) ** 2 + eta2) / ((w - hi) ** 2 + eta2))
             + np.log(((w + lo) ** 2 + eta2) / ((w + hi) ** 2 + eta2)))
-        im = (pref_im / math.pi) * (
+        if eta == 0.0:
+            return re, np.where((lo < w) & (w < hi), -pref_im,
+                                np.where((-hi < w) & (w < -lo), pref_im, 0.0))
+        return re, (pref_im / math.pi) * (
             np.arctan((hi + w) / eta) - np.arctan((lo + w) / eta)
             + np.arctan((lo - w) / eta) - np.arctan((hi - w) / eta))
+    re, im = _finite(parts, f"chi_AA(w) at eta = {eta!r}")
     if np.ndim(w) == 0:
         re, im = float(re), float(im)
     return ResponseValue(ResponseKind.AA, re, im)
@@ -452,11 +459,11 @@ def appendix_integrals(w: float, eta: float,
     what = f"an appendix integral at w = {w!r}, eta = {eta!r}"
     at_minus = math.atan((hi - w) / eta) - math.atan((lo - w) / eta)
     at_plus = math.atan((hi + w) / eta) - math.atan((lo + w) / eta)
-    # squared distances to the edges; 0 where w sits on one and eta^2
-    # underflows, which is the log divergence of the sharp window
+    # squared distances to the edges; one, or a quotient of two, is 0 where
+    # w sits on an edge and eta^2 underflows: the sharp window's log pole
     m_hi, m_lo, p_hi, p_lo = _finite(
         lambda: [(w - edge) ** 2 + eta**2 for edge in (hi, lo, -hi, -lo)], what)
-    if 0.0 in (m_hi, m_lo, p_hi, p_lo):
+    if 0.0 in (m_lo, p_lo) or 0.0 in (m_hi / m_lo, p_hi / p_lo):
         raise DomainError(f"{what} diverges: w is on a window edge")
     log_minus = math.log(m_hi / m_lo)
     log_plus = math.log(p_hi / p_lo)

@@ -648,7 +648,9 @@ def lowest_mode_scan(ratios: Sequence[float],
             lam = float(_secular_eig(d, z, r, 1)[0][0])
         # x/(1 + x), 1.0 where x overflows
         frac = _coupling_fraction(rho * float(np.sum(1.0 / (d[1:] - lam))))
+        # (edge - Omega)/edge = frac rho/((1 + rho) + edge Omega): rounding
+        # is monotone, so each factor is <= 1 and the row <= 100
         edge = math.sqrt(1.0 + rho)
-        gap = rho * frac / (edge + math.sqrt(lam))      # edge - Omega
-        rows[i] = (ratio, 100.0 * gap / edge)
+        rows[i] = (ratio, 100.0 * (frac * (rho / ((1.0 + rho)
+                                                  + edge * math.sqrt(lam)))))
     return rows

@@ -124,8 +124,7 @@ def chi_aa_time(tau: float, scales: DerivedScales) -> float:
     _, omega_t, eps0, volume = _mode_params(scales)
     if tau < 0:
         return 0.0
-    return (-math.sin(omega_t * _non_negative(tau, "tau"))
-            / (eps0 * volume * omega_t))
+    return -math.sin(_phase(omega_t, tau)) / (eps0 * volume * omega_t)
 
 
 def chi_ea_time(tau: float, scales: DerivedScales) -> float:
@@ -133,7 +132,13 @@ def chi_ea_time(tau: float, scales: DerivedScales) -> float:
     _, omega_t, eps0, volume = _mode_params(scales)
     if tau < 0:
         return 0.0
-    return math.cos(omega_t * _non_negative(tau, "tau")) / (eps0 * volume)
+    return math.cos(_phase(omega_t, tau)) / (eps0 * volume)
+
+
+def _phase(omega_t: float, tau: float) -> float:
+    """omega_t tau for a time tau >= 0, which must stay finite."""
+    _non_negative(tau, "tau")
+    return _finite(lambda: omega_t * tau, f"omega_t tau at tau = {tau!r}")
 
 
 def _pole_denominators(f: BroadenedFrequency, omega_t: float):
@@ -236,21 +241,26 @@ def optical_conductivity(f: BroadenedFrequency,
                        f"{field}^4 at {field} = {omega_p!r}")
     w, eta = f.w, f.eta
     d_plus, d_minus = _pole_denominators(f, omega_t)
-    lorentz = w**2 + eta**2
-    drude_re = eps0 * eta * omega_p**2 / lorentz
-    drude_im = eps0 * w * omega_p**2 / lorentz
-    pref = eps0 * omega_p4 / (2.0 * omega_t * lorentz)
-    re = drude_re - eta * pref * ((2.0 * w + omega_t) / d_plus
-                                  - (2.0 * w - omega_t) / d_minus)
-    im = drude_im - pref * ((w**2 - eta**2 + w * omega_t) / d_plus
-                            - (w**2 - eta**2 - w * omega_t) / d_minus)
+
+    def parts():
+        lorentz = w**2 + eta**2
+        drude_re = eps0 * eta * omega_p**2 / lorentz
+        drude_im = eps0 * w * omega_p**2 / lorentz
+        pref = eps0 * omega_p4 / (2.0 * omega_t * lorentz)
+        re = drude_re - eta * pref * ((2.0 * w + omega_t) / d_plus
+                                      - (2.0 * w - omega_t) / d_minus)
+        im = drude_im - pref * ((w**2 - eta**2 + w * omega_t) / d_plus
+                                - (w**2 - eta**2 - w * omega_t) / d_minus)
+        return re, im
+    re, im = _finite(parts, f"sigma(w) at eta = {eta!r}")
     return ResponseValue(ResponseKind.SIGMA, re, im)
 
 
 def sigma0_dc(scales: DerivedScales, eta: float) -> float:
     """Free-gas Drude DC value sigma0 = eps0 omega_p^2/eta."""
     omega_p, _, eps0, _ = _mode_params(scales)
-    return eps0 * omega_p**2 / _positive(eta, "eta")
+    _positive(eta, "eta")
+    return _finite(lambda: eps0 * omega_p**2 / eta, f"sigma0 at eta = {eta!r}")
 
 
 def dc_conductivity(gamma: float, sigma0: float) -> float:

@@ -103,8 +103,10 @@ def eigenenergy_no_a2(idx: SpectrumIndex, omega: float,
     gamma' = omega_p^2/omega^2, which is unbounded: the witness built on it
     shows the absence of a ground state.
     """
-    return _eigenenergy(idx, omega, (_non_negative(omega_p, "omega_p")
-                                     / _positive(omega, "omega")) ** 2)
+    _non_negative(omega_p, "omega_p")
+    _positive(omega, "omega")
+    return _finite(lambda: _eigenenergy(idx, omega, (omega_p / omega) ** 2),
+                   f"the energy at omega = {omega!r}, omega_p = {omega_p!r}")
 
 
 def _eigenenergy(idx: SpectrumIndex, omega: float, coupling: float) -> float:
@@ -120,7 +122,9 @@ def _eigenenergy(idx: SpectrumIndex, omega: float, coupling: float) -> float:
 def ground_photon_occupation(omega: float, omega_p: float) -> float:
     """Virtual photon number in the ground state: (omega_t - omega)^2/(2 omega omega_t)."""
     omega_t = dressed_frequency(omega, omega_p)
-    return (omega_t - omega) ** 2 / (2.0 * omega * omega_t)
+    return _finite(lambda: (omega_t - omega) ** 2 / (2.0 * omega * omega_t),
+                   f"the photon number at omega = {omega!r}, "
+                   f"omega_p = {omega_p!r}")
 
 
 @dataclass(frozen=True)
@@ -186,10 +190,11 @@ class OccupancyGrid:
             raise DomainError("cells_per_radius must be at least 2")
         h = radius / cells_per_radius
         # cell centers lie within reach + h/2 <= 1.5 radius of the center
-        # per axis, so every square on the grid is at most 4.5 radius^2
-        _finite(lambda: 4.5 * radius**2,
-                f"4.5 radius^2, the grid's largest square, at radius = "
-                f"{radius!r}")
+        # per axis, so every square on the grid is at most 4.5 radius^2; the
+        # cell area h^2, which divides each overlap, must not underflow to 0
+        _finite(lambda: 4.5 * radius**2 / (h * h),
+                f"4.5 radius^2, the grid's largest square, over the cell "
+                f"area h^2 at radius = {radius!r}")
         reach = radius * DISK_MARGIN
         # past 2**53 cells from the origin the cell indices are no longer
         # exact floats; NaN and inf fail the comparison too
@@ -253,55 +258,15 @@ class OccupancyGrid:
         return cls(kx, ky, f)
 
 
-def _disk_cell_overlap(x0: float, x1: float, y0: float, y1: float,
-                       radius: float) -> float:
-    """Exact area of [x0,x1]x[y0,y1] intersected with the origin-centered disk."""
-    a = max(x0, -radius)
-    b = min(x1, radius)
-    if b <= a:
-        return 0.0
-
-    def phi(x: float) -> float:
-        # antiderivative of sqrt(R^2 - x^2)
-        t = max(radius * radius - x * x, 0.0)
-        s = math.sqrt(t)
-        return 0.5 * (x * s + radius * radius
-                      * math.asin(min(1.0, max(-1.0, x / radius))))
-
-    def chord(t: float, lo: float, hi: float) -> float:
-        # integral over [lo, hi] of min(t, sqrt(R^2 - x^2)), t >= 0
-        if hi <= lo:
-            return 0.0
-        if t >= radius:
-            return phi(hi) - phi(lo)
-        xc = math.sqrt(radius * radius - t * t)
-        total = 0.0
-        left_hi = min(hi, -xc)
-        if left_hi > lo:
-            total += phi(left_hi) - phi(lo)
-        mid_lo, mid_hi = max(lo, -xc), min(hi, xc)
-        if mid_hi > mid_lo:
-            total += t * (mid_hi - mid_lo)
-        right_lo = max(lo, xc)
-        if hi > right_lo:
-            total += phi(hi) - phi(right_lo)
-        return total
-
-    def clip_integral(y: float) -> float:
-        if y == 0.0:
-            return 0.0
-        return math.copysign(chord(abs(y), a, b), y)
-
-    return clip_integral(y1) - clip_integral(y0)
-
-
 def _disk_cell_overlaps(x0: np.ndarray, x1: np.ndarray, y0: np.ndarray,
                         y1: np.ndarray, radius: float) -> np.ndarray:
-    """``_disk_cell_overlap`` over arrays of cells, in one numpy pass.
+    """Exact areas of the cells [x0,x1]x[y0,y1] inside the origin-centered
+    disk, in one numpy pass.
 
-    Each branch of the scalar function becomes a mask, and every term is
-    the same expression on the same operands, so a cell's area differs from
-    the scalar one only where numpy's arcsin and math.asin round apart.
+    Each branch of the scalar oracle ``_disk_cell_overlap`` in
+    tests/test_singlemode.py becomes a mask, and every term is the same
+    expression on the same operands, so a cell's area differs from the
+    scalar one only where numpy's arcsin and math.asin round apart.
     Both cancel in phi(hi) - phi(lo) ~ R^2 for a cell of area h^2, so either
     is accurate to a few eps * (R/h)^2 relative.
     """
@@ -375,7 +340,8 @@ def energy_density(m: DistributionMoments, q: tuple[float, float],
 def optimal_origin(m: DistributionMoments) -> tuple[float, float]:
     """Energy-minimizing rigid shift q0 = -K_d/n_2d (independent of gamma < 1)."""
     _positive(m.n_2d, "the density m.n_2d")
-    return (-m.k_d[0] / m.n_2d, -m.k_d[1] / m.n_2d)
+    return _finite(lambda: (-m.k_d[0] / m.n_2d, -m.k_d[1] / m.n_2d),
+                   f"-k_d/n_2d at k_d = {m.k_d}, n_2d = {m.n_2d!r}")
 
 
 def instability_witness(m: DistributionMoments, gamma: float,

@@ -922,11 +922,25 @@ class TestLowestModeScan:
     @pytest.mark.filterwarnings("error")
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 500), st.floats(-324.0, 154.1))
+    # 100 * gap / edge once rounded past edge here: 100.00000000000003
+    @example(3, 23.035456833789)
     def test_any_accepted_ratio_property(self, m, exponent):
         # every ratio whose square is finite, subnormal ones included; the
         # row is a percentage, to its two roundings
         row = lowest_mode_scan([10.0 ** exponent], n_modes=m)[0, 1]
         assert 0.0 <= row <= 100.0 + np.spacing(100.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_seeded_rows_stay_within_100(self):
+        # the same range as the property, on a fixed draw: each factor of
+        # 100 frac rho / ((1 + rho) + edge Omega) is <= 1 after rounding,
+        # so no row passes 100.  The form 100 (edge - Omega) / edge put 56
+        # of these 2,100 rows above it
+        rng = np.random.default_rng(2006_09236)
+        for m in [*range(1, 40), 100, 200, 500]:
+            ratios = 10.0 ** rng.uniform(-324.0, 154.1, 50)
+            rows = lowest_mode_scan(ratios.tolist(), n_modes=m)[:, 1]
+            assert 0.0 <= rows.min() and rows.max() <= 100.0, m
 
     def test_matches_dense_solvers(self):
         # the secular root against the lowest eigenvalue of the dense W from

@@ -3,33 +3,41 @@
 Every closed form that takes a positive or non-negative scalar rejects NaN
 and +-inf for it with a DomainError that names the argument, instead of
 returning NaN (NaN fails every ``x <= 0`` comparison) or raising a bare
-ValueError; so does a signed scalar inside a tuple or a sequence.  A finite
-argument whose square leaves the float range raises a named DomainError
-too, not a bare OverflowError.
+ValueError; so does a signed scalar inside a tuple or a sequence.  Finite
+arguments anywhere in the float range give finite numbers or a
+Cavity2degError, never inf, NaN, a bare OverflowError or a RuntimeWarning;
+a result past the float range is a DomainError that names the arguments.
 """
 
+import dataclasses
+import enum
 import math
 import re
 from functools import partial
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cavity2deg
-from cavity2deg import (BroadenedFrequency, DerivedScales,
+from cavity2deg import (BroadenedFrequency, Cavity2degError, DerivedScales,
                         DistributionMoments, DomainError, EftConfig, ModeSet,
                         OccupancyGrid, PreconditionError, SpectrumIndex,
                         SystemConfig,
-                        absorption_rate, appendix_integrals, chemical_potential,
-                        chi_aa_time, chi_ea_time, classify_phase,
-                        collective_coupling, constants, core, coupling_1d,
-                        coupling_3d, dc_conductivity, dressed_frequency,
-                        drude_effective_mass, eft, eigenenergy,
-                        eigenenergy_no_a2,
+                        absorption_rate, appendix_integrals,
+                        casimir_energy_density, casimir_pressure,
+                        chemical_potential, chi_aa_time, chi_ea_time,
+                        classify_phase, collective_coupling, constants, core,
+                        coupling_1d, coupling_3d, dc_conductivity,
+                        dressed_frequency, drude_effective_mass, eft,
+                        eft_chi_aa, eigenenergy, eigenenergy_no_a2,
                         energy_density, exceptions, fermi_wavevector,
                         ground_photon_occupation, instability_witness,
                         manymode, manymode_spectrum, mass_3d, normal_modes,
-                        optimal_origin, quasiparticle_energy, response,
-                        sigma0_dc, singlemode)
+                        optical_conductivity, optimal_origin,
+                        quasiparticle_energy, response, sigma0_dc,
+                        singlemode)
 
 SYSTEM = SystemConfig.si(n_electrons=100_000_000, area=1e-8, mirror_gap=1e-6)
 SCALES = DerivedScales(SYSTEM)
@@ -38,16 +46,16 @@ MOMENTS = DistributionMoments(t_d=1.0, k_d=(0.5, 0.0), n_2d=1.0)
 PROBE = BroadenedFrequency(1e13, 1e11)
 
 
-def _moments(n_2d):
-    return DistributionMoments(t_d=1.0, k_d=(0.5, 0.0), n_2d=n_2d)
+def _moments(n_2d, k_d=0.5):
+    return DistributionMoments(t_d=1.0, k_d=(k_d, 0.0), n_2d=n_2d)
 
 
 def energy_density_at(n_2d):
     return energy_density(_moments(n_2d), (0.0, 0.0), 0.5)
 
 
-def optimal_origin_at(n_2d):
-    return optimal_origin(_moments(n_2d))
+def optimal_origin_at(n_2d, k_d):
+    return optimal_origin(_moments(n_2d, k_d))
 
 
 def instability_witness_at(n_2d):
@@ -83,6 +91,14 @@ def ladder_spectrum_at(K):
     return manymode_spectrum((0, 1), (K, 0.0), 1.0, LADDER_MODES, 0.5, 10)
 
 
+def optical_conductivity_at(w, eta):
+    return optical_conductivity(BroadenedFrequency(w, eta), SCALES)
+
+
+def eft_chi_aa_at(w, eta):
+    return eft_chi_aa(BroadenedFrequency(w, eta), ECFG)
+
+
 def electron_pair_at(K):
     # two electrons at (K, 0): K sums to 2 K and kinetic_sum to 2 K^2
     return SpectrumIndex.from_momenta([(K, 0.0), (K, 0.0)])
@@ -105,7 +121,7 @@ DOMAINS = [
     (OccupancyGrid.disk, {"radius": 1.0, "fill": 1.0}),
     (partial(energy_density, MOMENTS, (0.0, 0.0)), {"gamma": 0.5}),
     (energy_density_at, {"n_2d": 1.0}),
-    (optimal_origin_at, {"n_2d": 1.0}),
+    (optimal_origin_at, {"n_2d": 1.0, "k_d": 0.5}),
     (partial(instability_witness, MOMENTS, qx_values=[0.0, 1.0]),
      {"gamma": 1.5}),
     (instability_witness_at, {"n_2d": 1.0}),
@@ -131,6 +147,10 @@ DOMAINS = [
              normal=LADDER_MODES, n_electrons=10),
      {"kinetic_sum": 1.0, "omega_p": 0.5}),
     (ladder_spectrum_at, {"K": 1.0}),
+    (optical_conductivity_at, {"w": 1e13, "eta": 1e11}),
+    (eft_chi_aa_at, {"w": 1e15, "eta": 1e13}),
+    (partial(casimir_energy_density, ECFG), {"lambda0": 4.0}),
+    (partial(casimir_pressure, ECFG), {"lambda0": 4.0}),
 ]
 
 
@@ -184,6 +204,97 @@ def test_overflowing_finite_argument_is_a_named_domain_error(func, args,
         func(**args)
     assert re.search(rf"\b{re.escape(name)}\b", str(info.value)), (
         str(info.value))
+
+
+# the rows of DOMAINS by name, for drawing and pinning whole calls
+ROWS = {_label(func): (func, valid) for func, valid in DOMAINS}
+assert len(ROWS) == len(DOMAINS)
+# log-uniform over +-[1e-320, 1.6e308], and 0
+FINITE_DOUBLES = st.one_of(
+    st.just(0.0),
+    st.builds(math.copysign,
+              st.floats(-320.0, math.log10(1.6e308)).map(lambda e: 10.0**e),
+              st.sampled_from([1.0, -1.0])))
+
+# finite calls that once returned inf or NaN or raised a bare
+# OverflowError, ZeroDivisionError, ValueError or RuntimeWarning: a DOMAINS
+# row and the leading values of its arguments
+RANGE_HOLES = [
+    ("collective_coupling", (2.4e245, 2.2e221)),
+    ("collective_coupling", (2.6e-253, 0.0)),
+    ("dressed_frequency", (1.6e308, 1.6e308)),
+    ("fermi_wavevector", (8.3e307,)),
+    ("ground_photon_occupation", (5e-76, 4e217)),
+    ("ground_photon_occupation", (1.27e-179, 0.0)),
+    ("eigenenergy_no_a2", (1.0, 1e160)),
+    ("eigenenergy_no_a2", (1e-200, 1e200)),
+    ("optimal_origin_at", (1e-250, 1e100)),
+    ("OccupancyGrid.disk", (8.76e-161,)),    # the cell area h^2 underflows
+    ("chi_aa_time", (7.4e300,)),
+    ("chi_ea_time", (7.4e300,)),
+    ("sigma0_dc", (2.6e-309,)),
+    ("optical_conductivity_at", (7e-158, 5.5e-147)),
+    ("quasiparticle_energy", (1.8e244, 1e-65, 8e122)),
+    ("coupling_1d", (1.0, 2.9e-233, 1.6e137)),
+    ("casimir_energy_density", (8.2e200,)),
+    ("casimir_pressure", (2.15e201,)),
+    ("eft_chi_aa_at", (0.0, 7.9e262)),
+    ("eft_chi_aa_at", (1.1e253, 1.1e-275)),
+    # w on ECFG's upper window edge: (w - hi)^2 / (w - lo)^2 underflows
+    ("appendix_integrals", (2 * 941842679448014.2, 1e-160)),
+]
+
+
+def _call(label, values):
+    func, valid = ROWS[label]
+    return func(**{**valid, **dict(zip(valid, values))})
+
+
+def _all_finite(out) -> bool:
+    """Every number in a result is finite: floats, arrays, tuples and the
+    fields of a record or a grid."""
+    if isinstance(out, OccupancyGrid):
+        out = (out.kx, out.ky, out.f)
+    elif dataclasses.is_dataclass(out):
+        out = tuple(getattr(out, f.name) for f in dataclasses.fields(out))
+    if isinstance(out, tuple):
+        return all(map(_all_finite, out))
+    return isinstance(out, enum.Enum) or bool(np.isfinite(out).all())
+
+
+def _pin_range_holes(test):
+    """An @example for every call of RANGE_HOLES."""
+    for label, values in RANGE_HOLES:
+        test = example(label, list(values))(test)
+    return test
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(ROWS)),
+       st.lists(FINITE_DOUBLES, min_size=3, max_size=3))
+@_pin_range_holes
+def test_finite_arguments_give_finite_results_property(label, values):
+    # every float argument of the row at once; a typed error is an answer,
+    # inf, NaN, a bare exception or a RuntimeWarning is not
+    try:
+        out = _call(label, values)
+    except Cavity2degError:
+        return
+    assert _all_finite(out), (label, values, out)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("label, values", RANGE_HOLES,
+                         ids=[f"{label}-{values}"
+                              for label, values in RANGE_HOLES])
+def test_range_hole_is_a_named_domain_error(label, values):
+    # the message names every argument the call sets
+    with pytest.raises(DomainError) as info:
+        _call(label, values)
+    for name in list(ROWS[label][1])[:len(values)]:
+        assert re.search(rf"\b{re.escape(name)}\b", str(info.value)), (
+            name, str(info.value))
 
 
 def test_overflowing_momentum_fails_cauchy_schwarz():

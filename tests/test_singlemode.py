@@ -32,10 +32,54 @@ from cavity2deg import (
     instability_witness,
     optimal_origin,
 )
-from cavity2deg.singlemode import _disk_cell_overlap, _disk_cell_overlaps
+from cavity2deg.singlemode import _disk_cell_overlaps
 
 HBAR = CODATA2018.hbar
 M_E = CODATA2018.m_e
+
+
+def _disk_cell_overlap(x0: float, x1: float, y0: float, y1: float,
+                       radius: float) -> float:
+    """Exact area of [x0,x1]x[y0,y1] intersected with the origin-centered
+    disk, one cell at a time: the oracle of the one-pass
+    ``singlemode._disk_cell_overlaps``."""
+    a = max(x0, -radius)
+    b = min(x1, radius)
+    if b <= a:
+        return 0.0
+
+    def phi(x: float) -> float:
+        # antiderivative of sqrt(R^2 - x^2)
+        t = max(radius * radius - x * x, 0.0)
+        s = math.sqrt(t)
+        return 0.5 * (x * s + radius * radius
+                      * math.asin(min(1.0, max(-1.0, x / radius))))
+
+    def chord(t: float, lo: float, hi: float) -> float:
+        # integral over [lo, hi] of min(t, sqrt(R^2 - x^2)), t >= 0
+        if hi <= lo:
+            return 0.0
+        if t >= radius:
+            return phi(hi) - phi(lo)
+        xc = math.sqrt(radius * radius - t * t)
+        total = 0.0
+        left_hi = min(hi, -xc)
+        if left_hi > lo:
+            total += phi(left_hi) - phi(lo)
+        mid_lo, mid_hi = max(lo, -xc), min(hi, xc)
+        if mid_hi > mid_lo:
+            total += t * (mid_hi - mid_lo)
+        right_lo = max(lo, xc)
+        if hi > right_lo:
+            total += phi(hi) - phi(right_lo)
+        return total
+
+    def clip_integral(y: float) -> float:
+        if y == 0.0:
+            return 0.0
+        return math.copysign(chord(abs(y), a, b), y)
+
+    return clip_integral(y1) - clip_integral(y0)
 
 
 def overlap_quad_oracle(x0, x1, y0, y1, radius):
