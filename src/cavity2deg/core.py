@@ -252,18 +252,25 @@ def _finite(x, what: str):
     check, for a scalar and for a whole array.
 
     x may be a function of no arguments, which is evaluated here with
-    numpy's floating-point warnings off; a Python float that raises
-    OverflowError or ZeroDivisionError there has left the range too.
+    numpy's floating-point warnings off; a Python float or int that raises
+    OverflowError there has left the range too.  A NaN, or a Python float
+    division by zero (0/0 once both sides underflow, say), is worded as
+    undefined rather than as an overflow.
     """
     if callable(x):
         try:
             with np.errstate(all="ignore"):
                 x = x()
-        except (OverflowError, ZeroDivisionError):
+        except OverflowError:
             x = math.inf
+        except ZeroDivisionError:
+            x = math.nan
     # math.isfinite takes a float (numpy's too) ~50x faster than np.isfinite
     if not (math.isfinite(x) if isinstance(x, float)
             else np.isfinite(x).all()):
+        if np.isnan(x).any():
+            raise DomainError(f"{what} is undefined after rounding (NaN, or "
+                              f"a division by zero)")
         raise DomainError(f"{what} overflows the float range")
     return x
 

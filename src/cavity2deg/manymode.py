@@ -26,7 +26,12 @@ omega_p^2 (1 - |eps_a|^2)), a diagonal plus an update of rank <= 3.
 normal_modes applies it as up to three rank-one updates of a diagonal, one
 per nonzero column of P; each update deflates (LAPACK dlaed2), solves all
 its secular roots at once and takes its eigenvectors from the Loewner
-vector (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995).
+vector (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995).  Its arrays
+are small (M ~ 24 in the benchmark), so a step's cost is numpy calls, not
+flops: the step writes its operands into buffers allocated once per solve,
+and the three sums over each row's terms come from one reduction of one
+buffer.  The tests keep the one-array-per-intermediate solver that this
+replaced and require the same bytes and the same step counts from both.
 
 For arbitrary W the eigensolver is a hand-implemented Jacobi method with a
 skip threshold, as high relative accuracy on symmetric matrices matters more
@@ -159,12 +164,20 @@ def _ladder_omega(n_modes: int, omega_fundamental: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class NormalModes:
-    """Sorted eigenpairs of W; ``eps_tilde`` is attached by normal_modes()."""
+    """Sorted eigenpairs of W; ``eps_tilde`` is attached by normal_modes().
+
+    The solver's work: ``sweeps``, ``rotations`` applied and
+    ``skipped_rounds`` of Jacobi (all 0 on the structured path), and the
+    secular steps of each rank-one update (``()`` from Jacobi).
+    """
 
     omega_sq: np.ndarray          # (M,) ascending
     u: np.ndarray                 # (M, M) orthogonal, columns are eigenvectors
     sweeps: int
     eps_tilde: np.ndarray | None = None   # (M, 3) rotated polarizations
+    rotations: int = 0
+    skipped_rounds: int = 0
+    secular_steps: tuple[int, ...] = ()
 
     @cached_property
     def omega(self) -> np.ndarray:
@@ -328,22 +341,26 @@ def diagonalize_w(w_matrix: np.ndarray) -> NormalModes:
         raise ConvergenceError(
             f"Jacobi did not reach tol {OFFDIAG_TOL_FACTOR:g}*||W||_F "
             f"in {MAX_SWEEPS} sweeps (M = {n})")
+    nm = _normal_form(np.diag(a).copy(), av[1].T, sweeps,
+                      rotations=rotations, skipped_rounds=skipped)
     _log.debug("diagonalize_w: jacobi, M = %d, sweeps = %d, rotations = %d, "
-               "skipped rounds = %d", n, sweeps, rotations, skipped)
-    return _normal_form(np.diag(a).copy(), av[1].T, sweeps)
+               "skipped rounds = %d", n, nm.sweeps, nm.rotations,
+               nm.skipped_rounds)
+    return nm
 
 
-def _normal_form(eigvals: np.ndarray, v: np.ndarray,
-                 sweeps: int) -> NormalModes:
+def _normal_form(eigvals: np.ndarray, v: np.ndarray, sweeps: int,
+                 **counters) -> NormalModes:
     """Eigenpairs in ascending order, each eigenvector sign-fixed so that its
-    largest-magnitude component is positive."""
+    largest-magnitude component is positive; ``counters`` are the solver's
+    other NormalModes fields."""
     order = np.argsort(eigvals, kind="stable")
     eigvals = eigvals[order]
     v = v[:, order]
     lead = np.argmax(np.abs(v), axis=0)
     flip = v[lead, np.arange(v.shape[1])] < 0
     v[:, flip] *= -1.0
-    return NormalModes(omega_sq=eigvals, u=v, sweeps=sweeps)
+    return NormalModes(omega_sq=eigvals, u=v, sweeps=sweeps, **counters)
 
 
 def rotated_polarizations(modes: ModeSet, u: np.ndarray) -> np.ndarray:
@@ -388,60 +405,85 @@ def _secular_eig(d: np.ndarray, z: np.ndarray, rho: float,
     """
     k = d.size
     m = k if count is None else count
+    full = m == k   # the last root is solved, and its row overridden below
     s = rho * z * z
     ar = np.arange(m)
-    last = ar == k - 1
     nxt = np.minimum(ar + 1, k - 1)
     # midpoint of each root's interval, or d_K + rho for the last root
-    probe = np.append(0.5 * np.diff(d), rho)[:m]
+    probe = np.concatenate((0.5 * (d[1:] - d[:-1]), [rho]))[:m]
     # s without the interval poles of each root: columns i and i + 1 of row i
-    s_rest = np.tile(s, (m, 1))
+    s_rest = np.empty((m, k))
+    s_rest[...] = s
     s_rest[ar, ar] = 0.0
     s_rest[ar, nxt] = 0.0
     s_l = s[:m]
-    s_r = np.where(last, 0.0, s[nxt])
+    s_r = s[nxt]
+    if full:
+        s_r[-1] = 0.0
     c = 1.0 + (s_rest / (d - d[:m, None] - probe[:, None])).sum(axis=1)
-    right = (c + (s_r - s_l) / probe < 0.0) & ~last   # f(mid) < 0
+    right = c + (s_r - s_l) / probe < 0.0     # f(mid) < 0
+    if full:
+        right[-1] = False
     origin = ar + right
     delta = d - d[origin, None]               # delta[i, j] = d_j - d_origin
     d_l = delta[ar, ar]
-    d_r = np.where(last, 0.0, delta[ar, nxt])
-    slope_b = np.where(last, 0.0, -1.0)       # d(d_r - tau)/dtau
+    d_r = delta[ar, nxt]                      # +0.0 on the last row
+    slope_b = np.full(m, -1.0)                # d(d_r - tau)/dtau
     lo = np.where(right, -probe, 0.0)
-    # the last root reaches d_K + rho when the other z_j vanish
-    hi = np.where(right, 0.0, np.where(last, 2.0 * rho, probe))
+    hi = np.where(right, 0.0, probe)
     # c (d_l - tau)(d_r - tau) + s_l (d_r - tau) + s_r (d_l - tau) = 0, as
     # A tau^2 - B tau + C with one of d_l, d_r zero; linear for the last
-    qa = np.where(last, 0.0, c)
-    qb = np.where(last, c, c * (d_l + d_r) + s_l + s_r)
-    qc = np.where(last, s_l, s_l * d_r + s_r * d_l)
+    qa = c.copy()
+    qb = c * (d_l + d_r) + s_l + s_r
+    qc = s_l * d_r + s_r * d_l
+    if full:
+        slope_b[-1] = 0.0
+        # the last root reaches d_K + rho when the other z_j vanish
+        hi[-1] = 2.0 * rho
+        qa[-1], qb[-1], qc[-1] = 0.0, c[-1], s_l[-1]
     q = qb + np.copysign(np.sqrt(np.abs(qb * qb - 4.0 * qa * qc)), qb)
     near = 2.0 * qc / q
     far = np.divide(q, 2.0 * qa, out=np.full(m, np.nan), where=qa != 0.0)
     tau = np.where((lo < near) & (near < hi), near,
                    np.where((lo < far) & (far < hi), far, 0.5 * (lo + hi)))
+    s_slope = s_l * slope_b
     active = np.ones(m, dtype=bool)
+    # one step's operands: den[i, j] = d_j - lam_i, and the terms
+    # s_j / den, s_j / den^2 and |s_j / den| in one buffer, summed by one
+    # reduction over j (the same pairwise sum as three row sums)
+    den = np.empty((m, k))
+    terms = np.empty((3, m, k))
+    term = terms[0]
+    newton = np.empty(m)
     for steps in range(1, MAX_SECULAR_STEPS + 1):
-        den = delta - tau[:, None]
-        term = s_rest / den
-        rest = 1.0 + term.sum(axis=1)
+        np.subtract(delta, tau[:, None], out=den)
+        np.divide(s_rest, den, out=term)
+        np.divide(term, den, out=terms[1])
+        np.abs(term, out=terms[2])
+        sums = np.add.reduce(terms, axis=2)
+        rest = 1.0 + sums[0]
         a = d_l - tau
-        b = np.where(last, 1.0, d_r - tau)
+        b = d_r - tau
+        if full:
+            b[-1] = 1.0
         ab = a * b
         g = ab * rest + s_l * b + s_r * a
-        bound = (np.abs(ab) * (1.0 + np.abs(term).sum(axis=1))
+        bound = (np.abs(ab) * (1.0 + sums[2])
                  + s_l * np.abs(b) + s_r * np.abs(a))
         # the trailing terms stay in this order: hoisting them regroups the
         # sum and changes the bits
-        dg = ((slope_b * a - b) * rest + ab * (term / den).sum(axis=1)
-              + s_l * slope_b - s_r)
-        lo = np.where(g > 0.0, tau, lo)
-        hi = np.where(g < 0.0, tau, hi)
-        step = tau - np.divide(g, dg, out=np.full(m, np.inf), where=dg != 0.0)
+        dg = ((slope_b * a - b) * rest + ab * sums[1] + s_slope - s_r)
+        np.copyto(lo, tau, where=g > 0.0)
+        np.copyto(hi, tau, where=g < 0.0)
+        newton.fill(np.inf)
+        np.divide(g, dg, out=newton, where=dg != 0.0)
+        step = tau - newton
         inside = (lo < step) & (step < hi)
         mid = 0.5 * (lo + hi)
-        collapsed = ~inside & ((mid <= lo) | (mid >= hi))
-        active &= (np.abs(g) > 8.0 * EPS * bound) & ~collapsed
+        # a root whose bracket has collapsed stops: the midpoint is no
+        # longer strictly inside it
+        active &= (np.abs(g) > 8.0 * EPS * bound) & (
+            inside | ((lo < mid) & (mid < hi)))
         if not active.any():
             break
         tau = np.where(active, np.where(inside, step, mid), tau)
@@ -475,15 +517,17 @@ def _rank_one_update(lam: np.ndarray, q: np.ndarray, p: np.ndarray,
     ``_secular_eig`` and its eigenvectors are multiplied into Q.
     """
     z = q.T @ p
-    norm = float(np.linalg.norm(z))
+    norm = math.sqrt(z @ z)   # the bits of np.linalg.norm(z)
     rho *= norm * norm
     z /= norm
     tol = 8.0 * EPS * max(float(np.abs(lam).max()), rho)
     keep = rho * np.abs(z) > tol
-    idx = np.flatnonzero(keep)
+    idx = keep.nonzero()[0]
+    lam_kept = lam[idx]
     # |c s| <= 1/2, so only neighbours within 2 tol can deflate; a rotation
     # moves both lam of its pair inside their interval, so no other gap shrinks
-    for i in np.flatnonzero(np.diff(lam[idx]) <= 2.0 * tol).tolist():
+    close = lam_kept[1:] - lam_kept[:-1] <= 2.0 * tol
+    for i in close.nonzero()[0].tolist():
         pj, nj = idx[i], idx[i + 1]
         r = math.hypot(z[pj], z[nj])
         c, s = z[nj] / r, -z[pj] / r
@@ -493,11 +537,15 @@ def _rank_one_update(lam: np.ndarray, q: np.ndarray, p: np.ndarray,
             lam[pj], lam[nj] = (lam[pj] * c * c + lam[nj] * s * s,
                                 lam[pj] * s * s + lam[nj] * c * c)
             keep[pj] = False
-    idx = np.flatnonzero(keep)
-    steps = 0
-    if idx.size:
-        lam[idx], v, steps = _secular_eig(lam[idx], z[idx], rho)
-        q[:, idx] = q[:, idx] @ v
+    if keep.all():   # nothing deflated: no gather or scatter
+        lam, v, steps = _secular_eig(lam, z, rho)
+        q = q @ v
+    else:
+        idx = keep.nonzero()[0]
+        steps = 0
+        if idx.size:
+            lam[idx], v, steps = _secular_eig(lam[idx], z[idx], rho)
+            q[:, idx] = q[:, idx] @ v
     order = np.argsort(lam, kind="stable")
     return lam[order], q[:, order], steps
 
@@ -533,15 +581,16 @@ def normal_modes(modes: ModeSet, omega_p: float) -> NormalModes:
     """Normal modes of build_w(modes, omega_p) with rotated polarizations.
 
     W = D + omega_p^2 P P^T is solved by its rank <= 3 structure (see
-    ``_structured_modes``) in O(M^2) per update plus one GEMM, and
-    ``sweeps`` is 0: no Jacobi sweep ran.  ``diagonalize_w`` on the dense W
+    ``_structured_modes``) in O(M^2) per update plus one GEMM;
+    ``secular_steps`` holds the steps of each update, and ``sweeps`` is 0:
+    no Jacobi sweep ran.  ``diagonalize_w`` on the dense W
     is the oracle for this path.  Eigenvalues ascend and each eigenvector's
     largest-magnitude component is positive.
     """
     lam, u, steps = _structured_modes(modes, _omega_p_sq(omega_p))
-    nm = _normal_form(lam, u, 0)
+    nm = _normal_form(lam, u, 0, secular_steps=tuple(steps))
     _log.debug("normal_modes: structured, M = %d, secular steps per "
-               "update = %s", lam.size, steps)
+               "update = %s", lam.size, list(nm.secular_steps))
     return replace(nm, eps_tilde=rotated_polarizations(modes, nm.u))
 
 

@@ -66,11 +66,17 @@ class SpectrumIndex:
             raise PreconditionError("photon numbers must be non-negative")
         if self.n_electrons < 1:
             raise PreconditionError("n_electrons must be at least 1")
-        if not all(map(math.isfinite, (*self.K, self.kinetic_sum))):
-            raise DomainError(f"K and kinetic_sum must be finite, got "
-                              f"K = {self.K}, kinetic_sum = {self.kinetic_sum}")
-        # an overflowing |K|^2 is inf, which Cauchy-Schwarz then rejects
-        k2 = self.K[0] * self.K[0] + self.K[1] * self.K[1]
+        values = (*self.K, self.kinetic_sum, self.n_electrons)
+        what = (f"K = {self.K}, kinetic_sum = {self.kinetic_sum}, "
+                f"n_electrons = {self.n_electrons}")
+        # math.isfinite raises OverflowError for an int past the float
+        # range, which _finite counts as leaving it
+        if not _finite(lambda: all(map(math.isfinite, values)), what):
+            raise DomainError(f"K and kinetic_sum must be finite, got {what}")
+        # |K|^2 of the floats of K, so an int K acts as its float: an
+        # overflowing |K|^2 is inf, which Cauchy-Schwarz then rejects
+        kx, ky = map(float, self.K)
+        k2 = kx * kx + ky * ky
         # Cauchy-Schwarz: sum k_j^2 >= |sum k_j|^2 / N for any momentum list
         if self.kinetic_sum < k2 / self.n_electrons * (1.0 - 1e-12):
             raise PreconditionError(

@@ -11,7 +11,9 @@ Oracles:
     secular-equation lowest root, which the library computes directly,
   * dense Jacobi on build_w (and LAPACK) for the structured normal modes,
   * a 50-digit mpmath root for lowest_mode_scan's rows, and the full secular
-    solve, bit for bit, for the subset of roots that lowest_mode_scan asks.
+    solve, bit for bit, for the subset of roots that lowest_mode_scan asks,
+  * a copy of the secular solver and rank-one update with one array per
+    intermediate, which the library's must match in bytes and step counts.
 """
 
 import logging
@@ -145,6 +147,108 @@ def _reference_round_robin(a: np.ndarray, vt: np.ndarray, skip_thr: float,
     if cur is not a:
         a[...] = cur
     return sweeps
+
+
+def _reference_secular_eig(d, z, rho, count=None):
+    """Eigenpairs of diag(d) + rho z z^T, as ``manymode._secular_eig``
+    documents them; returns (roots, V or None, steps).
+
+    The solver that ``manymode._secular_eig`` must match byte for byte and
+    step for step: it makes one array per intermediate and row sums of its
+    own, and overrides the last root's row with ``np.where``.
+    """
+    k = d.size
+    m = k if count is None else count
+    s = rho * z * z
+    ar = np.arange(m)
+    last = ar == k - 1
+    nxt = np.minimum(ar + 1, k - 1)
+    probe = np.append(0.5 * np.diff(d), rho)[:m]
+    s_rest = np.tile(s, (m, 1))
+    s_rest[ar, ar] = 0.0
+    s_rest[ar, nxt] = 0.0
+    s_l = s[:m]
+    s_r = np.where(last, 0.0, s[nxt])
+    c = 1.0 + (s_rest / (d - d[:m, None] - probe[:, None])).sum(axis=1)
+    right = (c + (s_r - s_l) / probe < 0.0) & ~last
+    origin = ar + right
+    delta = d - d[origin, None]
+    d_l = delta[ar, ar]
+    d_r = np.where(last, 0.0, delta[ar, nxt])
+    slope_b = np.where(last, 0.0, -1.0)
+    lo = np.where(right, -probe, 0.0)
+    hi = np.where(right, 0.0, np.where(last, 2.0 * rho, probe))
+    qa = np.where(last, 0.0, c)
+    qb = np.where(last, c, c * (d_l + d_r) + s_l + s_r)
+    qc = np.where(last, s_l, s_l * d_r + s_r * d_l)
+    q = qb + np.copysign(np.sqrt(np.abs(qb * qb - 4.0 * qa * qc)), qb)
+    near = 2.0 * qc / q
+    far = np.divide(q, 2.0 * qa, out=np.full(m, np.nan), where=qa != 0.0)
+    tau = np.where((lo < near) & (near < hi), near,
+                   np.where((lo < far) & (far < hi), far, 0.5 * (lo + hi)))
+    active = np.ones(m, dtype=bool)
+    for steps in range(1, manymode.MAX_SECULAR_STEPS + 1):
+        den = delta - tau[:, None]
+        term = s_rest / den
+        rest = 1.0 + term.sum(axis=1)
+        a = d_l - tau
+        b = np.where(last, 1.0, d_r - tau)
+        ab = a * b
+        g = ab * rest + s_l * b + s_r * a
+        bound = (np.abs(ab) * (1.0 + np.abs(term).sum(axis=1))
+                 + s_l * np.abs(b) + s_r * np.abs(a))
+        dg = ((slope_b * a - b) * rest + ab * (term / den).sum(axis=1)
+              + s_l * slope_b - s_r)
+        lo = np.where(g > 0.0, tau, lo)
+        hi = np.where(g < 0.0, tau, hi)
+        step = tau - np.divide(g, dg, out=np.full(m, np.inf), where=dg != 0.0)
+        inside = (lo < step) & (step < hi)
+        mid = 0.5 * (lo + hi)
+        collapsed = ~inside & ((mid <= lo) | (mid >= hi))
+        active &= (np.abs(g) > 8.0 * manymode.EPS * bound) & ~collapsed
+        if not active.any():
+            break
+        tau = np.where(active, np.where(inside, step, mid), tau)
+    else:
+        raise ConvergenceError("secular roots not settled")
+    if count is not None:
+        return d[origin] + tau, None, steps
+    gap = d - d[:, None]
+    np.fill_diagonal(gap, -rho)
+    zhat = np.copysign(np.sqrt(np.prod(den / gap, axis=0)), z)
+    v = zhat / den
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    return d[origin] + tau, v.T, steps
+
+
+def _reference_rank_one_update(lam, q, p, rho):
+    """The rank-one update of ``manymode._rank_one_update`` on
+    ``_reference_secular_eig``; it gathers and scatters the kept entries
+    also when none deflates."""
+    z = q.T @ p
+    norm = float(np.linalg.norm(z))
+    rho *= norm * norm
+    z /= norm
+    tol = 8.0 * manymode.EPS * max(float(np.abs(lam).max()), rho)
+    keep = rho * np.abs(z) > tol
+    idx = np.flatnonzero(keep)
+    for i in np.flatnonzero(np.diff(lam[idx]) <= 2.0 * tol).tolist():
+        pj, nj = idx[i], idx[i + 1]
+        r = math.hypot(z[pj], z[nj])
+        c, s = z[nj] / r, -z[pj] / r
+        if abs((lam[nj] - lam[pj]) * c * s) <= tol:
+            z[pj], z[nj] = 0.0, r
+            q[:, [pj, nj]] = q[:, [pj, nj]] @ np.array([[c, -s], [s, c]])
+            lam[pj], lam[nj] = (lam[pj] * c * c + lam[nj] * s * s,
+                                lam[pj] * s * s + lam[nj] * c * c)
+            keep[pj] = False
+    idx = np.flatnonzero(keep)
+    steps = 0
+    if idx.size:
+        lam[idx], v, steps = _reference_secular_eig(lam[idx], z[idx], rho)
+        q[:, idx] = q[:, idx] @ v
+    order = np.argsort(lam, kind="stable")
+    return lam[order], q[:, order], steps
 
 
 def same_bytes(x, y):
@@ -657,6 +761,133 @@ class TestStructuredModes:
         assert "secular steps per update = [" in caplog.records[0].getMessage()
         assert any(isinstance(h, logging.NullHandler)
                    for h in logging.getLogger("cavity2deg").handlers)
+
+
+def deflating_updates(n, seed=5):
+    """n rank-one problems (d, z, rho) with poles on a coarse grid, some a
+    rounding apart, so that equal and nearly equal neighbours deflate by a
+    rotation, and with exact zeros in z, which deflate directly."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        k = int(rng.integers(2, 30))
+        d = np.sort(np.round(rng.uniform(0.0, 3.0, k), 1)
+                    * (1.0 + manymode.EPS * rng.integers(0, 3, k)))
+        z = rng.normal(size=k)
+        z[rng.random(k) < 0.2] = 0.0
+        z[rng.integers(k)] = 1.0
+        z /= np.linalg.norm(z)
+        yield d, z, float(rng.uniform(0.1, 3.0))
+
+
+def secular_problems():
+    """(d, z, rho) problems as ``_rank_one_update`` hands them to the
+    secular solver, after deflation, plus K = 1 and 2 and the ladder."""
+    calls = []
+    solve = manymode._secular_eig
+
+    def record(*args):
+        calls.append(tuple(x.copy() if isinstance(x, np.ndarray) else x
+                           for x in args))
+        return solve(*args)
+
+    manymode._secular_eig = record
+    try:
+        for d, z, rho in (*graded_updates(60, seed=3),
+                          *deflating_updates(60, seed=4)):
+            manymode._rank_one_update(d, np.eye(d.size), z, rho)
+    finally:
+        manymode._secular_eig = solve
+    calls += [(np.array([0.5]), np.array([1.0]), 2.0),
+              (np.array([0.5, 0.75]), np.array([0.6, -0.8]), 1e-3),
+              (np.array([-1.0, 4.0]), np.array([0.8, 0.6]), 30.0)]
+    for m in (3, 40):
+        d = np.arange(1.0, m + 1) ** 2
+        calls += [(d, np.full(m, 1.0 / math.sqrt(m)), m * ratio**2)
+                  for ratio in (1e-4, 0.9, 30.0)]
+    return calls
+
+
+@pytest.mark.filterwarnings("error")
+class TestSecularOracle:
+    """``_secular_eig`` and ``_rank_one_update`` against the reference
+    copies above: the same arithmetic on the same operands, so equal bytes
+    and equal secular step counts."""
+
+    def test_rank_one_updates_match_reference(self):
+        for d, z, rho in (*graded_updates(150), *deflating_updates(150)):
+            k = d.size
+            lam, q, steps = manymode._rank_one_update(d.copy(), np.eye(k),
+                                                      z.copy(), rho)
+            ref = _reference_rank_one_update(d.copy(), np.eye(k), z.copy(),
+                                             rho)
+            assert steps == ref[2]
+            assert same_bytes(lam, ref[0])
+            assert same_bytes(q, ref[1])
+
+    def test_secular_roots_match_reference(self):
+        # every count subset, the last root included when count = K
+        for d, z, rho in secular_problems():
+            for count in sorted({1, max(1, d.size // 2), d.size}) + [None]:
+                roots, v, steps = manymode._secular_eig(d, z, rho, count)
+                ref = _reference_secular_eig(d, z, rho, count)
+                assert steps == ref[2]
+                assert same_bytes(roots, ref[0])
+                assert (v is None) == (ref[1] is None) == (count is not None)
+                assert v is None or same_bytes(v, ref[1])
+
+    def test_library_results_match_reference(self, monkeypatch):
+        # normal_modes (1-D, 2-D and 3-D polarizations, degenerate modes)
+        # and mode_ladder's three calls: exact_coupling_1d solves nothing,
+        # lowest_mode_scan one root per row
+        rng = np.random.default_rng(17)
+        cases = [(ModeSet.ladder_1d(m), ratio)
+                 for m in (1, 2, 24) for ratio in (0.0, 0.3, 3.0)]
+        cases += [(transverse_modes(rng, m, degenerate=m % 2 == 0), ratio)
+                  for m in (2, 7, 24, 31) for ratio in (0.05, 1.0, 2.5)]
+        cases += [(te_tm_pairs(rng, m), 0.8) for m in (2, 12, 24)]
+        ratios = [0.0, 1e-9, 0.05, 0.3, 0.9, 3.0, 30.0, 1e6]
+
+        def run():
+            out = []
+            for modes, omega_p in cases:
+                nm = normal_modes(modes, omega_p)
+                out += [nm.omega_sq.tobytes(), nm.u.tobytes(),
+                        nm.eps_tilde.tobytes(), nm.secular_steps]
+            for m in (*range(1, 13), 24, 100, 400):
+                out.append(lowest_mode_scan(ratios, n_modes=m).tobytes())
+                out += [repr(exact_coupling_1d(m, 1.0, r)) for r in ratios]
+            return out
+
+        got = run()
+        monkeypatch.setattr(manymode, "_secular_eig", _reference_secular_eig)
+        monkeypatch.setattr(manymode, "_rank_one_update",
+                            _reference_rank_one_update)
+        want = run()
+        assert len(got) == len(want)
+        for i, (x, y) in enumerate(zip(got, want)):
+            assert x == y, i
+
+    def test_counters_match_log_and_reference(self, caplog, monkeypatch,
+                                              rng):
+        modes = transverse_modes(rng, 16)
+        with caplog.at_level(logging.DEBUG, logger="cavity2deg"):
+            nm = normal_modes(modes, 0.8)
+            dense = diagonalize_w(build_w(modes, 0.8))
+        structured, jacobi = (r.getMessage() for r in caplog.records)
+        assert structured.endswith(
+            f"secular steps per update = {list(nm.secular_steps)}")
+        assert len(nm.secular_steps) == 3
+        assert (nm.sweeps, nm.rotations, nm.skipped_rounds) == (0, 0, 0)
+        counts = dict(f.split(" = ") for f in jacobi.split(", ")[1:])
+        assert (dense.sweeps, dense.rotations, dense.skipped_rounds) == (
+            int(counts["sweeps"]), int(counts["rotations"]),
+            int(counts["skipped rounds"]))
+        assert dense.rotations > 0
+        assert dense.secular_steps == ()
+        monkeypatch.setattr(manymode, "_rank_one_update",
+                            _reference_rank_one_update)
+        steps = _structured_modes(modes, 0.8 * 0.8)[2]
+        assert steps == list(nm.secular_steps)
 
 
 class TestManymodeSpectrum:

@@ -298,9 +298,51 @@ def test_range_hole_is_a_named_domain_error(label, values):
 
 
 def test_overflowing_momentum_fails_cauchy_schwarz():
-    # |K|^2 overflows to inf, above any finite N kinetic_sum
-    with pytest.raises(PreconditionError, match="Cauchy-Schwarz"):
-        SpectrumIndex(0, 0, (1e200, 0.0), 1.0, 1)
+    # |K|^2 overflows to inf, above any finite N kinetic_sum; an int K acts
+    # as its float
+    for K in ((1e200, 0.0), (10**200, 0)):
+        with pytest.raises(PreconditionError, match="Cauchy-Schwarz"):
+            SpectrumIndex(0, 0, K, 1.0, 1)
+
+
+@pytest.mark.parametrize("K, kinetic_sum, n_electrons, name", [
+    ((10**400, 0), 1.0, 1, "K"), ((0, -10**400), 1.0, 1, "K"),
+    ((0, 1), 10**400, 1, "kinetic_sum"),
+    ((0, 1), 1.0, 10**400, "n_electrons")],
+    ids=["K=10**400", "K=-10**400", "kinetic_sum=10**400",
+         "n_electrons=10**400"])
+def test_int_past_the_float_range_is_a_named_domain_error(K, kinetic_sum,
+                                                          n_electrons, name):
+    with pytest.raises(DomainError, match="overflows") as info:
+        SpectrumIndex(0, 0, K, kinetic_sum, n_electrons)
+    assert re.search(rf"\b{name}\b", str(info.value))
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=100, deadline=None)
+@given(st.integers(-10**400, 10**400), st.integers(-10**400, 10**400),
+       st.one_of(st.integers(0, 10**400), FINITE_DOUBLES.map(abs)))
+@example(10**200, 0, 1.0)
+@example(10**400, 0, 1.0)
+def test_int_momenta_give_an_index_or_a_typed_error_property(kx, ky,
+                                                              kinetic_sum):
+    try:
+        SpectrumIndex(0, 0, (kx, ky), kinetic_sum, 1)
+    except Cavity2degError:
+        pass
+
+
+def test_undefined_result_is_not_called_an_overflow():
+    # 0/0 once omega^2 underflows, and a NaN from numpy
+    with pytest.raises(DomainError) as info:
+        collective_coupling(2.6e-253, 0.0)
+    assert str(info.value) == ("gamma at omega = 2.6e-253, omega_p = 0.0 is "
+                               "undefined after rounding (NaN, or a division "
+                               "by zero)")
+    with pytest.raises(DomainError, match="undefined after rounding"):
+        core._finite(np.array([1.0, math.nan]), "x")
+    with pytest.raises(DomainError, match="x overflows the float range"):
+        core._finite(np.array([1.0, -math.inf]), "x")
 
 
 def test_package_exports_each_module_list_once():
