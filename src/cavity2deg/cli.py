@@ -346,7 +346,8 @@ def _chi(grid, ecfg: EftConfig, params: dict, summary: dict) -> tuple:
 def _diag(grid, n_modes: int, ratio: float, summary: dict) -> tuple:
     index = grid(lambda: np.arange(1, n_modes + 1))
     nm = normal_modes(ModeSet.ladder_1d(n_modes, 1.0), ratio)
-    summary.update(sweeps=nm.sweeps, edge_omega_tilde=math.sqrt(1 + ratio**2))
+    summary.update(secular_steps=list(nm.secular_steps),
+                   edge_omega_tilde=math.sqrt(1 + ratio**2))
     return index, nm.omega
 
 
@@ -446,8 +447,7 @@ def cmd_response(kind: str, config: SystemConfig | None = None,
         eta = 0.01 * wt
     if eta <= 0:
         raise ConfigError(f"eta must be positive, got {eta}")
-    with np.errstate(all="ignore"):
-        val = spec.body(BroadenedFrequency(grid, eta), scales)
+    val = spec.body(BroadenedFrequency(grid, eta), scales)
     rows = _rows(grid, val.re, val.im)
     summary: dict = {"eta": eta, "omega_tilde": wt, "gamma": scales.gamma}
     if kind == "sigma":
@@ -474,9 +474,8 @@ def cmd_eft(sub: str, config: SystemConfig | None = None,
     params: dict = {"sub": sub, "lambda0": lambda0, "eta": eta}
     if lambda0 is None:
         ecfg = replace(ecfg, lambda0=min(0.5 * (1 + pole), 1e6))
-    with np.errstate(all="ignore"):
-        columns = spec.body(partial(_grid, "eft", sub, sweep), ecfg, params,
-                            summary)
+    columns = spec.body(partial(_grid, "eft", sub, sweep), ecfg, params,
+                        summary)
     return _record("eft", sub, config, params, sweep, _rows(*columns),
                    summary)
 

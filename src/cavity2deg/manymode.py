@@ -25,13 +25,14 @@ unit polarizations, W = D + omega_p^2 P P^T with D = diag(omega^2 +
 omega_p^2 (1 - |eps_a|^2)), a diagonal plus an update of rank <= 3.
 normal_modes applies it as up to three rank-one updates of a diagonal, one
 per nonzero column of P; each update deflates (LAPACK dlaed2), solves all
-its secular roots at once and takes its eigenvectors from the Loewner
-vector (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995).  Its arrays
-are small (M ~ 24 in the benchmark), so a step's cost is numpy calls, not
-flops: the step writes its operands into buffers allocated once per solve,
-and the three sums over each row's terms come from one reduction of one
-buffer.  The tests keep the one-array-per-intermediate solver that this
-replaced and require the same bytes and the same step counts from both.
+its kept secular roots at once, on a full slice when nothing deflated, and
+takes its eigenvectors from the Loewner vector (Gu & Eisenstat, SIAM J.
+Matrix Anal. Appl. 16, 1995).  Its arrays are small (M ~ 24 in the
+benchmark), so a step's cost is numpy calls, not flops: the step writes its
+operands into buffers allocated once per solve, and the three sums over
+each row's terms come from one reduction of one buffer.  The tests keep the
+one-array-per-intermediate solver that this replaced and require the same
+bytes and the same step counts from both.
 
 For arbitrary W the eigensolver is a hand-implemented Jacobi method with a
 skip threshold, as high relative accuracy on symmetric matrices matters more
@@ -42,7 +43,9 @@ vectorized numpy updates applies the whole round.  The schedule of rounds,
 with the matrix positions each round reads its angles from, is built once
 per call, and A and V^T are rotated as one stack; that leaves a round at one
 gather and about 25 numpy calls, with the rotation sequence and every output
-byte the same as applying the rounds one array at a time.  There is one
+byte the same as applying the rounds one array at a time.  For odd n the
+index that sits a round out meets an infinite skip threshold there, so no
+round branches on it.  There is one
 Jacobi kernel; the tests check it against the platform eigensolver (LAPACK
 via numpy.linalg.eigh) and, byte for byte, against a per-round copy of it.
 """
@@ -262,7 +265,9 @@ def _jacobi_round_robin(av: np.ndarray, skip_thr: float, tol_fro: float,
     # s changes sign on the lower index of each pair and on an idle index,
     # which keeps the sign of a zero s and so every output byte
     flip = idx <= partner
-    idle = np.nonzero(partner == idx)[1] if n % 2 else None
+    # an idle index (odd n) reads its diagonal as a[lo, hi]; an infinite
+    # threshold keeps it out of its round
+    thr = np.where(lo != hi, skip_thr, np.inf)
     sweeps = -1
     rotations = skipped = 0
     for sweep in range(max_sweeps + 1):
@@ -275,9 +280,7 @@ def _jacobi_round_robin(av: np.ndarray, skip_thr: float, tol_fro: float,
             break
         for r, p in enumerate(partner):
             apq, ahh, all_ = a.take(flat[r])
-            rotate = np.abs(apq) > skip_thr
-            if idle is not None:
-                rotate[idle[r]] = False
+            rotate = np.abs(apq) > thr[r]
             count = np.count_nonzero(rotate)
             if not count:
                 skipped += 1
@@ -418,8 +421,6 @@ def _secular_eig(d: np.ndarray, z: np.ndarray, rho: float,
     s_rest[ar, nxt] = 0.0
     s_l = s[:m]
     s_r = s[nxt]
-    if full:
-        s_r[-1] = 0.0
     c = 1.0 + (s_rest / (d - d[:m, None] - probe[:, None])).sum(axis=1)
     right = c + (s_r - s_l) / probe < 0.0     # f(mid) < 0
     if full:
@@ -437,6 +438,7 @@ def _secular_eig(d: np.ndarray, z: np.ndarray, rho: float,
     qb = c * (d_l + d_r) + s_l + s_r
     qc = s_l * d_r + s_r * d_l
     if full:
+        s_r[-1] = 0.0
         slope_b[-1] = 0.0
         # the last root reaches d_K + rho when the other z_j vanish
         hi[-1] = 2.0 * rho
@@ -537,30 +539,31 @@ def _rank_one_update(lam: np.ndarray, q: np.ndarray, p: np.ndarray,
             lam[pj], lam[nj] = (lam[pj] * c * c + lam[nj] * s * s,
                                 lam[pj] * s * s + lam[nj] * c * c)
             keep[pj] = False
-    if keep.all():   # nothing deflated: no gather or scatter
-        lam, v, steps = _secular_eig(lam, z, rho)
-        q = q @ v
-    else:
-        idx = keep.nonzero()[0]
-        steps = 0
-        if idx.size:
-            lam[idx], v, steps = _secular_eig(lam[idx], z[idx], rho)
-            q[:, idx] = q[:, idx] @ v
+    kept = keep.nonzero()[0]
+    # a slice when nothing deflated, so the solve gathers and scatters nothing
+    idx = slice(None) if kept.size == lam.size else kept
+    steps = 0
+    if kept.size:
+        lam[idx], v, steps = _secular_eig(lam[idx], z[idx], rho)
+        q[:, idx] = q[:, idx] @ v
     order = np.argsort(lam, kind="stable")
     return lam[order], q[:, order], steps
 
 
-def _structured_modes(modes: ModeSet,
-                      rho: float) -> tuple[np.ndarray, np.ndarray, list]:
-    """Eigenpairs of build_w(modes, omega_p) as rank-one updates of its
-    diagonal D = omega^2 + rho (1 - |eps_a|^2), one per nonzero column of
-    the polarizations.  Returns (lam, U, secular steps per update).
+def normal_modes(modes: ModeSet, omega_p: float) -> NormalModes:
+    """Normal modes of build_w(modes, omega_p) with rotated polarizations.
 
-    D + rho P P^T equals build_w exactly; the |eps_a| = 1 that ModeSet
-    checks to 1e-12 is not assumed.  The problem is scaled by a power of two
-    so the solver works near 1 whatever the units.  A D or eigenvalues
-    past the float range raise DomainError.
+    W = D + omega_p^2 P P^T, D = omega^2 + omega_p^2 (1 - |eps_a|^2), equals
+    build_w exactly (the |eps_a| = 1 that ModeSet checks to 1e-12 is not
+    assumed) and is solved as one rank-one update of D per nonzero column of
+    P, each O(M^2) plus one GEMM, after scaling by a power of two so the
+    solver works near 1 whatever the units.  A D or eigenvalues past the
+    float range raise DomainError.  ``secular_steps`` holds the steps of
+    each update; ``sweeps`` is 0, as no Jacobi sweep ran.  ``diagonalize_w``
+    on the dense W is this path's oracle.  Eigenvalues ascend and each
+    eigenvector's largest-magnitude component is positive.
     """
+    rho = _omega_p_sq(omega_p)
     pol = modes.pol
     d = _finite(lambda: modes.omega ** 2
                 + rho * (1.0 - np.einsum("ij,ij->i", pol, pol)),
@@ -574,23 +577,10 @@ def _structured_modes(modes: ModeSet,
         if col.any():
             lam, q, n = _rank_one_update(lam, q, col, rho / scale)
             steps.append(n)
-    return _finite(lambda: lam * scale, "an eigenvalue of W"), q, steps
-
-
-def normal_modes(modes: ModeSet, omega_p: float) -> NormalModes:
-    """Normal modes of build_w(modes, omega_p) with rotated polarizations.
-
-    W = D + omega_p^2 P P^T is solved by its rank <= 3 structure (see
-    ``_structured_modes``) in O(M^2) per update plus one GEMM;
-    ``secular_steps`` holds the steps of each update, and ``sweeps`` is 0:
-    no Jacobi sweep ran.  ``diagonalize_w`` on the dense W
-    is the oracle for this path.  Eigenvalues ascend and each eigenvector's
-    largest-magnitude component is positive.
-    """
-    lam, u, steps = _structured_modes(modes, _omega_p_sq(omega_p))
-    nm = _normal_form(lam, u, 0, secular_steps=tuple(steps))
+    omega_sq = _finite(lambda: lam * scale, "an eigenvalue of W")
+    nm = _normal_form(omega_sq, q, 0, secular_steps=tuple(steps))
     _log.debug("normal_modes: structured, M = %d, secular steps per "
-               "update = %s", lam.size, list(nm.secular_steps))
+               "update = %s", omega_sq.size, list(nm.secular_steps))
     return replace(nm, eps_tilde=rotated_polarizations(modes, nm.u))
 
 

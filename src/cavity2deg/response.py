@@ -161,8 +161,10 @@ def chi_aa_freq(f: BroadenedFrequency, scales: DerivedScales) -> ResponseValue:
     w, eta = f.w, f.eta
     d_plus, d_minus = _pole_denominators(f, omega_t)
     pref = 1.0 / (2.0 * eps0 * volume * omega_t)
-    re = pref * ((w - omega_t) / d_minus - (w + omega_t) / d_plus)
-    im = pref * eta * (1.0 / d_plus - 1.0 / d_minus)
+    re, im = _finite(lambda: (
+        pref * ((w - omega_t) / d_minus - (w + omega_t) / d_plus),
+        pref * eta * (1.0 / d_plus - 1.0 / d_minus)),
+        f"chi_AA(w) at eta = {eta!r}")
     return ResponseValue(ResponseKind.AA, re, im)
 
 
@@ -177,8 +179,10 @@ def chi_ea_freq(f: BroadenedFrequency, scales: DerivedScales) -> ResponseValue:
     w, eta = f.w, f.eta
     d_plus, d_minus = _pole_denominators(f, omega_t)
     pref = 1.0 / (2.0 * eps0 * volume)
-    re = pref * eta * (1.0 / d_plus + 1.0 / d_minus)
-    im = pref * ((w + omega_t) / d_plus + (w - omega_t) / d_minus)
+    re, im = _finite(lambda: (
+        pref * eta * (1.0 / d_plus + 1.0 / d_minus),
+        pref * ((w + omega_t) / d_plus + (w - omega_t) / d_minus)),
+        f"chi_EA(w) at eta = {eta!r}")
     return ResponseValue(ResponseKind.EA, re, im)
 
 
@@ -189,7 +193,9 @@ def chi_jj_freq(f: BroadenedFrequency, scales: DerivedScales) -> ResponseValue:
                    f"(e^2 N/m_e)^2 at n_electrons = "
                    f"{scales.config.n_electrons:.6g}")
     base = chi_aa_freq(f, scales)
-    return ResponseValue(ResponseKind.JJ, pref * base.re, pref * base.im)
+    re, im = _finite(lambda: (pref * base.re, pref * base.im),
+                     f"chi_JJ(w) at eta = {f.eta!r}")
+    return ResponseValue(ResponseKind.JJ, re, im)
 
 
 def chi_mixed_freq(f: BroadenedFrequency, scales: DerivedScales,
@@ -199,15 +205,18 @@ def chi_mixed_freq(f: BroadenedFrequency, scales: DerivedScales,
         raise DomainError(f"kind must be JA or AJ, got {kind}")
     pref = -_matter_prefactor(scales)
     base = chi_aa_freq(f, scales)
-    return ResponseValue(kind, pref * base.re, pref * base.im)
+    re, im = _finite(lambda: (pref * base.re, pref * base.im),
+                     f"chi_{kind.name}(w) at eta = {f.eta!r}")
+    return ResponseValue(kind, re, im)
 
 
 def response_table(f: BroadenedFrequency, scales: DerivedScales) -> np.ndarray:
     """2x2 complex matrix [[JJ, JA], [AJ, AA]]; rank one by construction."""
     aa = chi_aa_freq(f, scales).as_complex
     pref = _matter_prefactor(scales)
-    return np.array([[pref**2 * aa, -pref * aa],
-                     [-pref * aa, aa]], dtype=complex)
+    return _finite(lambda: np.array([[pref**2 * aa, -pref * aa],
+                                     [-pref * aa, aa]], dtype=complex),
+                   f"the response table at w = {f.w!r}, eta = {f.eta!r}")
 
 
 def absorption_rate(f: BroadenedFrequency, scales: DerivedScales,

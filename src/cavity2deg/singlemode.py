@@ -126,11 +126,23 @@ def _eigenenergy(idx: SpectrumIndex, omega: float, coupling: float) -> float:
 
 
 def ground_photon_occupation(omega: float, omega_p: float) -> float:
-    """Virtual photon number in the ground state: (omega_t - omega)^2/(2 omega omega_t)."""
+    """Virtual photon number in the ground state: (omega_t - omega)^2/(2 omega omega_t).
+
+    omega_t - omega is taken as omega_p^2/(omega_t + omega), which does not
+    cancel at weak coupling.  The number depends on the ratio omega_p/omega
+    alone, so the three frequencies are first scaled by one power of two,
+    which keeps omega_t + omega in range and is exact unless omega is below
+    2^-1022 omega_t.
+    """
     omega_t = dressed_frequency(omega, omega_p)
-    return _finite(lambda: (omega_t - omega) ** 2 / (2.0 * omega * omega_t),
-                   f"the photon number at omega = {omega!r}, "
-                   f"omega_p = {omega_p!r}")
+    e = -math.frexp(omega_t)[1]
+    w, w_p, w_t = (math.ldexp(x, e) for x in (omega, omega_p, omega_t))
+
+    def number():
+        shift = w_p * (w_p / (w_t + w))   # (omega_t - omega) 2^e
+        return (shift / w_t) * (shift / (2.0 * w))
+    return _finite(number, f"the photon number at omega = {omega!r}, "
+                           f"omega_p = {omega_p!r}")
 
 
 @dataclass(frozen=True)

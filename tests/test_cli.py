@@ -413,13 +413,15 @@ class TestManymodeCommand:
 
     @pytest.mark.filterwarnings("error")
     def test_diag_500_modes_matches_lapack(self, capsys):
-        # the structured path: no Jacobi sweep, rows within eps ||W||_F of
-        # the LAPACK spectrum of the same W
+        # the structured path: the secular steps of its one update, and rows
+        # within eps ||W||_F of the LAPACK spectrum of the same W
         code, out, _ = run(capsys, "manymode", "diag", "--modes", "500",
                            "--format", "json")
         assert code == 0
         body = json.loads(out)
-        assert body["summary"]["sweeps"] == 0
+        nm = cavity2deg.normal_modes(cavity2deg.ModeSet.ladder_1d(500), 0.5)
+        assert body["summary"]["secular_steps"] == list(nm.secular_steps)
+        assert len(nm.secular_steps) == 1
         assert [r[0] for r in body["rows"]] == list(range(1, 501))
         omega = np.array([r[1] for r in body["rows"]])
         w = cavity2deg.build_w(cavity2deg.ModeSet.ladder_1d(500), 0.5)
@@ -667,6 +669,21 @@ class TestNonFiniteInput:
         assert got == code
         assert out == ""
         assert err.startswith("error: ")
+
+    def test_on_pole_sweep_names_eta(self, capsys, tmp_path):
+        # eta^2 underflows to 0 at w = +-omega_t: a DomainError from the
+        # response itself, with no numpy warning on the way
+        cfg = tmp_path / "ratio.cfg"
+        cfg.write_text("units_mode = ratio\nratio = 0.5\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                capsys, "response", "aa", "--config", str(cfg), "--eta",
+                "1e-200", "--sweep",
+                "w=-1.118033988749895:1.118033988749895:3")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: chi_AA(w) at eta = 1e-200 ")
 
     @settings(max_examples=40)
     @given(st.sampled_from(FLOAT_FLAG_ARGVS),

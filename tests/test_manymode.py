@@ -47,8 +47,7 @@ from cavity2deg import (
 )
 from cavity2deg import manymode
 from cavity2deg.cli import main
-from cavity2deg.manymode import (_normal_form, _round_robin_schedule,
-                                 _structured_modes)
+from cavity2deg.manymode import _normal_form, _round_robin_schedule
 
 HBAR = CODATA2018.hbar
 M_E = CODATA2018.m_e
@@ -727,7 +726,7 @@ class TestStructuredModes:
             for m in (8, 24, 60):
                 modes = transverse_modes(rng, m, degenerate=seed % 3 == 0)
                 for ratio in (0.05, 0.5, 1.0, 3.0):
-                    _, _, steps = _structured_modes(modes, ratio**2)
+                    steps = normal_modes(modes, ratio).secular_steps
                     worst = max(worst, *steps)
         assert worst <= 20
 
@@ -886,8 +885,7 @@ class TestSecularOracle:
         assert dense.secular_steps == ()
         monkeypatch.setattr(manymode, "_rank_one_update",
                             _reference_rank_one_update)
-        steps = _structured_modes(modes, 0.8 * 0.8)[2]
-        assert steps == list(nm.secular_steps)
+        assert normal_modes(modes, 0.8).secular_steps == nm.secular_steps
 
 
 class TestManymodeSpectrum:

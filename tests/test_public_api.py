@@ -27,7 +27,9 @@ from cavity2deg import (BroadenedFrequency, Cavity2degError, DerivedScales,
                         SystemConfig,
                         absorption_rate, appendix_integrals,
                         casimir_energy_density, casimir_pressure,
-                        chemical_potential, chi_aa_time, chi_ea_time,
+                        chemical_potential, chi_aa_freq, chi_aa_time,
+                        chi_ea_freq, chi_ea_time, chi_jj_freq,
+                        chi_mixed_freq,
                         classify_phase, collective_coupling, constants, core,
                         coupling_1d, coupling_3d, dc_conductivity,
                         dressed_frequency, drude_effective_mass, eft,
@@ -36,8 +38,8 @@ from cavity2deg import (BroadenedFrequency, Cavity2degError, DerivedScales,
                         ground_photon_occupation, instability_witness,
                         manymode, manymode_spectrum, mass_3d, normal_modes,
                         optical_conductivity, optimal_origin,
-                        quasiparticle_energy, response, sigma0_dc,
-                        singlemode)
+                        quasiparticle_energy, response, response_table,
+                        sigma0_dc, singlemode)
 
 SYSTEM = SystemConfig.si(n_electrons=100_000_000, area=1e-8, mirror_gap=1e-6)
 SCALES = DerivedScales(SYSTEM)
@@ -89,6 +91,26 @@ LADDER_MODES = normal_modes(ModeSet.ladder_1d(2), 0.5)
 
 def ladder_spectrum_at(K):
     return manymode_spectrum((0, 1), (K, 0.0), 1.0, LADDER_MODES, 0.5, 10)
+
+
+def chi_aa_freq_at(w, eta):
+    return chi_aa_freq(BroadenedFrequency(w, eta), SCALES)
+
+
+def chi_ea_freq_at(w, eta):
+    return chi_ea_freq(BroadenedFrequency(w, eta), SCALES)
+
+
+def chi_jj_freq_at(w, eta):
+    return chi_jj_freq(BroadenedFrequency(w, eta), SCALES)
+
+
+def chi_mixed_freq_at(w, eta):
+    return chi_mixed_freq(BroadenedFrequency(w, eta), SCALES)
+
+
+def response_table_at(w, eta):
+    return response_table(BroadenedFrequency(w, eta), SCALES)
 
 
 def optical_conductivity_at(w, eta):
@@ -147,6 +169,11 @@ DOMAINS = [
              normal=LADDER_MODES, n_electrons=10),
      {"kinetic_sum": 1.0, "omega_p": 0.5}),
     (ladder_spectrum_at, {"K": 1.0}),
+    (chi_aa_freq_at, {"w": 1e13, "eta": 1e11}),
+    (chi_ea_freq_at, {"w": 1e13, "eta": 1e11}),
+    (chi_jj_freq_at, {"w": 1e13, "eta": 1e11}),
+    (chi_mixed_freq_at, {"w": 1e13, "eta": 1e11}),
+    (response_table_at, {"w": 1e13, "eta": 1e11}),
     (optical_conductivity_at, {"w": 1e13, "eta": 1e11}),
     (eft_chi_aa_at, {"w": 1e15, "eta": 1e13}),
     (partial(casimir_energy_density, ECFG), {"lambda0": 4.0}),
@@ -224,8 +251,6 @@ RANGE_HOLES = [
     ("collective_coupling", (2.6e-253, 0.0)),
     ("dressed_frequency", (1.6e308, 1.6e308)),
     ("fermi_wavevector", (8.3e307,)),
-    ("ground_photon_occupation", (5e-76, 4e217)),
-    ("ground_photon_occupation", (1.27e-179, 0.0)),
     ("eigenenergy_no_a2", (1.0, 1e160)),
     ("eigenenergy_no_a2", (1e-200, 1e200)),
     ("optimal_origin_at", (1e-250, 1e100)),
@@ -233,6 +258,14 @@ RANGE_HOLES = [
     ("chi_aa_time", (7.4e300,)),
     ("chi_ea_time", (7.4e300,)),
     ("sigma0_dc", (2.6e-309,)),
+    # on the pole w = omega_t: 1/eta^2 overflows, or eta^2 underflows to 0
+    ("chi_aa_freq_at", (SCALES.omega_tilde, 1e-160)),
+    ("chi_aa_freq_at", (SCALES.omega_tilde, 1e-200)),
+    ("chi_ea_freq_at", (SCALES.omega_tilde, 1e-160)),
+    ("chi_ea_freq_at", (SCALES.omega_tilde, 1e-200)),
+    ("chi_jj_freq_at", (SCALES.omega_tilde, 1e-160)),
+    ("chi_mixed_freq_at", (SCALES.omega_tilde, 1e-160)),
+    ("response_table_at", (SCALES.omega_tilde, 1e-160)),
     ("optical_conductivity_at", (7e-158, 5.5e-147)),
     ("quasiparticle_energy", (1.8e244, 1e-65, 8e122)),
     ("coupling_1d", (1.0, 2.9e-233, 1.6e137)),

@@ -102,6 +102,18 @@ class TestFrequencyResponses:
             with pytest.raises(DomainError, match="overflows"):
                 func(BroadenedFrequency(w, eta), si_scales())
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("func", [chi_aa_freq, chi_ea_freq])
+    @pytest.mark.parametrize("w", [
+        OMEGA_T_RATIO, np.array([-OMEGA_T_RATIO, 0.0, OMEGA_T_RATIO])],
+        ids=["scalar", "array"])
+    def test_on_pole_tiny_broadening_rejected(self, func, w):
+        # eta^2 underflows, so |w - omega_t + i eta|^2 is 0 on the pole: a
+        # Python float used to raise a bare ZeroDivisionError, an array a
+        # RuntimeWarning
+        with pytest.raises(DomainError, match=r"\(w\) at eta = 1e-200 "):
+            func(BroadenedFrequency(w, 1e-200), RATIO_SCALES)
+
     def test_broadening_required(self):
         with pytest.raises(DomainError):
             chi_aa_freq(BroadenedFrequency(1.0, 0.0), RATIO_SCALES)

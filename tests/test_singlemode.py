@@ -209,11 +209,34 @@ class TestGroundPhotonOccupation:
         assert ground_photon_occupation(1.0, 0.75) == pytest.approx(
             0.025, abs=1e-15)
 
-    @given(st.floats(1e-2, 1e2), st.floats(1e-4, 1e3))
+    @given(st.floats(1e-2, 1e2), st.floats(1e-80, 1e3))
     def test_positive_when_coupled(self, omega, ratio):
-        # ratio bounded away from sqrt(machine eps), where the dressed
-        # shift genuinely rounds to zero
+        # the number is ~ratio^4/8, so it stays above the smallest subnormal
+        # down to ratio ~3e-81
         assert ground_photon_occupation(omega, ratio * omega) > 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_matches_50_digit_reference(self):
+        # omega_t - omega = omega_p^2/(omega_t + omega) in the reference
+        # too, so it does not cancel; ratios 1e-150..1e150 at three omega
+        # scales, within a few ulp of the true value (its ulp where that is
+        # subnormal, and 0.0 once it is below half the smallest subnormal).
+        # The last three calls raised DomainError for an intermediate that
+        # left the float range, though their true values are finite; at the
+        # last, omega_t + omega overflows unless the frequencies are scaled
+        mpmath = pytest.importorskip("mpmath")
+        ratios = 10.0 ** np.linspace(-150.0, 150.0, 1201)
+        calls = [(omega, float(omega * r))
+                 for omega in (1.0, 3.7e-100, 2.2e120) for r in ratios]
+        calls += [(5e-76, 4e217), (1.27e-179, 0.0), (1e308, 1e308)]
+        with mpmath.workdps(50):
+            for omega, omega_p in calls:
+                w, w_p = mpmath.mpf(omega), mpmath.mpf(omega_p)
+                w_t = mpmath.sqrt(w * w + w_p * w_p)
+                want = (w_p * w_p / (w_t + w)) ** 2 / (2 * w * w_t)
+                got = ground_photon_occupation(omega, omega_p)
+                ulp = float(np.spacing(float(want)))
+                assert abs(got - want) <= 8 * ulp, (omega, omega_p, got)
 
     @given(st.floats(0.1, 10.0))
     def test_monotone_in_coupling(self, omega_p):
