@@ -141,17 +141,23 @@ def _phase(omega_t: float, tau: float) -> float:
     return _finite(lambda: omega_t * tau, f"omega_t tau at tau = {tau!r}")
 
 
-def _pole_denominators(f: BroadenedFrequency, omega_t: float):
+def _pole_denominators(f: BroadenedFrequency, omega_t: float, what: str):
     """|w + omega_t + i eta|^2 and |w - omega_t + i eta|^2.
 
     A probe whose square leaves the float range raises DomainError (one
-    check per call, for a scalar and for a whole sweep).
+    check per call, for a scalar and for a whole sweep).  So does a
+    denominator that rounds to 0, w on a pole with eta^2 below the least
+    float: its reciprocal overflows, so ``what`` (the response, naming
+    eta) is said to overflow.
     """
     def square(shift):   # w - omega_t is w + (-omega_t), to the bit
         w_s = f.w + shift
         return w_s * w_s + f.eta * f.eta
-    return (_finite(lambda: square(omega_t), "(w + omega_t)^2 + eta^2"),
-            _finite(lambda: square(-omega_t), "(w - omega_t)^2 + eta^2"))
+    d_plus = _finite(lambda: square(omega_t), "(w + omega_t)^2 + eta^2")
+    d_minus = _finite(lambda: square(-omega_t), "(w - omega_t)^2 + eta^2")
+    if not (np.all(d_plus) and np.all(d_minus)):
+        raise DomainError(f"{what} overflows the float range")
+    return d_plus, d_minus
 
 
 def chi_aa_freq(f: BroadenedFrequency, scales: DerivedScales) -> ResponseValue:
@@ -159,12 +165,12 @@ def chi_aa_freq(f: BroadenedFrequency, scales: DerivedScales) -> ResponseValue:
     _require_broadening(f)
     _, omega_t, eps0, volume = _mode_params(scales)
     w, eta = f.w, f.eta
-    d_plus, d_minus = _pole_denominators(f, omega_t)
+    what = f"chi_AA(w) at eta = {eta!r}"
+    d_plus, d_minus = _pole_denominators(f, omega_t, what)
     pref = 1.0 / (2.0 * eps0 * volume * omega_t)
     re, im = _finite(lambda: (
         pref * ((w - omega_t) / d_minus - (w + omega_t) / d_plus),
-        pref * eta * (1.0 / d_plus - 1.0 / d_minus)),
-        f"chi_AA(w) at eta = {eta!r}")
+        pref * eta * (1.0 / d_plus - 1.0 / d_minus)), what)
     return ResponseValue(ResponseKind.AA, re, im)
 
 
@@ -177,12 +183,12 @@ def chi_ea_freq(f: BroadenedFrequency, scales: DerivedScales) -> ResponseValue:
     _require_broadening(f)
     _, omega_t, eps0, volume = _mode_params(scales)
     w, eta = f.w, f.eta
-    d_plus, d_minus = _pole_denominators(f, omega_t)
+    what = f"chi_EA(w) at eta = {eta!r}"
+    d_plus, d_minus = _pole_denominators(f, omega_t, what)
     pref = 1.0 / (2.0 * eps0 * volume)
     re, im = _finite(lambda: (
         pref * eta * (1.0 / d_plus + 1.0 / d_minus),
-        pref * ((w + omega_t) / d_plus + (w - omega_t) / d_minus)),
-        f"chi_EA(w) at eta = {eta!r}")
+        pref * ((w + omega_t) / d_plus + (w - omega_t) / d_minus)), what)
     return ResponseValue(ResponseKind.EA, re, im)
 
 
@@ -211,7 +217,11 @@ def chi_mixed_freq(f: BroadenedFrequency, scales: DerivedScales,
 
 
 def response_table(f: BroadenedFrequency, scales: DerivedScales) -> np.ndarray:
-    """2x2 complex matrix [[JJ, JA], [AJ, AA]]; rank one by construction."""
+    """2x2 complex matrix [[JJ, JA], [AJ, AA]] at one probe frequency w;
+    rank one by construction."""
+    if np.ndim(f.w):
+        raise DomainError(f"the response table takes one probe frequency "
+                          f"w, got an array of shape {np.shape(f.w)}")
     aa = chi_aa_freq(f, scales).as_complex
     pref = _matter_prefactor(scales)
     return _finite(lambda: np.array([[pref**2 * aa, -pref * aa],
@@ -249,7 +259,8 @@ def optical_conductivity(f: BroadenedFrequency,
     omega_p4 = _finite(lambda: omega_p**4,
                        f"{field}^4 at {field} = {omega_p!r}")
     w, eta = f.w, f.eta
-    d_plus, d_minus = _pole_denominators(f, omega_t)
+    what = f"sigma(w) at eta = {eta!r}"
+    d_plus, d_minus = _pole_denominators(f, omega_t, what)
 
     def parts():
         lorentz = w**2 + eta**2
@@ -261,7 +272,7 @@ def optical_conductivity(f: BroadenedFrequency,
         im = drude_im - pref * ((w**2 - eta**2 + w * omega_t) / d_plus
                                 - (w**2 - eta**2 - w * omega_t) / d_minus)
         return re, im
-    re, im = _finite(parts, f"sigma(w) at eta = {eta!r}")
+    re, im = _finite(parts, what)
     return ResponseValue(ResponseKind.SIGMA, re, im)
 
 

@@ -11,7 +11,9 @@ electronic momentum,
 Ground-state searches over occupancy distributions reduce to three moments of
 the distribution (density, momentum density, kinetic moment), evaluated here
 on uniform k-space grids by the midpoint rule.  Disk occupancies are built
-with exact cell/disk overlap areas so grid quadrature converges at O(h^2).
+with exact cell/disk overlap areas so grid quadrature converges at O(h^2);
+each row's inside and rim cells are runs of columns whose ends a bisection
+finds, so a disk grid holds no N x N array but its occupancies.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
@@ -175,6 +178,11 @@ class OccupancyGrid:
             raise DomainError("grid shape mismatch: f must be (len(kx), len(ky))")
         if kx.size == 0 or ky.size == 0:
             raise DomainError("empty grid")
+        self._store(kx, ky, np.clip(f, 0.0, MAX_OCCUPANCY))
+
+    def _store(self, kx: np.ndarray, ky: np.ndarray, f: np.ndarray) -> None:
+        """Keep kx, ky and an f already in [0, MAX_OCCUPANCY], uncopied,
+        once both axes are checked uniform and increasing."""
         for axis in (kx, ky):
             if axis.size > 1:
                 d = np.diff(axis)
@@ -182,7 +190,7 @@ class OccupancyGrid:
                     raise DomainError("grid axes must be uniform and increasing")
         self.kx = kx
         self.ky = ky
-        self.f = np.clip(f, 0.0, MAX_OCCUPANCY)
+        self.f = f
 
     @property
     def spacing(self) -> tuple[float, float]:
@@ -227,17 +235,28 @@ class OccupancyGrid:
         kx = (np.arange(i_lo, i_hi) + 0.5) * h
         ky = (np.arange(j_lo, j_hi) + 0.5) * h
         dx, dy = kx - cx, ky - cy
-        dist_sq = dx[:, None] ** 2 + dy[None, :] ** 2
         half_diag = h * math.sqrt(0.5)
-        inner_sq = (radius - half_diag) ** 2
-        f = np.where(dist_sq <= inner_sq, fill, 0.0)
-        i, j = np.nonzero((dist_sq > inner_sq)
-                          & (dist_sq < (radius + half_diag) ** 2))
+        a_out, a_in, b_in, b_out = _disk_row_runs(
+            dx, dy, (radius - half_diag) ** 2, (radius + half_diag) ** 2)
+        cols = np.arange(ky.size)
+        f = np.where((cols >= a_in[:, None]) & (cols < b_in[:, None]),
+                     fill, 0.0)
+        # the rim cells in np.nonzero's order: row by row, the run left of
+        # the inside cells and then the run right of them
+        starts = np.stack([a_out, b_in], axis=1).ravel()
+        counts = np.stack([a_in - a_out, b_out - b_in], axis=1).ravel()
+        i = np.repeat(np.arange(kx.size).repeat(2), counts)
+        j = np.arange(counts.sum()) + np.repeat(
+            starts - (np.cumsum(counts) - counts), counts)
         x_mid, y_mid = dx[i], dy[j]
         area = _disk_cell_overlaps(x_mid - h / 2, x_mid + h / 2,
                                    y_mid - h / 2, y_mid + h / 2, radius)
-        f[i, j] = fill * area / (h * h)
-        return cls(kx, ky, f)
+        # an overlap can round past a full cell, and a near-empty corner
+        # cell below 0
+        f[i, j] = np.clip(fill * area / (h * h), 0.0, MAX_OCCUPANCY)
+        grid = cls.__new__(cls)
+        grid._store(kx, ky, f)
+        return grid
 
     def to_csv(self, target: str | Path | TextIO) -> None:
         """Write (kx, ky, f) triples for every cell, header ``kx,ky,f``."""
@@ -247,10 +266,11 @@ class OccupancyGrid:
             return
         # CRLF line ends, as the csv module's default dialect writes them
         target.write("kx,ky,f\r\n")
-        nx, ny = self.kx.size, self.ky.size
-        target.write(format_rows(zip(np.repeat(self.kx, ny).tolist(),
-                                     np.tile(self.ky, nx).tolist(),
-                                     self.f.ravel().tolist()), end="\r\n"))
+        # each axis value is formatted once, and one kx row written at a time
+        ky = [str(y) for y in self.ky.tolist()]
+        for x, row in zip(self.kx.tolist(), self.f):
+            target.write(format_rows(zip(repeat(str(x)), ky, row.tolist()),
+                                     end="\r\n"))
 
     @classmethod
     def from_csv(cls, source: str | Path | TextIO) -> "OccupancyGrid":
@@ -274,6 +294,42 @@ class OccupancyGrid:
         iy = np.searchsorted(ky, data[:, 1])
         f[ix, iy] = data[:, 2]
         return cls(kx, ky, f)
+
+
+def _disk_row_runs(dx: np.ndarray, dy: np.ndarray, inner_sq: float,
+                   outer_sq: float) -> np.ndarray:
+    """Per row i, the ends a_out <= a_in <= b_in <= b_out of the cells j
+    with d = dx[i]**2 + dy[j]**2 <= inner_sq (the run [a_in, b_in)) and
+    inner_sq < d < outer_sq (the runs [a_out, a_in) and [b_in, b_out)).
+
+    dy**2 falls along j up to split = searchsorted(dy, 0.0) and rises after
+    it, and a float sum is monotone in each term, so on each side of split
+    every comparison flips at most once.  One bisection finds all four
+    ends of every row, in ~log2(len(dy)) steps on (4, len(dx)) arrays, from
+    the same sums and comparisons as the full len(dx) x len(dy) matrix.
+    """
+    dx2, dy2 = dx ** 2, dy ** 2
+    ny = dy.size
+    split = int(np.searchsorted(dy, 0.0))
+    # d <= inner_sq is d < the next float up
+    above_inner = np.nextafter(inner_sq, math.inf)
+    bound = np.array([outer_sq, above_inner, above_inner, outer_sq])[:, None]
+    # a_out and a_in are the first j before split inside their bound,
+    # b_in and b_out the first j from split on outside it
+    falling = np.array([True, True, False, False])[:, None]
+    base = np.where(falling, 0, split)
+    n = np.where(falling, split, ny - split)
+
+    def before_end(j):
+        return (dx2 + dy2[j] < bound) != falling
+
+    # the end lies in [base, base + n]; halve n down to 1
+    for _ in range(int(n.max() - 1).bit_length()):
+        half = n >> 1
+        probe = base + half
+        base = np.where(before_end(probe), probe, base)
+        n -= half
+    return base + before_end(base)
 
 
 def _disk_cell_overlaps(x0: np.ndarray, x1: np.ndarray, y0: np.ndarray,

@@ -244,8 +244,8 @@ FINITE_DOUBLES = st.one_of(
               st.sampled_from([1.0, -1.0])))
 
 # finite calls that once returned inf or NaN or raised a bare
-# OverflowError, ZeroDivisionError, ValueError or RuntimeWarning: a DOMAINS
-# row and the leading values of its arguments
+# OverflowError, ZeroDivisionError, ValueError, TypeError or RuntimeWarning:
+# a DOMAINS row and the leading values of its arguments
 RANGE_HOLES = [
     ("collective_coupling", (2.4e245, 2.2e221)),
     ("collective_coupling", (2.6e-253, 0.0)),
@@ -266,6 +266,9 @@ RANGE_HOLES = [
     ("chi_jj_freq_at", (SCALES.omega_tilde, 1e-160)),
     ("chi_mixed_freq_at", (SCALES.omega_tilde, 1e-160)),
     ("response_table_at", (SCALES.omega_tilde, 1e-160)),
+    # the table is one 2x2 matrix: a sweep of w is rejected, not a bare
+    # TypeError from complex()
+    ("response_table_at", (np.array([1e13, 2e13]),)),
     ("optical_conductivity_at", (7e-158, 5.5e-147)),
     ("quasiparticle_energy", (1.8e244, 1e-65, 8e122)),
     ("coupling_1d", (1.0, 2.9e-233, 1.6e137)),

@@ -114,6 +114,16 @@ class TestFrequencyResponses:
         with pytest.raises(DomainError, match=r"\(w\) at eta = 1e-200 "):
             func(BroadenedFrequency(w, 1e-200), RATIO_SCALES)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("eta", [1e-160, 1e-200])
+    def test_on_pole_overflow_is_worded_as_one(self, eta):
+        # 1/eta^2 overflows at 1e-160; at 1e-200 eta^2 rounds to 0 first,
+        # and the same overflow is not called undefined
+        with pytest.raises(DomainError) as info:
+            chi_aa_freq(BroadenedFrequency(OMEGA_T_RATIO, eta), RATIO_SCALES)
+        assert str(info.value) == (
+            f"chi_AA(w) at eta = {eta!r} overflows the float range")
+
     def test_broadening_required(self):
         with pytest.raises(DomainError):
             chi_aa_freq(BroadenedFrequency(1.0, 0.0), RATIO_SCALES)

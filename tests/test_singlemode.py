@@ -4,11 +4,16 @@ Numerical oracles used here:
   * cell/disk overlap: 1D adaptive quadrature of the chord length with
     breakpoints at every kink of the integrand; the scalar overlap, cell by
     cell, is in turn the oracle of the one-pass array overlap,
+  * disk grids: the disk built from the full N x N matrix of squared
+    distances, the byte oracle of the per-row runs of OccupancyGrid.disk,
+  * grid CSV: the whole grid formatted in one call, the byte oracle of the
+    row-by-row writer,
   * disk moments: closed-form disk integrals f k_F^2/(4 pi), f k_F^4/(8 pi).
 """
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +37,9 @@ from cavity2deg import (
     instability_witness,
     optimal_origin,
 )
-from cavity2deg.singlemode import _disk_cell_overlaps
+from cavity2deg.io_utils import format_rows
+from cavity2deg.singlemode import (DISK_MARGIN, MAX_OCCUPANCY,
+                                   _disk_cell_overlaps)
 
 HBAR = CODATA2018.hbar
 M_E = CODATA2018.m_e
@@ -80,6 +87,55 @@ def _disk_cell_overlap(x0: float, x1: float, y0: float, y1: float,
         return math.copysign(chord(abs(y), a, b), y)
 
     return clip_integral(y1) - clip_integral(y0)
+
+
+def _reference_disk(radius: float, center: tuple[float, float], fill: float,
+                    cells_per_radius: int):
+    """(kx, ky, f) of OccupancyGrid.disk built on the full N x N matrix of
+    squared distances, before the grid clips f: OccupancyGrid(kx, ky, f)
+    is the byte oracle of the per-row runs of ``OccupancyGrid.disk``."""
+    h = radius / cells_per_radius
+    reach = radius * DISK_MARGIN
+    cx, cy = center
+    i_lo = math.floor((cx - reach) / h)
+    i_hi = math.ceil((cx + reach) / h)
+    j_lo = math.floor((cy - reach) / h)
+    j_hi = math.ceil((cy + reach) / h)
+    kx = (np.arange(i_lo, i_hi) + 0.5) * h
+    ky = (np.arange(j_lo, j_hi) + 0.5) * h
+    dx, dy = kx - cx, ky - cy
+    dist_sq = dx[:, None] ** 2 + dy[None, :] ** 2
+    half_diag = h * math.sqrt(0.5)
+    inner_sq = (radius - half_diag) ** 2
+    f = np.where(dist_sq <= inner_sq, fill, 0.0)
+    i, j = np.nonzero((dist_sq > inner_sq)
+                      & (dist_sq < (radius + half_diag) ** 2))
+    x_mid, y_mid = dx[i], dy[j]
+    area = _disk_cell_overlaps(x_mid - h / 2, x_mid + h / 2,
+                               y_mid - h / 2, y_mid + h / 2, radius)
+    f[i, j] = fill * area / (h * h)
+    return kx, ky, f
+
+
+def _disk_corpus():
+    """Seeded (radius, center, fill, cells_per_radius) cases: radii over
+    1e-5..1e9, the smallest resolutions, the full fill 2.0, and centers at
+    the origin, on cell corners, on cell centers and off the grid's
+    middle."""
+    rng = np.random.default_rng(19)
+    cases = []
+    for k in range(320):
+        cpr = int(rng.choice([2, 3, 5, 7, 16, 33, 64]))
+        radius = float(10.0 ** rng.uniform(-5.0, 9.0))
+        if k < 2:
+            radius = (1e-5, 1e9)[k]
+        fill = float(rng.choice([2.0, 2.0, 1.0, 0.7, rng.uniform(0.01, 2.0)]))
+        h = radius / cpr
+        corner = rng.integers(-50, 50, 2)
+        center = [(0.0, 0.0), tuple(corner * h), tuple((corner + 0.5) * h),
+                  tuple(radius * rng.uniform(-3.0, 3.0, 2))][k % 4]
+        cases.append((radius, tuple(map(float, center)), fill, cpr))
+    return cases
 
 
 def overlap_quad_oracle(x0, x1, y0, y1, radius):
@@ -282,12 +338,44 @@ class TestDiskOverlap:
 
 
 class TestVectorDisk:
-    """OccupancyGrid.disk evaluates all boundary cells in one numpy pass.
+    """OccupancyGrid.disk finds each row's inside and rim cells by bisection
+    and evaluates all rim cells in one numpy pass.
 
-    Both it and the scalar overlap cancel in phi(hi) - phi(lo) ~ R^2 for a
-    cell of area h^2, so they agree to a few eps * cpr^2 * fill per cell,
-    not to a fixed relative tolerance.
+    It matches the disk built on the full N x N distance matrix to the
+    byte, and holds no N x N float array but its f.  Both the array and the
+    scalar overlap cancel in phi(hi) - phi(lo) ~ R^2 for a cell of area
+    h^2, so they agree to a few eps * cpr^2 * fill per cell, not to a fixed
+    relative tolerance.
     """
+
+    def test_matches_reference_disk_to_the_byte(self):
+        above = below = 0
+        for radius, center, fill, cpr in _disk_corpus():
+            kx, ky, raw = _reference_disk(radius, center, fill, cpr)
+            want = OccupancyGrid(kx, ky, raw)
+            got = OccupancyGrid.disk(radius, center=center, fill=fill,
+                                     cells_per_radius=cpr)
+            for a, b in ((got.kx, want.kx), (got.ky, want.ky),
+                         (got.f, want.f)):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes(), (radius, center, fill, cpr)
+            above += np.count_nonzero(raw > MAX_OCCUPANCY)
+            below += np.count_nonzero(raw < 0.0)
+        # the corpus reaches both changes the clip makes to the rim values:
+        # overlaps that round past a full cell at fill 2.0, and corner
+        # cells whose near-zero overlap rounds below 0
+        assert above > 0 and below > 0
+
+    def test_peak_memory_is_about_one_grid(self):
+        kw = dict(center=(0.1, -0.2), fill=2.0, cells_per_radius=256)
+        OccupancyGrid.disk(1.3, **kw)
+        tracemalloc.start()
+        try:
+            g = OccupancyGrid.disk(1.3, **kw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * g.f.nbytes
 
     @pytest.mark.parametrize("cpr", [2, 3, 7, 32, 64, 128, 256])
     def test_cells_match_scalar_overlap(self, cpr, rng):
@@ -503,6 +591,32 @@ class TestOccupancyGridIO:
         got = io.StringIO()
         g.to_csv(got)
         assert got.getvalue() == want.getvalue()
+
+    def test_csv_bytes_match_one_shot_format(self, rng):
+        # formatted row by row with each axis value formatted once, the
+        # same bytes as the whole grid in one format_rows call
+        grids = [OccupancyGrid.disk(1.3e8, center=(2e7, -1e7), fill=1.7,
+                                    cells_per_radius=8),
+                 OccupancyGrid((np.arange(4) + 0.5) * 0.37,
+                               (np.arange(9) - 3.5) * 1e-9,
+                               rng.uniform(0.0, 2.0, (4, 9)))]
+        for g in grids:
+            nx, ny = g.kx.size, g.ky.size
+            want = "kx,ky,f\r\n" + format_rows(
+                zip(np.repeat(g.kx, ny).tolist(), np.tile(g.ky, nx).tolist(),
+                    g.f.ravel().tolist()), end="\r\n")
+            writes = []
+
+            class Recorder(io.StringIO):
+                def write(self, text):
+                    writes.append(text)
+                    return super().write(text)
+
+            got = Recorder()
+            g.to_csv(got)
+            assert got.getvalue() == want
+            # the header, then one write per kx row
+            assert len(writes) == 1 + nx
 
     def test_csv_round_trip_stream(self):
         g = OccupancyGrid.disk(0.8, cells_per_radius=8)
