@@ -24,6 +24,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cache, partial
+from itertools import chain
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -67,9 +68,6 @@ class SweepSpec:
     log: bool = False
 
     def __post_init__(self) -> None:
-        if self.variable not in SWEEPABLE:
-            raise ConfigError(f"unknown sweep variable {self.variable!r}; "
-                              f"choose from {', '.join(SWEEPABLE)}")
         if self.count < 2:
             raise ConfigError(f"sweep count must be >= 2, got {self.count}")
         if not math.isfinite(self.stop - self.start):
@@ -83,9 +81,9 @@ class SweepSpec:
     @classmethod
     def parse(cls, text: str) -> "SweepSpec":
         """Parse ``var=start:stop:count[:log]``."""
-        if "=" not in text:
+        var, eq, rhs = text.partition("=")
+        if not (eq and var.strip()):
             raise ConfigError(f"--sweep expects var=start:stop:count, got {text!r}")
-        var, _, rhs = text.partition("=")
         parts = rhs.split(":")
         if len(parts) not in (3, 4):
             raise ConfigError(f"--sweep expects start:stop:count[:log], got {rhs!r}")
@@ -128,6 +126,14 @@ class OutputRecord:
         if widths:
             raise PreconditionError(
                 f"row width {min(widths)} != column count {ncol}")
+        # no NaN or inf in CSV or JSON; a finite sum has finite terms
+        try:
+            finite = math.isfinite(sum(chain.from_iterable(self.rows)))
+        except (TypeError, OverflowError):   # a label, an int past floats
+            finite = False
+        if not (finite or all(math.isfinite(v) for row in self.rows
+                              for v in row if isinstance(v, float))):
+            raise DomainError("rows hold a non-finite value")
 
     @property
     def provenance(self) -> dict:
@@ -142,8 +148,9 @@ class OutputRecord:
 
         The envelope goes through json.dumps; the rows, which are most of
         the bytes, are spliced in by ``_json_rows``.  A NaN or infinite
-        value anywhere in the record raises DomainError instead of writing
-        a ``NaN`` or ``Infinity`` token, which JSON does not have.
+        value raises DomainError instead of writing a ``NaN`` or
+        ``Infinity`` token, which JSON does not have: in the rows as the
+        record is made, elsewhere here.
         """
         head = _dumps({"command": self.command, "config": self.config,
                        "params": self.params,
@@ -206,30 +213,16 @@ def _json_rows(rows: list) -> str:
 
 
 def _json_tokens(values: tuple) -> list[str]:
-    """JSON text of one column; a NaN or infinite value raises DomainError,
-    as JSON has no token for it."""
+    """JSON text of one column: ``str`` of floats and ints, which the record
+    holds finite, and json.dumps of any other value."""
     if set(map(type, values)) <= {float, int}:
-        tokens = list(map(str, values))
-        if {"nan", "inf", "-inf"}.isdisjoint(tokens):
-            return tokens
-    try:
-        return [json.dumps(v, allow_nan=False) for v in values]
-    except ValueError as err:
-        raise DomainError(f"rows hold a non-finite value: {err}") from err
+        return list(map(str, values))
+    return [_dumps(v) for v in values]
 
 
 def _rows(*columns: np.ndarray) -> list[tuple]:
-    """Equal-length sweep columns as row tuples of Python numbers.
-
-    A non-finite value (an overflow, or an input past the range of the
-    closed form) raises DomainError, so no NaN or inf token is written.
-    """
-    table = np.column_stack(columns)
-    finite = np.isfinite(table).all(axis=1)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise DomainError(f"row {i} is not finite: {table[i].tolist()}")
-    return list(zip(*(col.tolist() for col in columns)))
+    """Equal-length sweep columns as row tuples of Python numbers."""
+    return list(zip(*(col.tolist() for col in columns), strict=True))
 
 
 def _default_config() -> SystemConfig:
@@ -410,8 +403,6 @@ _SUBCOMMANDS: dict[tuple[str, str | None], _Sub] = {
     ("manymode", "coupling-run"): _Sub("modes", ("n_modes", "g_exact"),
                                        ("modes", "ratio"), _coupling_run),
 }
-SWEEPABLE = tuple(dict.fromkeys(s.sweep for s in _SUBCOMMANDS.values()
-                                if s.sweep))
 
 
 def cmd_phase(config: SystemConfig | None = None,

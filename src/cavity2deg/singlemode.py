@@ -11,17 +11,17 @@ electronic momentum,
 Ground-state searches over occupancy distributions reduce to three moments of
 the distribution (density, momentum density, kinetic moment), evaluated here
 on uniform k-space grids by the midpoint rule.  Disk occupancies are built
-with exact cell/disk overlap areas so grid quadrature converges at O(h^2);
-each row's inside and rim cells are runs of columns whose ends a bisection
-finds, so a disk grid holds no N x N array but its occupancies.
+with exact cell/disk overlap areas (signed sums of four quadrant areas) so
+grid quadrature converges at O(h^2); each row's inside and rim cells are
+runs of columns whose ends a bisection finds, so a disk grid holds no N x N
+array but its occupancies.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
@@ -80,8 +80,11 @@ class SpectrumIndex:
         # overflowing |K|^2 is inf, which Cauchy-Schwarz then rejects
         kx, ky = map(float, self.K)
         k2 = kx * kx + ky * ky
-        # Cauchy-Schwarz: sum k_j^2 >= |sum k_j|^2 / N for any momentum list
-        if self.kinetic_sum < k2 / self.n_electrons * (1.0 - 1e-12):
+        # Cauchy-Schwarz: sum k_j^2 >= |sum k_j|^2 / N for any momentum list,
+        # up to rounding: relative, and where squares are subnormal half the
+        # smallest subnormal for each of the 2N + 2 squares and the quotient
+        if self.kinetic_sum < (k2 / self.n_electrons * (1.0 - 1e-12)
+                               - (self.n_electrons + 2) * math.ulp(0.0)):
             raise PreconditionError(
                 "kinetic_sum below |K|^2/N violates Cauchy-Schwarz")
 
@@ -178,19 +181,9 @@ class OccupancyGrid:
             raise DomainError("grid shape mismatch: f must be (len(kx), len(ky))")
         if kx.size == 0 or ky.size == 0:
             raise DomainError("empty grid")
-        self._store(kx, ky, np.clip(f, 0.0, MAX_OCCUPANCY))
-
-    def _store(self, kx: np.ndarray, ky: np.ndarray, f: np.ndarray) -> None:
-        """Keep kx, ky and an f already in [0, MAX_OCCUPANCY], uncopied,
-        once both axes are checked uniform and increasing."""
-        for axis in (kx, ky):
-            if axis.size > 1:
-                d = np.diff(axis)
-                if not np.allclose(d, d[0], rtol=1e-9, atol=0.0) or d[0] <= 0:
-                    raise DomainError("grid axes must be uniform and increasing")
-        self.kx = kx
-        self.ky = ky
-        self.f = f
+        if not (_uniform(kx) and _uniform(ky)):
+            raise DomainError("grid axes must be uniform and increasing")
+        self.kx, self.ky, self.f = kx, ky, np.clip(f, 0.0, MAX_OCCUPANCY)
 
     @property
     def spacing(self) -> tuple[float, float]:
@@ -207,7 +200,10 @@ class OccupancyGrid:
 
         Cells fully inside the disk get ``fill``; boundary cells get
         fill * (overlap area)/(cell area).  fill=2 is the spin-summed full
-        Fermi disk, fill=1 a singly-occupied one.
+        Fermi disk, fill=1 a singly-occupied one.  ``center`` must leave the
+        cell centers (i + 1/2) h uniform, the axis rule of every grid: a
+        few million cells from the origin for most h, up to 2**52 for
+        h = 2**k; past that a DomainError names center and h.
         """
         _positive(radius, "radius")
         if not 0.0 < fill <= MAX_OCCUPANCY:
@@ -222,18 +218,19 @@ class OccupancyGrid:
                 f"4.5 radius^2, the grid's largest square, over the cell "
                 f"area h^2 at radius = {radius!r}")
         reach = radius * DISK_MARGIN
-        # past 2**53 cells from the origin the cell indices are no longer
-        # exact floats; NaN and inf fail the comparison too
         cx, cy = center
+        far = (f"center must be finite and near enough to the origin that the "
+               f"cell centers (i + 1/2) h, h = {h!r}, are uniform; got {center}")
+        # a size guard only, which NaN and inf fail too: it keeps floor and
+        # np.arange exact; the axis rule below admits the center
         if not all((abs(c) + reach) / h < 2.0**53 for c in (cx, cy)):
-            raise DomainError(f"center must be finite and under 2**53 cells "
-                              f"of h = {h!r} from the origin, got {center}")
-        i_lo = math.floor((cx - reach) / h)
-        i_hi = math.ceil((cx + reach) / h)
-        j_lo = math.floor((cy - reach) / h)
-        j_hi = math.ceil((cy + reach) / h)
-        kx = (np.arange(i_lo, i_hi) + 0.5) * h
-        ky = (np.arange(j_lo, j_hi) + 0.5) * h
+            raise DomainError(far)
+        kx = (np.arange(math.floor((cx - reach) / h),
+                        math.ceil((cx + reach) / h)) + 0.5) * h
+        ky = (np.arange(math.floor((cy - reach) / h),
+                        math.ceil((cy + reach) / h)) + 0.5) * h
+        if not (_uniform(kx) and _uniform(ky)):
+            raise DomainError(far)
         dx, dy = kx - cx, ky - cy
         half_diag = h * math.sqrt(0.5)
         a_out, a_in, b_in, b_out = _disk_row_runs(
@@ -255,7 +252,7 @@ class OccupancyGrid:
         # cell below 0
         f[i, j] = np.clip(fill * area / (h * h), 0.0, MAX_OCCUPANCY)
         grid = cls.__new__(cls)
-        grid._store(kx, ky, f)
+        grid.kx, grid.ky, grid.f = kx, ky, f
         return grid
 
     def to_csv(self, target: str | Path | TextIO) -> None:
@@ -274,26 +271,36 @@ class OccupancyGrid:
 
     @classmethod
     def from_csv(cls, source: str | Path | TextIO) -> "OccupancyGrid":
+        """Read the rows of ``to_csv``, in any order, into one float array
+        whose distinct kx and ky values are the axes; every (kx, ky) pair
+        must appear."""
         if isinstance(source, (str, Path)):
-            with open(source, newline="") as fh:
+            with open(source) as fh:
                 return cls.from_csv(fh)
-        reader = csv.reader(source)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["kx", "ky", "f"]:
+        header = source.readline().split(",")
+        if [h.strip() for h in header] != ["kx", "ky", "f"]:
             raise DomainError("expected CSV header kx,ky,f")
-        rows = [(float(a), float(b), float(c)) for a, b, c in reader]
-        if not rows:
+        # loadtxt warns on a body without data, so the first row is read here
+        first = source.readline()
+        if not first.strip():
             raise DomainError("empty grid")
-        data = np.asarray(rows)
-        kx = np.unique(data[:, 0])
-        ky = np.unique(data[:, 1])
+        data = np.loadtxt(chain([first], source), delimiter=",", ndmin=2)
+        if data.shape[1] != 3:
+            raise ValueError(f"expected 3 fields per row, got {data.shape[1]}")
+        kx, ix = np.unique(data[:, 0], return_inverse=True)
+        ky, iy = np.unique(data[:, 1], return_inverse=True)
         if kx.size * ky.size != data.shape[0]:
             raise DomainError("CSV rows do not form a complete rectangular grid")
         f = np.empty((kx.size, ky.size))
-        ix = np.searchsorted(kx, data[:, 0])
-        iy = np.searchsorted(ky, data[:, 1])
         f[ix, iy] = data[:, 2]
         return cls(kx, ky, f)
+
+
+def _uniform(axis: np.ndarray) -> bool:
+    """One value, or increasing in steps equal to 1e-9 relative."""
+    d = np.diff(axis)
+    return d.size == 0 or bool(
+        d[0] > 0 and np.allclose(d, d[0], rtol=1e-9, atol=0.0))
 
 
 def _disk_row_runs(dx: np.ndarray, dy: np.ndarray, inner_sq: float,
@@ -337,37 +344,35 @@ def _disk_cell_overlaps(x0: np.ndarray, x1: np.ndarray, y0: np.ndarray,
     """Exact areas of the cells [x0,x1]x[y0,y1] inside the origin-centered
     disk, in one numpy pass.
 
-    Each branch of the scalar oracle ``_disk_cell_overlap`` in
-    tests/test_singlemode.py becomes a mask, and every term is the same
-    expression on the same operands, so a cell's area differs from the
-    scalar one only where numpy's arcsin and math.asin round apart.
-    Both cancel in phi(hi) - phi(lo) ~ R^2 for a cell of area h^2, so either
-    is accurate to a few eps * (R/h)^2 relative.
+    The disk is symmetric in both axes, so a cell's area is
+    Q(x1,y1) - Q(x0,y1) - Q(x1,y0) + Q(x0,y0), with Q(x, y) sign(x) sign(y)
+    times the disk's area in [0,|x|]x[0,|y|]: with |x| and |y| clamped to R
+    and xc = sqrt(R^2 - y^2), min(|x|, xc) |y| + phi(max(|x|, xc)) - phi(xc),
+    phi the antiderivative of sqrt(R^2 - x^2).  The four Q ~ R^2 cancel to
+    a cell of area h^2, so an area is accurate to a few eps * (R/h)^2
+    relative, as is the scalar oracle ``_disk_cell_overlap`` in
+    tests/test_singlemode.py, which integrates chords instead.
     """
     r2 = radius * radius
-    a = np.maximum(x0, -radius)
-    b = np.minimum(x1, radius)
 
     def phi(x):
-        # antiderivative of sqrt(R^2 - x^2)
-        s = np.sqrt(np.maximum(r2 - x * x, 0.0))
-        return 0.5 * (x * s + r2 * np.arcsin(np.clip(x / radius, -1.0, 1.0)))
+        # x in [0, R], so neither operand leaves the domain
+        return 0.5 * (x * np.sqrt(r2 - x * x) + r2 * np.arcsin(x / radius))
 
-    def chord(t):
-        # integral over [a, b] of min(t, sqrt(R^2 - x^2)), t >= 0
-        xc = np.sqrt(np.maximum(r2 - t * t, 0.0))
-        left_hi = np.minimum(b, -xc)
-        mid_lo, mid_hi = np.maximum(a, -xc), np.minimum(b, xc)
-        right_lo = np.maximum(a, xc)
-        total = (np.where(left_hi > a, phi(left_hi) - phi(a), 0.0)
-                 + np.where(mid_hi > mid_lo, t * (mid_hi - mid_lo), 0.0)
-                 + np.where(b > right_lo, phi(b) - phi(right_lo), 0.0))
-        return np.where(t >= radius, phi(b) - phi(a), total)
+    def signed_strip(y):
+        # Q(x1, y) - Q(x0, y)
+        ay = np.minimum(np.abs(y), radius)
+        # sqrt rounds up past R when R^2 is subnormal
+        xc = np.minimum(np.sqrt(r2 - ay * ay), radius)
+        phi_c = phi(xc)
 
-    def clip_integral(y):
-        return np.where(y == 0.0, 0.0, np.copysign(chord(np.abs(y)), y))
+        def quadrant(x):
+            ax = np.minimum(np.abs(x), radius)
+            return np.sign(x) * (np.minimum(ax, xc) * ay
+                                 + (phi(np.maximum(ax, xc)) - phi_c))
+        return np.sign(y) * (quadrant(x1) - quadrant(x0))
 
-    return np.where(b > a, clip_integral(y1) - clip_integral(y0), 0.0)
+    return signed_strip(y1) - signed_strip(y0)
 
 
 def distribution_moments(grid: OccupancyGrid) -> DistributionMoments:

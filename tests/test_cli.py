@@ -136,15 +136,16 @@ class TestOutputRecord:
         assert rec.to_json() == json.dumps(body, indent=1) + "\n"
 
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
                                      np.float64(math.nan)])
     @pytest.mark.parametrize("other", [0.5, 3, "s"])
-    def test_non_finite_row_rejected(self, bad, other):
-        # JSON has no NaN or Infinity token: a column of numbers and a
-        # mixed column both raise
-        rec = self.make(rows=[(bad, 1.0), (other, 2.0)])
+    def test_non_finite_row_rejected(self, bad, other, fmt):
+        # no NaN or inf in a CSV row, and JSON has no NaN or Infinity token:
+        # a column of numbers and a mixed column both raise, as the record
+        # is made, before either format is written
         with pytest.raises(DomainError, match="non-finite"):
-            rec.to_json()
+            self.make(rows=[(bad, 1.0), (other, 2.0)]).render(fmt)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -470,6 +471,12 @@ class TestManymodeCommand:
                              "--sweep", "ratio=0:1:3")
         assert (code, out) == (2, "")
         assert err == "error: manymode diag does not read --sweep\n"
+
+    def test_sweep_of_a_variable_no_command_reads(self, capsys):
+        # the sub-command's own check names the variable it sweeps
+        code, out, err = run(capsys, "phase", "--sweep", "foo=0:1:3")
+        assert (code, out) == (2, "")
+        assert err == "error: phase sweeps over gamma; got 'foo'\n"
 
     def test_convergence_maps_to_exit_4(self, capsys, monkeypatch):
         import cavity2deg.cli as climod
@@ -924,8 +931,6 @@ class TestSubcommandTable:
             declared += [(command, sub) for sub in (subs[0] if subs
                                                     else [None])]
         assert declared == list(cli._SUBCOMMANDS)
-        assert cli.SWEEPABLE == ("gamma", "w", "lambda0", "rs", "ratio",
-                                 "modes")
 
 
 class TestImportFloor:

@@ -17,7 +17,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -187,6 +187,8 @@ class TestSpectrumIndex:
 
     @given(st.lists(st.tuples(st.floats(-10, 10), st.floats(-10, 10)),
                     min_size=1, max_size=8))
+    # subnormal squares, whose rounding no relative slack absorbs
+    @example([(8.442041330448203e-162, 0.0)] * 2)
     def test_from_momenta_always_satisfies_guard(self, momenta):
         # physical momentum lists can never trip the Cauchy-Schwarz check
         SpectrumIndex.from_momenta(momenta)
@@ -366,6 +368,13 @@ class TestVectorDisk:
         # cells whose near-zero overlap rounds below 0
         assert above > 0 and below > 0
 
+    def test_no_negative_zero(self):
+        # an empty rim cell holds 0.0, never -0.0, and every f is >= 0
+        for radius, center, fill, cpr in _disk_corpus():
+            g = OccupancyGrid.disk(radius, center=center, fill=fill,
+                                   cells_per_radius=cpr)
+            assert not np.signbit(g.f).any(), (radius, center, fill, cpr)
+
     def test_peak_memory_is_about_one_grid(self):
         kw = dict(center=(0.1, -0.2), fill=2.0, cells_per_radius=256)
         OccupancyGrid.disk(1.3, **kw)
@@ -405,6 +414,18 @@ class TestVectorDisk:
         y0 = np.append(y0, [0.0, -2.0, -0.3, -0.2, 0.0])
         w = np.append(w, [1.0, 4.0, 0.2, 0.3, 0.2])
         h = np.append(h, [1.0, 4.0, 0.6, 0.4, 0.5])
+        # (x0, y0, w, h): zero width or height, inside and across the rim;
+        # a corner on the circle, the cell outside or inside it; straddling
+        # both axes, inside the disk and across the rim
+        more = np.array([
+            (0.3, -0.5, 0.0, 1.0), (0.99, 0.0, 0.0, 0.5),
+            (-0.5, 0.3, 1.0, 0.0), (-1.2, -0.9, 0.5, 0.0),
+            (0.6, 0.8, 0.5, 0.5), (0.1, 0.3, 0.5, 0.5),
+            (1.0, 0.0, 0.5, 0.5), (-0.5, 1.0, 0.5, 0.5),
+            (-1.5, -0.5, 0.5, 0.5), (-0.6, -1.3, 0.6, 0.5),
+            (-0.5, -0.4, 0.9, 0.7), (-0.9, -1.1, 1.8, 2.3),
+            (-1.5, -0.2, 3.0, 0.5)]).T
+        x0, y0, w, h = (np.append(a, b) for a, b in zip((x0, y0, w, h), more))
         got = _disk_cell_overlaps(x0, x0 + w, y0, y0 + h, 1.0)
         want = [_disk_cell_overlap(a, a + dx, b, b + dy, 1.0)
                 for a, b, dx, dy in zip(x0, y0, w, h)]
@@ -626,6 +647,28 @@ class TestOccupancyGridIO:
         back = OccupancyGrid.from_csv(buf)
         assert np.array_equal(g.f, back.f)
 
+    def test_read_peak_memory_is_a_few_times_the_text(self, tmp_path):
+        # the rows are read as one float array; one Python tuple per cell
+        # peaked at 6.1x the text of this grid
+        path = tmp_path / "disk.csv"
+        OccupancyGrid.disk(1.3, center=(0.1, -0.2), fill=2.0,
+                           cells_per_radius=64).to_csv(path)
+        OccupancyGrid.from_csv(path)
+        tracemalloc.start()
+        try:
+            OccupancyGrid.from_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.0 * path.stat().st_size
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("body", ["", "\r\n", "\n\n"])
+    def test_empty_grid_rejected(self, body):
+        # a typed error, and no numpy warning about a body without data
+        with pytest.raises(DomainError, match="empty"):
+            OccupancyGrid.from_csv(io.StringIO("kx,ky,f\r\n" + body))
+
     def test_bad_header_rejected(self):
         with pytest.raises(DomainError, match="header"):
             OccupancyGrid.from_csv(io.StringIO("a,b,c\n1,2,3\n"))
@@ -664,6 +707,28 @@ class TestOccupancyGridValidation:
             OccupancyGrid.disk(1.0, fill=2.5)
         with pytest.raises(DomainError):
             OccupancyGrid.disk(1.0, cells_per_radius=1)
+        # cells far from the origin: uniform cell centers or a DomainError
+        # that names center
+        for radius, center in ((1.3, (1e6, 0.0)), (1.0, (1e14, 0.0))):
+            try:
+                OccupancyGrid.disk(radius, center=center)
+            except DomainError as err:
+                assert "center" in str(err)
+
+    @given(st.floats(1e-3, 1e3), st.integers(2, 64),
+           st.tuples(*[st.builds(lambda e, s: s * 10.0**e,
+                                 st.floats(-3.0, 18.0),
+                                 st.sampled_from([1.0, -1.0]))] * 2))
+    def test_disk_axes_pass_the_grid_rule_or_name_center(self, radius, cpr,
+                                                          center):
+        # the disk admits exactly the centers whose axes are a grid's
+        try:
+            g = OccupancyGrid.disk(radius, center=center,
+                                   cells_per_radius=cpr)
+        except DomainError as err:
+            assert "center" in str(err)
+        else:
+            OccupancyGrid(g.kx, g.ky, g.f)
 
     def test_disk_far_from_the_origin_builds(self):
         # 6.4e14 cells out, below the 2**53 where cell indices stop being
