@@ -304,10 +304,19 @@ def dressed_frequency(omega: float, omega_p: float) -> float:
 
 
 def collective_coupling(omega: float, omega_p: float) -> float:
-    """gamma = omega_p^2/(omega^2 + omega_p^2), in [0, 1) for omega > 0."""
+    """gamma = omega_p^2/(omega^2 + omega_p^2), in [0, 1) for omega > 0.
+
+    gamma depends on omega_p/omega alone, so both frequencies are first
+    divided by the power of two that brings the larger into [1/2, 1).  That
+    is exact unless the smaller falls below 2^-1022 there, and keeps the
+    squares and their sum from overflowing; a square that is subnormal
+    there is negligible beside the other, or leaves gamma below 2^-1020.
+    """
     _positive(omega, "omega")
     _non_negative(omega_p, "omega_p")
-    return _finite(lambda: omega_p**2 / (omega**2 + omega_p**2),
+    e = -math.frexp(max(omega, omega_p))[1]
+    w, w_p = math.ldexp(omega, e), math.ldexp(omega_p, e)
+    return _finite(lambda: w_p**2 / (w**2 + w_p**2),
                    f"gamma at omega = {omega!r}, omega_p = {omega_p!r}")
 
 

@@ -43,11 +43,16 @@ vectorized numpy updates applies the whole round.  The schedule of rounds,
 with the matrix positions each round reads its angles from, is built once
 per call, and A and V^T are rotated as one stack; that leaves a round at one
 gather and about 25 numpy calls, with the rotation sequence and every output
-byte the same as applying the rounds one array at a time.  For odd n the
-index that sits a round out meets an infinite skip threshold there, so no
-round branches on it.  There is one
-Jacobi kernel; the tests check it against the platform eigensolver (LAPACK
-via numpy.linalg.eigh) and, byte for byte, against a per-round copy of it.
+byte the same as applying the rounds one array at a time.  At these sizes a
+call's cost is mostly numpy's loop set-up, so the angles take no scalar
+operands and, while the round's arrays fit in cache (n <= _EXPAND_MAX_N),
+the round copies c and s once into arrays shaped like the stack: every
+multiply of the update is then between same-shape arrays, which numpy runs
+as one flat loop rather than row by row.  For odd n the index that sits a
+round out meets an infinite skip threshold there, so no round branches on
+it.  There is one Jacobi kernel; the tests check it against the platform
+eigensolver (LAPACK via numpy.linalg.eigh) and, byte for byte, against a
+per-round copy of it.
 """
 
 from __future__ import annotations
@@ -84,6 +89,14 @@ MAX_SECULAR_STEPS = 100      # Newton/bisection steps per secular root
 # normal_modes) fits in 1 GiB, so no mode count reaches the array size limit
 MAX_MODES = 11_585
 EPS = float(np.finfo(float).eps)
+# the largest n whose Jacobi rounds multiply by c and s expanded to (n, n)
+# buffers.  Set by isolated solves of random W, min of 6 alternating runs
+# each, on a 2-core Xeon with 2 MiB of L2 per core: expanded against the
+# (n, 1) columns was -3 % and -5 % at n = 144, +5 % and -4 % at n = 160,
+# +12 % at 176 and +14 % at 192.  An expanded round works on ~64 n^2 bytes
+# (the stack, its scratch and the operands), which outgrows that cache near
+# n = 180; with no limit the 500-mode solve took 23.4 s, against 18.0 s.
+_EXPAND_MAX_N = 144
 
 _log = logging.getLogger(__name__)
 
@@ -251,6 +264,15 @@ def _jacobi_round_robin(av: np.ndarray, skip_thr: float, tol_fro: float,
     positions of a[lo, hi], a[hi, hi] and a[lo, lo] (lo, hi the pair of
     each index), are built once per call, so a round gathers its angles
     with one take.
+
+    A multiply by c or s shaped (n, 1) runs numpy's broadcast loop, one
+    row at a time, at two to three times the cost of a same-shape product.
+    So up to ``_EXPAND_MAX_N`` a round copies c and s once into buffers
+    shaped like the stack, whose row i holds c_i (s_i), and all four
+    multiplies are same-shape; above it, where those buffers leave the
+    cache, they multiply by the (n, 1) columns.  The angles likewise take
+    array operands, not scalars.  Every element goes through the same IEEE
+    operations either way, so no output byte depends on the operand form.
     """
     n = av.shape[1]
     a = av[0]
@@ -264,10 +286,18 @@ def _jacobi_round_robin(av: np.ndarray, skip_thr: float, tol_fro: float,
     flat = np.stack([lo * n + hi, hi * (n + 1), lo * (n + 1)], axis=1)
     # s changes sign on the lower index of each pair and on an idle index,
     # which keeps the sign of a zero s and so every output byte
-    flip = idx <= partner
+    sign = np.where(idx <= partner, -1.0, 1.0)
     # an idle index (odd n) reads its diagonal as a[lo, hi]; an infinite
     # threshold keeps it out of its round
     thr = np.where(lo != hi, skip_thr, np.inf)
+    ones = np.ones(n)
+    cs = np.empty((2, n))
+    c, s = cs
+    # the multiply operands of the stack (cv, sv) and of a alone (ca, sa)
+    expand = n <= _EXPAND_MAX_N
+    ops = np.empty((2, 2, n, n)) if expand else cs[:, None, :, None]
+    cv, sv = ops
+    ca, sa = cv[0], sv[0]
     sweeps = -1
     rotations = skipped = 0
     for sweep in range(max_sweeps + 1):
@@ -286,23 +316,25 @@ def _jacobi_round_robin(av: np.ndarray, skip_thr: float, tol_fro: float,
                 skipped += 1
                 continue
             rotations += count // 2   # a pair counts at both its indices
-            tau = (ahh - all_) / (2.0 * np.where(rotate, apq, 1.0))
+            apq = np.where(rotate, apq, ones)
+            tau = (ahh - all_) / (apq + apq)
             # equals copysign(1, tau) / (|tau| + hypot(1, tau)) * rotate
-            t = rotate / (tau + np.copysign(np.hypot(1.0, tau), tau))
-            np.negative(t, where=flip[r], out=t)
-            c = 1.0 / np.hypot(1.0, t)
-            s = (t * c)[:, None]
-            c = c[:, None]
+            t = rotate / (tau + np.copysign(np.hypot(ones, tau), tau))
+            t *= sign[r]
+            np.divide(ones, np.hypot(ones, t), out=c)
+            np.multiply(t, c, out=s)
+            if expand:
+                np.copyto(ops, cs[:, None, :, None])
             av.take(p, axis=1, out=work, mode="clip")
-            av *= c
-            work *= s
+            av *= cv
+            work *= sv
             av += work
             # the column update of a, as a row update of its transpose
             at = work[0]
             np.copyto(at, a.T)
             at.take(p, axis=0, out=a, mode="clip")
-            a *= s
-            at *= c
+            a *= sa
+            at *= ca
             a += at
     return sweeps, rotations, skipped
 

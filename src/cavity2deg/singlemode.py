@@ -183,6 +183,9 @@ class OccupancyGrid:
             raise DomainError("empty grid")
         if not (_uniform(kx) and _uniform(ky)):
             raise DomainError("grid axes must be uniform and increasing")
+        # np.clip passes NaN, which would make every moment NaN
+        if not np.isfinite(f).all():
+            raise DomainError("occupancies f must be finite")
         self.kx, self.ky, self.f = kx, ky, np.clip(f, 0.0, MAX_OCCUPANCY)
 
     @property
@@ -284,9 +287,15 @@ class OccupancyGrid:
         first = source.readline()
         if not first.strip():
             raise DomainError("empty grid")
-        data = np.loadtxt(chain([first], source), delimiter=",", ndmin=2)
+        # a field that is not a float, or a row whose width differs from
+        # the first: numpy's message names the row and the column
+        try:
+            data = np.loadtxt(chain([first], source), delimiter=",", ndmin=2)
+        except ValueError as err:
+            raise DomainError(f"malformed CSV row: {err}") from err
         if data.shape[1] != 3:
-            raise ValueError(f"expected 3 fields per row, got {data.shape[1]}")
+            raise DomainError(f"expected 3 fields kx,ky,f per CSV row, got "
+                              f"{data.shape[1]} in every row")
         kx, ix = np.unique(data[:, 0], return_inverse=True)
         ky, iy = np.unique(data[:, 1], return_inverse=True)
         if kx.size * ky.size != data.shape[0]:

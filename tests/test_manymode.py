@@ -439,6 +439,28 @@ class TestDiagonalizeW:
             assert same_bytes(nm.omega_sq, ref.omega_sq)
             assert same_bytes(nm.u, ref.u)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 57])
+    def test_operand_forms_give_the_same_bytes(self, monkeypatch, n):
+        # c and s multiplied as (n, 1) columns (limit 0) or expanded to
+        # full buffers (limit above n): the reference kernel's cases pass
+        # either way, and every kernel call returns the same counters and
+        # leaves the same bytes
+        kernel = manymode._jacobi_round_robin
+        runs = []
+
+        def recorded(av, *args):
+            out = kernel(av, *args)
+            runs[-1].append((out, av.tobytes()))
+            return out
+
+        monkeypatch.setattr(manymode, "_jacobi_round_robin", recorded)
+        for limit in (0, n + 1):
+            monkeypatch.setattr(manymode, "_EXPAND_MAX_N", limit)
+            runs.append([])
+            self.test_matches_reference_kernel(n)
+        assert len(runs[0]) == 20   # the kernel and diagonalize_w per case
+        assert runs[0] == runs[1]
+
     def test_logs_rotation_counts(self, caplog, rng):
         def logged(w):
             caplog.clear()

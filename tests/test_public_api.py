@@ -7,6 +7,8 @@ ValueError; so does a signed scalar inside a tuple or a sequence.  Finite
 arguments anywhere in the float range give finite numbers or a
 Cavity2degError, never inf, NaN, a bare OverflowError or a RuntimeWarning;
 a result past the float range is a DomainError that names the arguments.
+collective_coupling, whose result is in range for every admitted pair, is
+also held to a 50-digit value over the whole float range.
 """
 
 import dataclasses
@@ -247,8 +249,6 @@ FINITE_DOUBLES = st.one_of(
 # OverflowError, ZeroDivisionError, ValueError, TypeError or RuntimeWarning:
 # a DOMAINS row and the leading values of its arguments
 RANGE_HOLES = [
-    ("collective_coupling", (2.4e245, 2.2e221)),
-    ("collective_coupling", (2.6e-253, 0.0)),
     ("dressed_frequency", (1.6e308, 1.6e308)),
     ("fermi_wavevector", (8.3e307,)),
     ("eigenenergy_no_a2", (1.0, 1e160)),
@@ -368,13 +368,34 @@ def test_int_momenta_give_an_index_or_a_typed_error_property(kx, ky,
         pass
 
 
+@settings(max_examples=300, deadline=None)
+@given(FINITE_DOUBLES.map(abs).filter(lambda x: x > 0.0),
+       FINITE_DOUBLES.map(abs))
+# unscaled, these squares underflow or overflow on the way to gamma
+@example(1e-160, 3e-170)     # omega_p^2 to 0 beside omega^2: gamma 9e-20
+@example(1e-200, 1e-200)     # both to 0, 0/0: gamma 0.5
+@example(1e200, 1e200)       # both to inf: gamma 0.5
+@example(2.4e245, 2.2e221)   # omega^2 to inf: gamma ~8.4e-49
+@example(2.6e-253, 0.0)      # omega^2 to 0, 0/0: gamma 0
+def test_collective_coupling_matches_50_digits_property(omega, omega_p):
+    # gamma lies in [0, 1) for every admitted pair, so no pair is refused;
+    # four rounded operations on frequencies scaled exactly by a power of
+    # two stay within 2 eps relative, so within 4 ulp of the true gamma
+    mpmath = pytest.importorskip("mpmath")
+    got = collective_coupling(omega, omega_p)
+    with mpmath.workdps(50):
+        w, w_p = mpmath.mpf(omega), mpmath.mpf(omega_p)
+        true = w_p**2 / (w**2 + w_p**2)
+        err = abs(mpmath.mpf(got) - true) / math.ulp(float(true))
+    assert err <= 4, (omega, omega_p, got, float(err))
+
+
 def test_undefined_result_is_not_called_an_overflow():
-    # 0/0 once omega^2 underflows, and a NaN from numpy
+    # a Python division by zero, and a NaN from numpy
     with pytest.raises(DomainError) as info:
-        collective_coupling(2.6e-253, 0.0)
-    assert str(info.value) == ("gamma at omega = 2.6e-253, omega_p = 0.0 is "
-                               "undefined after rounding (NaN, or a division "
-                               "by zero)")
+        core._finite(lambda: 1.0 / 0.0, "x")
+    assert str(info.value) == ("x is undefined after rounding (NaN, or a "
+                               "division by zero)")
     with pytest.raises(DomainError, match="undefined after rounding"):
         core._finite(np.array([1.0, math.nan]), "x")
     with pytest.raises(DomainError, match="x overflows the float range"):

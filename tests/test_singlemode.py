@@ -678,6 +678,17 @@ class TestOccupancyGridIO:
         with pytest.raises(DomainError, match="complete"):
             OccupancyGrid.from_csv(io.StringIO(text))
 
+    @pytest.mark.parametrize("body, match", [
+        ("0.0,abc,1.0\n", "'abc'.*row"),
+        ("0.0,0.0,1.0\n0.0,1.0\n", "row"),
+        ("0.0,1.0\n", "3 fields"),
+        ("0.0,0.0,1.0,1.0\n", "3 fields"),
+        ("0.0,0.0,1.0\n1.0,0.0,nan\n0.0,1.0,1.0\n1.0,1.0,1.0\n", "finite")])
+    def test_malformed_row_rejected(self, body, match):
+        # a typed error, not numpy's ValueError or a grid of NaN moments
+        with pytest.raises(DomainError, match=match):
+            OccupancyGrid.from_csv(io.StringIO("kx,ky,f\n" + body))
+
 
 class TestOccupancyGridValidation:
     def test_shape_mismatch(self):
@@ -688,6 +699,13 @@ class TestOccupancyGridValidation:
         kx = np.array([0.0, 1.0, 2.5])
         with pytest.raises(DomainError):
             OccupancyGrid(kx, np.arange(2.0), np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_occupancy_rejected(self, bad):
+        # np.clip would pass NaN on to every moment
+        with pytest.raises(DomainError, match="finite"):
+            OccupancyGrid(np.arange(2.0), np.arange(2.0), [[1.0, bad],
+                                                           [1.0, 1.0]])
 
     def test_occupancy_clipped(self):
         g = OccupancyGrid(np.arange(2.0), np.arange(2.0),
