@@ -33,7 +33,7 @@ import numpy as np
 from . import __version__
 from .constants import CODATA2018
 from .core import (DerivedScales, SystemConfig, _finite, classify_phase,
-                   load_config_file)
+                   collective_coupling, dressed_frequency, load_config_file)
 from .eft import (EftConfig, _edges, casimir_energy_density,
                   casimir_pressure, chemical_potential, effective_coupling,
                   eft_chi_aa, jellium, per_particle_coupling,
@@ -340,7 +340,7 @@ def _diag(grid, n_modes: int, ratio: float, summary: dict) -> tuple:
     index = grid(lambda: np.arange(1, n_modes + 1))
     nm = normal_modes(ModeSet.ladder_1d(n_modes, 1.0), ratio)
     summary.update(secular_steps=list(nm.secular_steps),
-                   edge_omega_tilde=math.sqrt(1 + ratio**2))
+                   edge_omega_tilde=dressed_frequency(1.0, ratio))
     return index, nm.omega
 
 
@@ -360,7 +360,7 @@ def _coupling_run(grid, n_modes: int, ratio: float, summary: dict) -> tuple:
     g = [exact_coupling_1d(m, 1.0, ratio) for m in counts]
     # the ladder has omega_n = n, so sum 1/omega_n^2 -> pi^2/6 as M -> inf
     summary.update(ratio=ratio,
-                   single_mode_gamma=ratio**2 / (1.0 + ratio**2),
+                   single_mode_gamma=collective_coupling(1.0, ratio),
                    g_limit=_coupling_fraction(ratio**2 * math.pi**2 / 6.0))
     return np.array(counts, dtype=int), np.array(g, dtype=float)
 

@@ -12,8 +12,8 @@ frequency scales,
 and the dimensionless collective coupling gamma = omega_p^2/omega_t^2 in [0, 1).
 
 Two unit modes are supported.  SI mode carries the full dimensionful
-configuration.  Ratio mode carries only omega_p/omega; dimensionful queries
-raise :class:`UnitModeError`.
+configuration.  Ratio mode carries only omega_p/omega, any finite value of it;
+dimensionful queries raise :class:`UnitModeError`.
 """
 
 from __future__ import annotations
@@ -173,7 +173,8 @@ class DerivedScales:
     """Memoized frequency scales and densities derived from a SystemConfig.
 
     In Ratio mode only the dimensionless members (gamma, omega_p_over_omega,
-    omega_tilde_over_omega) are available.
+    omega_tilde_over_omega) are available; the first and last are the one
+    implementation, collective_coupling and dressed_frequency at omega = 1.
     """
 
     def __init__(self, config: SystemConfig):
@@ -221,21 +222,17 @@ class DerivedScales:
     @cached_property
     def omega_p_over_omega(self) -> float:
         if self.config.units_mode is UnitsMode.RATIO:
-            r, field = self.config.ratio, "ratio"
-        else:
-            r, field = self.omega_p / self.omega, "omega_p/omega"
-        # gamma and omega_tilde_over_omega square it
-        _finite(r * r, f"the square of {field} = {r!r}")  # type: ignore
-        return r  # type: ignore[return-value]
+            return self.config.ratio  # type: ignore[return-value]
+        return _finite(self.omega_p / self.omega,
+                       f"omega_p/omega = {self.omega_p!r}/{self.omega!r}")
 
     @cached_property
     def omega_tilde_over_omega(self) -> float:
-        return math.sqrt(1.0 + self.omega_p_over_omega**2)
+        return dressed_frequency(1.0, self.omega_p_over_omega)
 
     @cached_property
     def gamma(self) -> float:
-        r = self.omega_p_over_omega
-        return r * r / (1.0 + r * r)
+        return collective_coupling(1.0, self.omega_p_over_omega)
 
     @cached_property
     def g_single(self) -> float:
@@ -303,20 +300,26 @@ def dressed_frequency(omega: float, omega_p: float) -> float:
                    f"omega_t at omega = {omega!r}, omega_p = {omega_p!r}")
 
 
+def _scaled(by: float, *xs: float) -> list[float]:
+    """xs divided by the power of two that brings ``by`` into [1/2, 1):
+    exact unless one falls below 2^-1022 there (an OverflowError past
+    2^1024)."""
+    e = -math.frexp(by)[1]
+    return [math.ldexp(x, e) for x in xs]
+
+
 def collective_coupling(omega: float, omega_p: float) -> float:
     """gamma = omega_p^2/(omega^2 + omega_p^2), in [0, 1) for omega > 0.
 
     gamma depends on omega_p/omega alone, so both frequencies are first
-    divided by the power of two that brings the larger into [1/2, 1).  That
-    is exact unless the smaller falls below 2^-1022 there, and keeps the
-    squares and their sum from overflowing; a square that is subnormal
-    there is negligible beside the other, or leaves gamma below 2^-1020.
+    ``_scaled`` by the larger, which keeps the squares and their sum from
+    overflowing; a square that is subnormal there is negligible beside the
+    other, or leaves gamma below 2^-1020.
     """
     _positive(omega, "omega")
     _non_negative(omega_p, "omega_p")
-    e = -math.frexp(max(omega, omega_p))[1]
-    w, w_p = math.ldexp(omega, e), math.ldexp(omega_p, e)
-    return _finite(lambda: w_p**2 / (w**2 + w_p**2),
+    w, w_p = _scaled(max(omega, omega_p), omega, omega_p)
+    return _finite(lambda: w_p * w_p / (w * w + w_p * w_p),
                    f"gamma at omega = {omega!r}, omega_p = {omega_p!r}")
 
 

@@ -224,13 +224,16 @@ def renormalized_mass(ecfg: EftConfig,
     the Landau pole of the running coupling).  A sweep that reaches the pole
     raises PoleError for its first cutoff there.
     """
-    g_per = per_particle_coupling(ecfg, lambda0)
-    at_pole = np.asarray(g_per >= 1.0)
-    if at_pole.any():
-        first = float(np.asarray(g_per)[at_pole][0])
-        raise PoleError(
-            f"per-particle coupling {first:g} at or beyond the pole")
-    return CODATA2018.m_e / (1.0 - g_per)
+    return _pole_mass(per_particle_coupling(ecfg, lambda0),
+                      "per-particle coupling")
+
+
+def _pole_mass(g, coupling: str):
+    """m_e/(1 - g), g a float or an array; PoleError names the first g >= 1."""
+    past = np.asarray(g)[np.asarray(g) >= 1.0]
+    if past.size:
+        raise PoleError(f"{coupling} {past[0]:g} at or beyond the pole")
+    return CODATA2018.m_e / (1.0 - g)
 
 
 def chemical_potential(ecfg: EftConfig, k_fermi: float | None = None,
@@ -372,10 +375,7 @@ def coupling_3d(lambda_mom: float) -> float:
 
 def mass_3d(lambda_mom: float) -> float:
     """Exact 3D renormalized mass m_e/(1 - g3d)."""
-    g = coupling_3d(lambda_mom)
-    if g >= 1.0:
-        raise PoleError(f"3D coupling {g:g} at or beyond the pole")
-    return CODATA2018.m_e / (1.0 - g)
+    return _pole_mass(coupling_3d(lambda_mom), "3D coupling")
 
 
 def mass_3d_first_order(lambda_mom: float) -> float:

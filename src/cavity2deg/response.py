@@ -97,12 +97,14 @@ class ResponseValue:
 def _mode_params(scales: DerivedScales) -> tuple[float, float, float, float]:
     """(omega_p, omega_t, eps0, V) in the active unit mode.
 
-    Ratio mode measures frequencies in units of the bare mode frequency and
-    sets eps0 = V = 1.
+    Ratio mode measures frequencies in units of the bare mode frequency,
+    sets eps0 = V = 1 and needs a finite ratio^2: each kind squares w +-
+    omega_t, and omega_t > ratio.
     """
     if scales.config.units_mode is UnitsMode.RATIO:
-        return (scales.omega_p_over_omega, scales.omega_tilde_over_omega,
-                1.0, 1.0)
+        r = scales.omega_p_over_omega
+        _finite(r * r, f"the square of ratio = {r!r}")
+        return r, scales.omega_tilde_over_omega, 1.0, 1.0
     return (scales.omega_p, scales.omega_tilde, CODATA2018.eps0,
             scales.config.volume)
 

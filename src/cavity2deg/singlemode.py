@@ -20,6 +20,7 @@ array but its occupancies.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from itertools import chain, repeat
 from pathlib import Path
@@ -29,7 +30,7 @@ import numpy as np
 
 from .constants import CODATA2018
 from .core import (DerivedScales, _finite, _non_negative, _positive,
-                   dressed_frequency)
+                   _scaled, dressed_frequency)
 from .exceptions import DomainError, PreconditionError
 from .io_utils import format_rows
 
@@ -94,10 +95,11 @@ class SpectrumIndex:
         ks = np.atleast_2d(np.asarray(list(momenta), dtype=float))
         if ks.size == 0 or ks.shape[1] != 2:
             raise PreconditionError("momenta must be a non-empty list of 2-vectors")
-        # an overflowing sum is inf, which __post_init__ rejects
-        with np.errstate(over="ignore"):
-            kx, ky = ks[:, 0].sum(), ks[:, 1].sum()
-            kinetic_sum = (ks**2).sum()
+        if not np.isfinite(ks).all():
+            raise DomainError(f"momenta must be finite, got {ks.tolist()}")
+        kx, ky, kinetic_sum = _finite(
+            lambda: (ks[:, 0].sum(), ks[:, 1].sum(), (ks**2).sum()),
+            f"the sum K or kinetic_sum of {ks.shape[0]} momenta")
         return cls(n1, n2, (float(kx), float(ky)), float(kinetic_sum),
                    ks.shape[0])
 
@@ -136,16 +138,18 @@ def ground_photon_occupation(omega: float, omega_p: float) -> float:
 
     omega_t - omega is taken as omega_p^2/(omega_t + omega), which does not
     cancel at weak coupling.  The number depends on the ratio omega_p/omega
-    alone, so the three frequencies are first scaled by one power of two,
-    which keeps omega_t + omega in range and is exact unless omega is below
-    2^-1022 omega_t.
+    alone, so both frequencies are first ``core._scaled`` by the larger,
+    which keeps omega_t + omega in range; past omega_p/omega = 2^1021 by
+    2^1021 omega instead, which keeps omega a normal float.
     """
-    omega_t = dressed_frequency(omega, omega_p)
-    e = -math.frexp(omega_t)[1]
-    w, w_p, w_t = (math.ldexp(x, e) for x in (omega, omega_p, omega_t))
+    _positive(omega, "omega")
+    _non_negative(omega_p, "omega_p")
+    by = max(omega, min(omega_p, 2.0**1021 * omega))
 
     def number():
-        shift = w_p * (w_p / (w_t + w))   # (omega_t - omega) 2^e
+        w, w_p = _scaled(by, omega, omega_p)
+        w_t = dressed_frequency(w, w_p)
+        shift = w_p * (w_p / (w_t + w))   # omega_t - omega, scaled
         return (shift / w_t) * (shift / (2.0 * w))
     return _finite(number, f"the photon number at omega = {omega!r}, "
                            f"omega_p = {omega_p!r}")
@@ -287,12 +291,10 @@ class OccupancyGrid:
         first = source.readline()
         if not first.strip():
             raise DomainError("empty grid")
-        # a field that is not a float, or a row whose width differs from
-        # the first: numpy's message names the row and the column
         try:
             data = np.loadtxt(chain([first], source), delimiter=",", ndmin=2)
         except ValueError as err:
-            raise DomainError(f"malformed CSV row: {err}") from err
+            raise DomainError(f"malformed CSV row: {_file_line(err)}") from err
         if data.shape[1] != 3:
             raise DomainError(f"expected 3 fields kx,ky,f per CSV row, got "
                               f"{data.shape[1]} in every row")
@@ -303,6 +305,18 @@ class OccupancyGrid:
         f = np.empty((kx.size, ky.size))
         f[ix, iy] = data[:, 2]
         return cls(kx, ky, f)
+
+
+def _file_line(err: ValueError) -> str:
+    """numpy's loadtxt message for a field that is not a float, or for a row
+    whose width differs from the first, with its data row made a file line,
+    the header being line 1.  numpy counts data rows from 0 for the one and
+    from 1 for the other, and skips blank and # lines without counting them.
+    """
+    msg = str(err).split(";")[0]   # drop the hint to use usecols
+    shift = 1 if "columns changed" in msg else 2
+    return re.sub(r"at row (\d+)",
+                  lambda m: f"at the row on line {int(m[1]) + shift}", msg)
 
 
 def _uniform(axis: np.ndarray) -> bool:

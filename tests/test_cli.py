@@ -592,14 +592,15 @@ CONFIG_FIELDS = ("n_electrons", "area", "mirror_gap", "cavity_index",
 
 # finite config files, the field each names, its exit code and the
 # sub-commands that reach it: m_e eps0 L_z underflows to 0 at the tiny gap,
-# ratio^2 overflows at the huge ratio, (c kappa_z)^2 at the small gap and
-# omega_p^4 at the large ratio; 10**400 electrons are past the float range
+# (w +- omega_t)^2 ~ ratio^2 overflows at the huge ratio, (c kappa_z)^2 at the
+# small gap and omega_p^4 at the large ratio; 10**400 electrons are past the
+# float range
 EXTREME_CONFIGS = {
     "tiny_gap": ("n_electrons = 100000000\narea = 1e-8\nmirror_gap = 1e-320\n",
                  "mirror_gap", 3, [("phase",), ("response", "aa"),
                                    ("response", "sigma"), ("eft", "coupling")]),
     "huge_ratio": ("units_mode = ratio\nratio = 1e200\n", "ratio", 3,
-                   [("phase",), ("response", "aa"), ("response", "sigma")]),
+                   [("response", "aa"), ("response", "sigma")]),
     "small_gap": ("n_electrons = 100000000\narea = 1e-8\nmirror_gap = 1e-200\n",
                   "mirror_gap", 3, [("eft", "chi")]),
     "large_ratio": ("units_mode = ratio\nratio = 1e150\n", "ratio", 3,
@@ -753,6 +754,16 @@ class TestNonFiniteInput:
         assert out == ""
         assert err.startswith("error: ")
         assert field in err
+
+    def test_huge_ratio_phase_is_critical(self, capsys, tmp_path):
+        # gamma rounds to 1 at ratio 1e200, though ratio^2 overflows
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(EXTREME_CONFIGS["huge_ratio"][0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "phase", "--config", str(cfg))
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-2:] == ["gamma,phase", "1.0,Critical"]
 
     @settings(max_examples=80)
     @given(st.sampled_from(ALL_COMMANDS), EXTREME_FIELDS)

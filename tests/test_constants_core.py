@@ -169,10 +169,7 @@ class TestDerivedScales:
         (SystemConfig.si(10**8, 1e-8, 1e-320), "omega", "mirror_gap"),
         # N / area overflows
         (SystemConfig.si(10**8, 1e-320, 1e-6), "n_2d", "area"),
-        # ratio^2 overflows: gamma would be inf/inf, omega_t/omega an
-        # OverflowError
-        (SystemConfig.from_ratio(1e200), "gamma", "ratio"),
-        (SystemConfig.from_ratio(1e200), "omega_tilde_over_omega", "ratio"),
+        # omega_p/omega overflows
         (SystemConfig.si(10**8, 1e-8, 1e-6, mode_frequency=1e-300),
          "gamma", "omega_p/omega"),
     ])
@@ -180,6 +177,14 @@ class TestDerivedScales:
         # finite config values whose closed forms leave the float range
         with pytest.raises(DomainError, match=field):
             getattr(DerivedScales(config), attr)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("ratio", [1e160, 1e200])
+    def test_huge_ratio_scales_in_range(self, ratio):
+        # ratio^2 overflows, but gamma rounds to 1 and omega_t/omega to ratio
+        ds = DerivedScales(SystemConfig.from_ratio(ratio))
+        assert ds.gamma == 1.0
+        assert ds.omega_tilde_over_omega == ratio
 
 
 class TestScalarHelpers:

@@ -8,14 +8,19 @@ arguments anywhere in the float range give finite numbers or a
 Cavity2degError, never inf, NaN, a bare OverflowError or a RuntimeWarning;
 a result past the float range is a DomainError that names the arguments.
 collective_coupling, whose result is in range for every admitted pair, is
-also held to a 50-digit value over the whole float range.
+also held to a 50-digit value over the whole float range, as are
+dressed_frequency and the gamma and omega_t/omega of a Ratio-mode
+DerivedScales.
 """
 
+import ast
 import dataclasses
 import enum
 import math
 import re
+import sys
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,8 +28,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cavity2deg
-from cavity2deg import (BroadenedFrequency, Cavity2degError, DerivedScales,
-                        DistributionMoments, DomainError, EftConfig, ModeSet,
+from cavity2deg import (BroadenedFrequency, Cavity2degError, ConfigError,
+                        DerivedScales, DistributionMoments, DomainError,
+                        EftConfig, ModeSet,
                         OccupancyGrid, PreconditionError, SpectrumIndex,
                         SystemConfig,
                         absorption_rate, appendix_integrals,
@@ -388,6 +394,72 @@ def test_collective_coupling_matches_50_digits_property(omega, omega_p):
         true = w_p**2 / (w**2 + w_p**2)
         err = abs(mpmath.mpf(got) - true) / math.ulp(float(true))
     assert err <= 4, (omega, omega_p, got, float(err))
+
+
+# log-uniform over +-[1e-320, 1.8e308], and 0; the largest double is pinned
+# with @example, as 10**log10 of it overflows
+ALL_DOUBLES = st.one_of(
+    st.just(0.0),
+    st.builds(math.copysign,
+              st.floats(-320.0, 308.2547155599167).map(lambda e: 10.0**e),
+              st.sampled_from([1.0, -1.0])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ALL_DOUBLES, ALL_DOUBLES)
+@example(1.0, 1e160)        # ratio^2 overflows: gamma 1.0, omega_t/omega 1e160
+@example(1.0, 1e200)
+@example(1.0, sys.float_info.max)
+@example(sys.float_info.max, sys.float_info.max)   # omega_t overflows
+@example(2.8e-318, 5.6e-318)                       # subnormal frequencies
+def test_dressed_frequency_and_ratio_scales_match_50_digits_property(
+        omega, omega_p):
+    # hypot is within 1 ulp of the true omega_t, and a true omega_t past the
+    # float range is the one DomainError.  omega_p doubles as the ratio of a
+    # Ratio config, whose gamma and omega_t/omega are collective_coupling
+    # and dressed_frequency at omega = 1 to the bit; gamma takes three
+    # roundings after an exact power-of-two scaling, so stays within 3 ulp
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        w, r = mpmath.mpf(omega), mpmath.mpf(omega_p)
+
+        def ulps(got, true):
+            return abs(mpmath.mpf(got) - true) / math.ulp(float(true))
+        omega_t = mpmath.sqrt(w * w + r * r)
+        if omega <= 0.0 or omega_p < 0.0 or math.isinf(float(omega_t)):
+            with pytest.raises(DomainError):
+                dressed_frequency(omega, omega_p)
+        else:
+            assert ulps(dressed_frequency(omega, omega_p), omega_t) <= 1
+        if omega_p < 0.0:
+            with pytest.raises(ConfigError, match="ratio"):
+                SystemConfig.from_ratio(omega_p)
+            return
+        scales = DerivedScales(SystemConfig.from_ratio(omega_p))
+        assert scales.gamma == collective_coupling(1.0, omega_p)
+        assert scales.omega_tilde_over_omega == dressed_frequency(1.0, omega_p)
+        assert ulps(scales.gamma, r * r / (1 + r * r)) <= 3
+        assert ulps(scales.omega_tilde_over_omega, mpmath.sqrt(1 + r * r)) <= 1
+
+
+def test_finite_holds_the_only_errstate():
+    # core._finite is the one range check: no other code in the package
+    # turns numpy's floating-point warnings off
+    inside, outside = [], []
+    for path in sorted(Path(core.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = {id(node) for top in tree.body
+                   if path.name == "core.py"
+                   and isinstance(top, ast.FunctionDef)
+                   and top.name == "_finite"
+                   for node in ast.walk(top)}
+        for node in ast.walk(tree):
+            if "errstate" in (getattr(node, "attr", None),
+                              getattr(node, "id", None),
+                              getattr(node, "name", None)):
+                site = f"{path.name}:{node.lineno}"
+                (inside if id(node) in allowed else outside).append(site)
+    assert inside and not outside, outside
 
 
 def test_undefined_result_is_not_called_an_overflow():

@@ -17,7 +17,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -258,6 +258,31 @@ class TestNoDiamagneticTerm:
         assert all(b > a for a, b in zip(energies, energies[1:]))
 
 
+# log-uniform over [1e-320, 1.8e308]
+POSITIVE_DOUBLES = st.floats(-320.0, 308.2547155599167).map(lambda e: 10.0**e)
+# ratios 1e-150..1e150 at three omega scales; then calls that raised
+# DomainError for an intermediate that left the float range, though their
+# true values are finite (omega_t + omega overflows unless the frequencies
+# are scaled, at the third; omega_t at the fourth); then calls that were
+# off by up to 4e8 ulp, with subnormal frequencies, or by 13 ulp, where
+# omega_p/omega > 2^1021 left omega subnormal once scaled
+PHOTON_NUMBER_CASES = (
+    [(omega, float(omega * r)) for omega in (1.0, 3.7e-100, 2.2e120)
+     for r in 10.0 ** np.linspace(-150.0, 150.0, 1201)]
+    + [(5e-76, 4e217), (1.27e-179, 0.0), (1e308, 1e308), (1.7e308, 1.7e308)]
+    + [(5.603796e-318, 2.79479e-318), (9.32811e-317, 7.2979992523e-313),
+       (1.4320930904019866e-172, 5.016883373970092e+136)])
+
+
+def _examples(cases):
+    """One hypothesis @example per argument tuple of cases."""
+    def pin(test):
+        for case in cases:
+            test = example(*case)(test)
+        return test
+    return pin
+
+
 class TestGroundPhotonOccupation:
     def test_decoupled_limit(self):
         assert ground_photon_occupation(2e13, 0.0) == 0.0
@@ -274,27 +299,27 @@ class TestGroundPhotonOccupation:
         assert ground_photon_occupation(omega, ratio * omega) > 0.0
 
     @pytest.mark.filterwarnings("error")
-    def test_matches_50_digit_reference(self):
+    @settings(max_examples=300, deadline=None)
+    @given(POSITIVE_DOUBLES, st.just(0.0) | POSITIVE_DOUBLES)
+    @_examples(PHOTON_NUMBER_CASES)
+    def test_matches_50_digit_reference(self, omega, omega_p):
         # omega_t - omega = omega_p^2/(omega_t + omega) in the reference
-        # too, so it does not cancel; ratios 1e-150..1e150 at three omega
-        # scales, within a few ulp of the true value (its ulp where that is
-        # subnormal, and 0.0 once it is below half the smallest subnormal).
-        # The last three calls raised DomainError for an intermediate that
-        # left the float range, though their true values are finite; at the
-        # last, omega_t + omega overflows unless the frequencies are scaled
+        # too, so it does not cancel; within a few ulp of the true value
+        # (its ulp where that is subnormal, and 0.0 once it is below half
+        # the smallest subnormal), and a DomainError only where the true
+        # value is past the float range
         mpmath = pytest.importorskip("mpmath")
-        ratios = 10.0 ** np.linspace(-150.0, 150.0, 1201)
-        calls = [(omega, float(omega * r))
-                 for omega in (1.0, 3.7e-100, 2.2e120) for r in ratios]
-        calls += [(5e-76, 4e217), (1.27e-179, 0.0), (1e308, 1e308)]
         with mpmath.workdps(50):
-            for omega, omega_p in calls:
-                w, w_p = mpmath.mpf(omega), mpmath.mpf(omega_p)
-                w_t = mpmath.sqrt(w * w + w_p * w_p)
-                want = (w_p * w_p / (w_t + w)) ** 2 / (2 * w * w_t)
-                got = ground_photon_occupation(omega, omega_p)
-                ulp = float(np.spacing(float(want)))
-                assert abs(got - want) <= 8 * ulp, (omega, omega_p, got)
+            w, w_p = mpmath.mpf(omega), mpmath.mpf(omega_p)
+            w_t = mpmath.sqrt(w * w + w_p * w_p)
+            want = (w_p * w_p / (w_t + w)) ** 2 / (2 * w * w_t)
+            if math.isinf(float(want)):
+                with pytest.raises(DomainError, match="overflows"):
+                    ground_photon_occupation(omega, omega_p)
+                return
+            got = ground_photon_occupation(omega, omega_p)
+            ulp = float(np.spacing(float(want)))
+            assert abs(got - want) <= 8 * ulp, (omega, omega_p, got)
 
     @given(st.floats(0.1, 10.0))
     def test_monotone_in_coupling(self, omega_p):
@@ -683,7 +708,11 @@ class TestOccupancyGridIO:
         ("0.0,0.0,1.0\n0.0,1.0\n", "row"),
         ("0.0,1.0\n", "3 fields"),
         ("0.0,0.0,1.0,1.0\n", "3 fields"),
-        ("0.0,0.0,1.0\n1.0,0.0,nan\n0.0,1.0,1.0\n1.0,1.0,1.0\n", "finite")])
+        ("0.0,0.0,1.0\n1.0,0.0,nan\n0.0,1.0,1.0\n1.0,1.0,1.0\n", "finite"),
+        # the file line, the header being line 1
+        ("0.0,abc,1.0\n", "'abc'.* line 2, column 2"),
+        ("0.0,0.0,1.0\n0.0,1.0\n", "from 3 to 2 .* line 3$"),
+        ("0.0,0.0,1.0\n0.0,1.0,1.0\n0.0,x,1.0\n", "'x'.* line 4, column 2")])
     def test_malformed_row_rejected(self, body, match):
         # a typed error, not numpy's ValueError or a grid of NaN moments
         with pytest.raises(DomainError, match=match):
