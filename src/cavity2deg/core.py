@@ -336,10 +336,17 @@ def single_particle_coupling(config: SystemConfig) -> float:
 
 
 def fermi_wavevector(n_2d: float) -> float:
-    """k_F = sqrt(2 pi n_2d) for the spin-degenerate 2D Fermi disk."""
+    """k_F = sqrt(2 pi n_2d) for the spin-degenerate 2D Fermi disk.
+
+    2 pi n_2d overflows past n_2d ~ 2^1021 and loses bits below 2^-1022,
+    though k_F is in range for every admitted n_2d: outside [2^-1001,
+    2^1021) n_2d is multiplied by s^2, s the power of two that ``_scaled``
+    divides by to bring n_2d 2^1000 (or n_2d 2^-1021) into [1/2, 1), and
+    the root divided by s.
+    """
     _non_negative(n_2d, "n_2d")
-    return math.sqrt(_finite(lambda: 2.0 * math.pi * n_2d,
-                             f"2 pi n_2d at n_2d = {n_2d!r}"))
+    s, = _scaled(max(min(n_2d * 2.0**1000, 0.5), n_2d * 2.0**-1021), 1.0)
+    return math.sqrt(2.0 * math.pi * (n_2d * s * s)) / s
 
 
 def classify_phase(gamma: float) -> Phase:

@@ -22,6 +22,14 @@ of ``ecfg.lambda0``, giving a result of its shape.  Without it they return a
 Python float.  jellium takes an ndarray of radii, and eft_chi_aa a
 BroadenedFrequency whose w is an ndarray.  The scalar and the array calls
 evaluate one formula per quantity.
+
+The continuum energy is the single-mode spectrum with g(Lambda) for gamma,
+from the one implementation ``singlemode._spectrum`` and its range check.
+The broadened window lo < |w| < hi enters eft_chi_aa and
+appendix_integrals through one set of terms, ``_window``: four
+arctangents, two log ratios and their range checks.  coupling_1d takes
+each of its two quotients on a pair scaled by a power of two
+(``core._scaled``).
 """
 
 from __future__ import annotations
@@ -35,9 +43,10 @@ import numpy as np
 
 from .constants import CODATA2018
 from .core import (DerivedScales, SystemConfig, UnitsMode, _finite,
-                   _non_negative, _positive)
+                   _non_negative, _positive, _scaled)
 from .exceptions import DomainError, PoleError, UnitModeError
 from .response import BroadenedFrequency, ResponseKind, ResponseValue
+from .singlemode import _spectrum
 
 __all__ = [
     "EftConfig",
@@ -187,16 +196,12 @@ def effective_energy(kinetic_sum: float, K: tuple[float, float],
     excitations on top are passed as (frequency rad/s, occupation) pairs.
     An energy past the float range raises DomainError.
     """
-    k = CODATA2018
-    n = ecfg.system.n_electrons
-    g = effective_coupling(ecfg)
-    zero_point = ecfg.system.area * casimir_energy_density(ecfg)
-    excited = sum(k.hbar * om * occ for om, occ in photon_excitations)
-    return _finite(lambda: k.hbar**2 / (2.0 * k.m_e)
-                   * (kinetic_sum - g * (K[0] ** 2 + K[1] ** 2) / n)
-                   + zero_point + excited,
-                   f"the effective energy at kinetic_sum = {kinetic_sum!r}, "
-                   f"K = {K!r}")
+    return _spectrum(
+        lambda: ecfg.system.area * casimir_energy_density(ecfg)
+        + sum(CODATA2018.hbar * om * occ for om, occ in photon_excitations),
+        kinetic_sum, lambda: effective_coupling(ecfg)
+        * (K[0] ** 2 + K[1] ** 2) / ecfg.system.n_electrons,
+        f"the effective energy at kinetic_sum = {kinetic_sum!r}, K = {K!r}")
 
 
 def band_energy(k: float, ecfg: EftConfig) -> float:
@@ -355,15 +360,26 @@ def coupling_1d(kappa_max: float, omega: float, omega_p: float) -> float:
 
     omega is the fundamental cavity frequency c pi/L_z; kappa_max the
     out-of-plane momentum cutoff.  Saturates at pi omega_p/(4 omega).
+    u = c kappa_max/omega_p and the prefactor each depend on one ratio, so
+    each quotient is taken on its pair ``_scaled`` by a power of two, and
+    for u < 1 the coupling is written (c kappa_max/2 omega) arctan(u)/u,
+    which keeps its digits where arctan(u) would underflow: no intermediate
+    leaves the float range where the coupling does not.
     """
     _positive(omega, "omega")
     _non_negative(kappa_max, "kappa_max")
     if _non_negative(omega_p, "omega_p") == 0.0:
         return 0.0
-    return _finite(lambda: (omega_p / (2.0 * omega))
-                   * math.atan(CODATA2018.c * kappa_max / omega_p),
-                   f"the 1D coupling at kappa_max = {kappa_max!r}, "
-                   f"omega = {omega!r}, omega_p = {omega_p!r}")
+    c = CODATA2018.c
+    k, w_p = _scaled(max(kappa_max, omega_p), kappa_max, omega_p)
+    u = c * k / w_p if w_p else math.inf   # w_p underflows: arctan is pi/2
+    factor, x, angle = ((c, kappa_max, math.atan(u) / u if u else 1.0)
+                        if u < 1.0 else (1.0, omega_p, math.atan(u)))
+    # x/(2 omega) on the pair scaled so that omega is at most 2^100 x
+    x, w = _scaled(max(x, 2.0**-100 * omega), x, omega)
+    return _finite(lambda: factor * x / (2.0 * w) * angle,
+                   f"the 1D coupling at kappa_max = {kappa_max!r}, omega = "
+                   f"{omega!r}, omega_p = {omega_p!r}")
 
 
 def coupling_3d(lambda_mom: float) -> float:
@@ -398,17 +414,39 @@ def _edges(ecfg: EftConfig) -> tuple[float, float]:
     return lo, hi
 
 
+def _window(w, eta: float, lo: float, hi: float, what: str) -> tuple:
+    """Every term of the broadened window lo < |w| < hi, in one place: the
+    arctangents of (hi + w)/eta, (lo + w)/eta, (lo - w)/eta and
+    (hi - w)/eta, and the log ratios ln(((w - lo)^2 + eta^2)/((w - hi)^2 +
+    eta^2)) and ln(((w + lo)^2 + eta^2)/((w + hi)^2 + eta^2)), for a float
+    or an array w.  Past the float range DomainError names ``what``, and
+    also where a log ratio is infinite: w on an edge to rounding once eta^2
+    underflows, the sharp window's log pole.  At eta = 0 the arctangents
+    are +-pi/2 off the edges, and each (w - edge)^2 + 0.0 is (w - edge)^2,
+    to the bit.
+    """
+    eta = np.float64(eta)   # so that x/eta is +-inf at eta = 0, not an error
+    # one (8, *w.shape) array: the arctangents, then the squared distances
+    # (w - lo)^2, (w - hi)^2, (w + lo)^2, (w + hi)^2 plus eta^2
+    terms = _finite(lambda: np.concatenate((np.arctan(np.concatenate((
+        np.add.outer([hi, lo], w), np.subtract.outer([lo, hi], w))) / eta),
+        np.subtract.outer([lo, hi, -lo, -hi], w) ** 2 + eta * eta)), what)
+    return (*terms[:4], *_finite(
+        lambda: np.log(terms[4::2] / terms[5::2]),
+        f"{what} diverges, as w is on a window edge: a log ratio"))
+
+
 def eft_chi_aa(f: BroadenedFrequency, ecfg: EftConfig) -> ResponseValue:
     """Continuum field-field response per probe area.
 
     For eta > 0 both parts are closed forms (logs and arctangents of the
-    continuum edges).  At eta = 0 the imaginary part collapses to a box of
-    height 1/(4 c^2 eps0 L_z) supported on omega_t(kappa_z) < |w| <
-    sqrt(Lambda), negative on the positive-frequency window; the real part
-    stays finite except at the four edge frequencies, where the log diverges
-    and a PoleError is raised.  An ndarray f.w gives arrays of its shape;
-    at eta = 0 the first probe on an edge raises.  A cutoff Lambda past the
-    float range raises DomainError.
+    continuum edges, ``_window``).  At eta = 0 the imaginary part collapses
+    to a box of height 1/(4 c^2 eps0 L_z) supported on omega_t(kappa_z) <
+    |w| < sqrt(Lambda), negative on the positive-frequency window; the real
+    part stays finite except at the four edge frequencies, where the log
+    diverges and a PoleError is raised.  An ndarray f.w gives arrays of its
+    shape; at eta = 0 the first probe on an edge raises.  A cutoff Lambda
+    past the float range raises DomainError.
     """
     w, eta = f.w, f.eta
     k = CODATA2018
@@ -423,20 +461,14 @@ def eft_chi_aa(f: BroadenedFrequency, ecfg: EftConfig) -> ResponseValue:
             edge = next(e for e in (lo, hi, -lo, -hi) if w_edge == e)
             raise PoleError(
                 f"Re chi has a log divergence at w = {edge:g} for eta = 0")
-
-    def parts():
-        # at eta = 0 each (w - edge)^2 + 0.0 is (w - edge)^2, to the bit
-        eta2 = eta * eta
-        re = pref_re * (
-            np.log(((w - lo) ** 2 + eta2) / ((w - hi) ** 2 + eta2))
-            + np.log(((w + lo) ** 2 + eta2) / ((w + hi) ** 2 + eta2)))
-        if eta == 0.0:
-            return re, np.where((lo < w) & (w < hi), -pref_im,
-                                np.where((-hi < w) & (w < -lo), pref_im, 0.0))
-        return re, (pref_im / math.pi) * (
-            np.arctan((hi + w) / eta) - np.arctan((lo + w) / eta)
-            + np.arctan((lo - w) / eta) - np.arctan((hi - w) / eta))
-    re, im = _finite(parts, f"chi_AA(w) at eta = {eta!r}")
+    what = f"chi_AA(w) at eta = {eta!r}"
+    a_hi, a_lo, b_lo, b_hi, log_minus, log_plus = _window(w, eta, lo, hi,
+                                                          what)
+    re, im = _finite(lambda: (
+        pref_re * (log_minus + log_plus),
+        np.where((lo < w) & (w < hi), -pref_im,
+                 np.where((-hi < w) & (w < -lo), pref_im, 0.0)) if eta == 0.0
+        else (pref_im / math.pi) * (a_hi - a_lo + b_lo - b_hi)), what)
     if np.ndim(w) == 0:
         re, im = float(re), float(im)
     return ResponseValue(ResponseKind.AA, re, im)
@@ -444,7 +476,8 @@ def eft_chi_aa(f: BroadenedFrequency, ecfg: EftConfig) -> ResponseValue:
 
 def appendix_integrals(w: float, eta: float,
                        ecfg: EftConfig) -> tuple[float, float, float, float]:
-    """The four in-plane continuum integrals (A, B, C, D) in closed form.
+    """The four in-plane continuum integrals (A, B, C, D) in closed form,
+    from the terms of ``_window``.
 
     A and C carry the Lorentzian weights, B and D their frequency-weighted
     companions; the response assembles as
@@ -457,21 +490,14 @@ def appendix_integrals(w: float, eta: float,
     lo, hi = _edges(ecfg)
     c2 = CODATA2018.c**2
     what = f"an appendix integral at w = {w!r}, eta = {eta!r}"
-    at_minus = math.atan((hi - w) / eta) - math.atan((lo - w) / eta)
-    at_plus = math.atan((hi + w) / eta) - math.atan((lo + w) / eta)
-    # squared distances to the edges; one, or a quotient of two, is 0 where
-    # w sits on an edge and eta^2 underflows: the sharp window's log pole
-    m_hi, m_lo, p_hi, p_lo = _finite(
-        lambda: [(w - edge) ** 2 + eta**2 for edge in (hi, lo, -hi, -lo)], what)
-    if 0.0 in (m_lo, p_lo) or 0.0 in (m_hi / m_lo, p_hi / p_lo):
-        raise DomainError(f"{what} diverges: w is on a window edge")
-    log_minus = math.log(m_hi / m_lo)
-    log_plus = math.log(p_hi / p_lo)
-    a = 2.0 * math.pi / (c2 * eta) * at_minus
-    b = math.pi / c2 * (2.0 * w / eta * at_minus + log_minus)
-    c = 2.0 * math.pi / (c2 * eta) * at_plus
-    d = math.pi / c2 * (log_plus - 2.0 * w / eta * at_plus)
-    return _finite((a, b, c, d), what)
+    a_hi, a_lo, b_lo, b_hi, log_minus, log_plus = map(
+        float, _window(w, eta, lo, hi, what))
+    at_minus, at_plus = b_hi - b_lo, a_hi - a_lo
+    return _finite((2.0 * math.pi / (c2 * eta) * at_minus,
+                    math.pi / c2 * (2.0 * w / eta * at_minus - log_minus),
+                    2.0 * math.pi / (c2 * eta) * at_plus,
+                    -math.pi / c2 * (log_plus + 2.0 * w / eta * at_plus)),
+                   what)
 
 
 def eft_summary(ecfg: EftConfig) -> dict:

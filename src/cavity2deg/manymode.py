@@ -8,7 +8,9 @@ with zero polarization overlap on the diagonal (omega_t_a^2 = omega_a^2 +
 omega_p^2 already contains the self term).  Orthogonal diagonalization
 W = U Omega^2 U^T yields the normal-mode frequencies; polarizations rotate as
 eps~_g = sum_a eps_a U[a, g], and the electronic spectrum keeps the
-single-mode structure with the rotated quantities.
+single-mode structure with the rotated quantities: manymode_spectrum
+evaluates it by the one spectrum implementation, ``singlemode._spectrum``,
+whose range check covers the photon sum too.
 
 For the parallel-polarization ladder W = diag(omega_n^2) + omega_p^2 1 1^T is
 a rank-one update of a diagonal, and its two scanned quantities use that
@@ -18,7 +20,10 @@ secular equation 1 + omega_p^2 sum_n 1/(omega_n^2 - lam) = 0 (Golub, SIAM
 Rev. 15, 1973; Bunch, Nielsen & Sorensen, Numer. Math. 31, 1978), solved
 alone by the one secular solver that normal_modes also uses.  Both are O(M)
 in the frequencies alone, which they take from the ladder's one checked
-helper without building a ModeSet.
+helper without building a ModeSet.  The coupling depends on
+omega_p/omega_1 alone, so it is taken on both scaled by one power of two
+(``core._scaled``, which normal_modes uses as well): in range for every
+admitted pair.
 
 Every W that build_w makes is also structured: with P the (M, 3) matrix of
 unit polarizations, W = D + omega_p^2 P P^T with D = diag(omega^2 +
@@ -66,9 +71,10 @@ from typing import Sequence
 import numpy as np
 
 from .constants import CODATA2018
-from .core import _finite, _non_negative
+from .core import _finite, _non_negative, _scaled
 from .exceptions import (ConvergenceError, DegenerateModeError, DomainError,
                          PreconditionError)
+from .singlemode import _spectrum
 
 __all__ = [
     "ModeSet",
@@ -600,16 +606,18 @@ def normal_modes(modes: ModeSet, omega_p: float) -> NormalModes:
     d = _finite(lambda: modes.omega ** 2
                 + rho * (1.0 - np.einsum("ij,ij->i", pol, pol)),
                 "the diagonal of W")
-    scale = math.ldexp(1.0, math.frexp(max(float(d.max()), rho))[1] - 1)
+    # 1/scale and rho/scale; a largest entry below 2^-1000 is taken as
+    # 2^-1000, so that 1/scale stays a float
+    inv, rho_s = _scaled(max(float(d.max()), rho, 2.0**-1000), 1.0, rho)
     order = np.argsort(d, kind="stable")
-    lam = d[order] / scale
+    lam = d[order] * inv
     q = np.eye(d.size)[:, order]
     steps = []
     for col in pol.T:
         if col.any():
-            lam, q, n = _rank_one_update(lam, q, col, rho / scale)
+            lam, q, n = _rank_one_update(lam, q, col, rho_s)
             steps.append(n)
-    omega_sq = _finite(lambda: lam * scale, "an eigenvalue of W")
+    omega_sq = _finite(lambda: lam / inv, "an eigenvalue of W")
     nm = _normal_form(omega_sq, q, 0, secular_steps=tuple(steps))
     _log.debug("normal_modes: structured, M = %d, secular steps per "
                "update = %s", omega_sq.size, list(nm.secular_steps))
@@ -622,7 +630,8 @@ def manymode_spectrum(n_gamma: Sequence[int], K: Sequence[float],
     """Exact eigenenergy (J) with M normal modes.
 
     E = (hbar^2/2 m_e)[kinetic_sum - (omega_p^2/N) sum_g (eps~_g.K)^2/Omega_g^2]
-        + sum_g hbar Omega_g (n_g + 1/2).
+        + sum_g hbar Omega_g (n_g + 1/2);
+    an energy past the float range raises DomainError.
     """
     if normal.eps_tilde is None:
         raise PreconditionError(
@@ -647,15 +656,12 @@ def manymode_spectrum(n_gamma: Sequence[int], K: Sequence[float],
         raise PreconditionError("n_electrons must be at least 1")
     _non_negative(omega_p, "omega_p")
     _non_negative(kinetic_sum, "kinetic_sum")
-    hbar, m_e = CODATA2018.hbar, CODATA2018.m_e
-    # an overflow, or 0 * inf at omega_p = 0, ends in the _finite check
-    collective = _finite(
-        lambda: omega_p**2 / n_electrons
+    # an overflow, or 0 * inf at omega_p = 0, ends in the one range check
+    return _spectrum(
+        lambda: CODATA2018.hbar * float(np.sum(normal.omega * (n_gamma + 0.5))),
+        kinetic_sum, lambda: omega_p**2 / n_electrons
         * float(np.sum((normal.eps_tilde @ k3) ** 2 / normal.omega_sq)),
-        f"the collective term at K = {K.tolist()}, omega_p = {omega_p!r}")
-    electronic = hbar**2 / (2.0 * m_e) * (kinetic_sum - collective)
-    photon = hbar * float(np.sum(normal.omega * (n_gamma + 0.5)))
-    return electronic + photon
+        f"the energy at K = {K.tolist()}, omega_p = {omega_p!r}")
 
 
 def exact_coupling_1d(n_modes: int, omega_fundamental: float,
@@ -668,15 +674,19 @@ def exact_coupling_1d(n_modes: int, omega_fundamental: float,
     W = diag(omega_n^2) + omega_p^2 1 1^T is a rank-one update of a
     diagonal, so Sherman-Morrison gives
     g = omega_p^2 s / (1 + omega_p^2 s) with s = sum_n 1/omega_n^2, an O(M)
-    sum over the frequencies alone: no ModeSet is built.
+    sum over the frequencies alone: no ModeSet is built.  g depends on
+    omega_p/omega_1 alone, so both are first ``core._scaled`` by the power
+    of two that brings 0.75 omega_1 into [1/2, 1), which leaves omega_1 = 1
+    as it is and every square and 1/omega_n^2 a normal float; past
+    omega_p/omega_1 = 2^60, where g is 1 to rounding, omega_p is taken as
+    2^60 omega_1.
     """
-    omega = _ladder_omega(n_modes, omega_fundamental)
-    rho = _omega_p_sq(omega_p)
-    # omega^2 may underflow to 0 and 1/omega^2 overflow: s is then inf.  The
-    # message is a constant, as formatting a float would add ~0.5 us a call
-    s = _finite(lambda: float((1.0 / omega**2).sum()),
-                "sum of 1/omega_n^2 at this omega_fundamental")
-    return _coupling_fraction(rho * s)
+    w_p = min(_non_negative(omega_p, "omega_p"), 2.0**60 * omega_fundamental)
+    # a non-positive or NaN omega_1 is left unscaled, for the check to name
+    w_1, w_p = _scaled(max(0.75 * omega_fundamental, 0.0), omega_fundamental,
+                       w_p)
+    omega = _ladder_omega(n_modes, w_1)
+    return _coupling_fraction(w_p * w_p * float((1.0 / omega**2).sum()))
 
 
 def _coupling_fraction(x: float) -> float:

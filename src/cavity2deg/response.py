@@ -109,14 +109,6 @@ def _mode_params(scales: DerivedScales) -> tuple[float, float, float, float]:
             scales.config.volume)
 
 
-def _matter_prefactor(scales: DerivedScales) -> float:
-    """e^2 N / m_e; SI only."""
-    if scales.config.units_mode is not UnitsMode.SI:
-        raise UnitModeError("current-coupled responses need an SI config")
-    k = CODATA2018
-    return k.e**2 * scales.config.n_electrons / k.m_e
-
-
 def _require_broadening(f: BroadenedFrequency) -> None:
     _positive(f.eta, "eta", " (the undamped single-mode kernel is on-pole)")
 
@@ -196,14 +188,7 @@ def chi_ea_freq(f: BroadenedFrequency, scales: DerivedScales) -> ResponseValue:
 
 def chi_jj_freq(f: BroadenedFrequency, scales: DerivedScales) -> ResponseValue:
     """Current-current response (e^2 N/m_e)^2 * chi_AA; SI only."""
-    matter = _matter_prefactor(scales)
-    pref = _finite(lambda: matter**2,
-                   f"(e^2 N/m_e)^2 at n_electrons = "
-                   f"{scales.config.n_electrons:.6g}")
-    base = chi_aa_freq(f, scales)
-    re, im = _finite(lambda: (pref * base.re, pref * base.im),
-                     f"chi_JJ(w) at eta = {f.eta!r}")
-    return ResponseValue(ResponseKind.JJ, re, im)
+    return _matter_scaled(f, scales, ResponseKind.JJ)[0]
 
 
 def chi_mixed_freq(f: BroadenedFrequency, scales: DerivedScales,
@@ -211,11 +196,7 @@ def chi_mixed_freq(f: BroadenedFrequency, scales: DerivedScales,
     """Mixed current/field response -(e^2 N/m_e) * chi_AA; JA and AJ coincide."""
     if kind not in (ResponseKind.JA, ResponseKind.AJ):
         raise DomainError(f"kind must be JA or AJ, got {kind}")
-    pref = -_matter_prefactor(scales)
-    base = chi_aa_freq(f, scales)
-    re, im = _finite(lambda: (pref * base.re, pref * base.im),
-                     f"chi_{kind.name}(w) at eta = {f.eta!r}")
-    return ResponseValue(kind, re, im)
+    return _matter_scaled(f, scales, kind)[0]
 
 
 def response_table(f: BroadenedFrequency, scales: DerivedScales) -> np.ndarray:
@@ -224,11 +205,31 @@ def response_table(f: BroadenedFrequency, scales: DerivedScales) -> np.ndarray:
     if np.ndim(f.w):
         raise DomainError(f"the response table takes one probe frequency "
                           f"w, got an array of shape {np.shape(f.w)}")
-    aa = chi_aa_freq(f, scales).as_complex
-    pref = _matter_prefactor(scales)
-    return _finite(lambda: np.array([[pref**2 * aa, -pref * aa],
-                                     [-pref * aa, aa]], dtype=complex),
-                   f"the response table at w = {f.w!r}, eta = {f.eta!r}")
+    jj, ja, aj, aa = _matter_scaled(f, scales, ResponseKind.JJ,
+                                    ResponseKind.JA, ResponseKind.AJ,
+                                    ResponseKind.AA)
+    return np.array([[jj.as_complex, ja.as_complex],
+                     [aj.as_complex, aa.as_complex]])
+
+
+def _matter_scaled(f: BroadenedFrequency, scales: DerivedScales,
+                   *kinds: ResponseKind) -> list[ResponseValue]:
+    """chi_AA at f times (-e^2 N/m_e)^p for each kind, p its number of
+    current indices (2 for JJ, 1 for JA and AJ, 0 for AA): the one product
+    of the two, with its range check; SI only."""
+    if scales.config.units_mode is not UnitsMode.SI:
+        raise UnitModeError("current-coupled responses need an SI config")
+    k = CODATA2018
+    n = scales.config.n_electrons
+    matter = -k.e**2 * n / k.m_e
+    aa = chi_aa_freq(f, scales)
+
+    def value(kind):
+        p = kind.name.count("J")
+        return ResponseValue(kind, *_finite(
+            lambda: (matter**p * aa.re, matter**p * aa.im),
+            f"chi_{kind.name}(w) at eta = {f.eta!r}, n_electrons = {n:.6g}"))
+    return [value(kind) for kind in kinds]
 
 
 def absorption_rate(f: BroadenedFrequency, scales: DerivedScales,

@@ -22,7 +22,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, count, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
@@ -105,8 +106,11 @@ class SpectrumIndex:
 
 
 def eigenenergy(idx: SpectrumIndex, scales: DerivedScales) -> float:
-    """Exact eigenenergy in joules, both polarization zero-points included."""
-    return _eigenenergy(idx, scales.omega_tilde, scales.gamma)
+    """Exact eigenenergy in joules, both polarization zero-points included;
+    an energy past the float range, int photon numbers too, raises
+    DomainError."""
+    return _eigenenergy(idx, scales.omega_tilde, lambda: scales.gamma,
+                        f"the energy at omega_t = {scales.omega_tilde!r}")
 
 
 def eigenenergy_no_a2(idx: SpectrumIndex, omega: float,
@@ -115,22 +119,47 @@ def eigenenergy_no_a2(idx: SpectrumIndex, omega: float,
 
     The mode keeps its bare frequency and the collective factor becomes
     gamma' = omega_p^2/omega^2, which is unbounded: the witness built on it
-    shows the absence of a ground state.
+    shows the absence of a ground state.  gamma' |K|^2 can overflow where
+    the energy, hbar^2/2m_e ~ 2^-127 times it, does not: past
+    (omega_p/omega) |K| = 2^512 the ratio is ``_scaled`` below that and the
+    kinetic terms by its square, and the energy scaled back; a kinetic_sum
+    that underflows there lies below the collective term's last bit.
     """
     _non_negative(omega_p, "omega_p")
     _positive(omega, "omega")
-    return _finite(lambda: _eigenenergy(idx, omega, (omega_p / omega) ** 2),
-                   f"the energy at omega = {omega!r}, omega_p = {omega_p!r}")
+    ratio = omega_p / omega
+    s, = _scaled(max(0.5, ratio * math.hypot(*idx.K) * 2.0**-512), 1.0)
+    return _eigenenergy(idx, omega, lambda: (ratio * s) ** 2,
+                        f"the energy at omega = {omega!r}, omega_p = "
+                        f"{omega_p!r}", s * s)
 
 
-def _eigenenergy(idx: SpectrumIndex, omega: float, coupling: float) -> float:
-    """The one spectrum: coupling is gamma with the A^2 term, gamma' without."""
-    hbar, m_e = CODATA2018.hbar, CODATA2018.m_e
-    k2 = idx.K[0] ** 2 + idx.K[1] ** 2
-    photon = hbar * omega * (idx.n1 + idx.n2 + 1)
-    matter = (hbar**2 / (2.0 * m_e)) * (
-        idx.kinetic_sum - coupling * k2 / idx.n_electrons)
-    return photon + matter
+def _eigenenergy(idx: SpectrumIndex, omega: float, coupling,
+                 what: str, scale: float = 1.0) -> float:
+    """The single-mode spectrum: coupling is a function of no arguments
+    that gives gamma with the A^2 term, gamma' without."""
+    return _spectrum(
+        lambda: CODATA2018.hbar * omega * (idx.n1 + idx.n2 + 1),
+        idx.kinetic_sum,
+        lambda: coupling() * (idx.K[0] ** 2 + idx.K[1] ** 2) / idx.n_electrons,
+        what, scale)
+
+
+def _spectrum(photon, kinetic_sum, collective, what: str,
+              scale: float = 1.0) -> float:
+    """The one spectrum, E = photon + (hbar^2/2 m_e)(kinetic_sum -
+    collective), of the single-mode, the continuum and the many-mode
+    theory, with its one range check.
+
+    photon and collective are functions of no arguments, evaluated with the
+    sum in core._finite: an int past the float range, an overflow or a NaN
+    anywhere is a DomainError naming ``what``.  A collective term that
+    comes multiplied by ``scale``, a power of two, meets kinetic_sum times
+    scale, and their difference is divided by it.
+    """
+    return _finite(lambda: photon() + (
+        CODATA2018.hbar**2 / (2.0 * CODATA2018.m_e)) * (
+            kinetic_sum * scale - collective()) / scale, what)
 
 
 def ground_photon_occupation(omega: float, omega_p: float) -> float:
@@ -291,10 +320,18 @@ class OccupancyGrid:
         first = source.readline()
         if not first.strip():
             raise DomainError("empty grid")
+        # numbers the lines numpy reads, the header being line 1; numpy
+        # reads one line at a time and stops at the bad one, so the next
+        # number less one is its file line, blank and # lines counted
+        numbers = count(2)
         try:
-            data = np.loadtxt(chain([first], source), delimiter=",", ndmin=2)
+            data = np.loadtxt(map(itemgetter(1), zip(numbers, chain(
+                [first], source))), delimiter=",", ndmin=2)
         except ValueError as err:
-            raise DomainError(f"malformed CSV row: {_file_line(err)}") from err
+            msg = str(err).split(";")[0]   # drop the hint to use usecols
+            raise DomainError("malformed CSV row: " + re.sub(
+                r"at row \d+", f"at the row on line {next(numbers) - 1}",
+                msg)) from err
         if data.shape[1] != 3:
             raise DomainError(f"expected 3 fields kx,ky,f per CSV row, got "
                               f"{data.shape[1]} in every row")
@@ -305,18 +342,6 @@ class OccupancyGrid:
         f = np.empty((kx.size, ky.size))
         f[ix, iy] = data[:, 2]
         return cls(kx, ky, f)
-
-
-def _file_line(err: ValueError) -> str:
-    """numpy's loadtxt message for a field that is not a float, or for a row
-    whose width differs from the first, with its data row made a file line,
-    the header being line 1.  numpy counts data rows from 0 for the one and
-    from 1 for the other, and skips blank and # lines without counting them.
-    """
-    msg = str(err).split(";")[0]   # drop the hint to use usecols
-    shift = 1 if "columns changed" in msg else 2
-    return re.sub(r"at row (\d+)",
-                  lambda m: f"at the row on line {int(m[1]) + shift}", msg)
 
 
 def _uniform(axis: np.ndarray) -> bool:
@@ -370,29 +395,33 @@ def _disk_cell_overlaps(x0: np.ndarray, x1: np.ndarray, y0: np.ndarray,
     The disk is symmetric in both axes, so a cell's area is
     Q(x1,y1) - Q(x0,y1) - Q(x1,y0) + Q(x0,y0), with Q(x, y) sign(x) sign(y)
     times the disk's area in [0,|x|]x[0,|y|]: with |x| and |y| clamped to R
-    and xc = sqrt(R^2 - y^2), min(|x|, xc) |y| + phi(max(|x|, xc)) - phi(xc),
-    phi the antiderivative of sqrt(R^2 - x^2).  The four Q ~ R^2 cancel to
-    a cell of area h^2, so an area is accurate to a few eps * (R/h)^2
-    relative, as is the scalar oracle ``_disk_cell_overlap`` in
-    tests/test_singlemode.py, which integrates chords instead.
+    and xc = sqrt((R - |y|)(R + |y|)), min(|x|, xc) |y| + seg(xc) -
+    seg(max(|x|, xc)), seg(x) the disk's area in [x, R]x[0, inf),
+    (R^2 theta - x sqrt((R - x)(R + x)))/2 with theta = 2 asin(sqrt((R -
+    x)/(2R))).  R - x is exact near the rim, so seg keeps its relative
+    accuracy there, where the antiderivative of sqrt(R^2 - x^2) loses half
+    its digits.  The four Q ~ R^2 cancel to a cell of area h^2, so an area
+    is accurate to a few eps * (R/h)^2 relative.
     """
     r2 = radius * radius
 
-    def phi(x):
+    def seg(x):
         # x in [0, R], so neither operand leaves the domain
-        return 0.5 * (x * np.sqrt(r2 - x * x) + r2 * np.arcsin(x / radius))
+        d = radius - x
+        return (r2 * np.arcsin(np.sqrt(d / (2.0 * radius)))
+                - 0.5 * x * np.sqrt(d * (radius + x)))
 
     def signed_strip(y):
         # Q(x1, y) - Q(x0, y)
         ay = np.minimum(np.abs(y), radius)
         # sqrt rounds up past R when R^2 is subnormal
-        xc = np.minimum(np.sqrt(r2 - ay * ay), radius)
-        phi_c = phi(xc)
+        xc = np.minimum(np.sqrt((radius - ay) * (radius + ay)), radius)
+        seg_c = seg(xc)
 
         def quadrant(x):
             ax = np.minimum(np.abs(x), radius)
             return np.sign(x) * (np.minimum(ax, xc) * ay
-                                 + (phi(np.maximum(ax, xc)) - phi_c))
+                                 + (seg_c - seg(np.maximum(ax, xc))))
         return np.sign(y) * (quadrant(x1) - quadrant(x0))
 
     return signed_strip(y1) - signed_strip(y0)

@@ -974,39 +974,50 @@ class TestLadderFrequencies:
     @given(st.integers(1, 500), st.floats(-300.0, 300.0),
            st.floats(-8.0, 4.0))
     def test_closed_forms_match_the_modeset_route(self, m, w_exp, r_exp):
-        # the helper's frequencies and the coupling built on them are the
-        # ModeSet route's, bit for bit
+        # the helper's frequencies are the ModeSet route's, bit for bit, and
+        # so is the coupling built on them wherever each 1/omega_n^2 and g
+        # are normal floats; elsewhere the route has lost bits or
+        # overflowed, and g is the route's at the pair scaled by the power
+        # of two that brings 0.75 w0 into [1/2, 1)
         w0, ratio = 10.0**w_exp, 10.0**r_exp
         omega = modeset_ladder(m, w0).omega
         assert same_bytes(manymode._ladder_omega(m, w0), omega)
         assert same_bytes(ModeSet.ladder_1d(m, w0).omega, omega)
-        with np.errstate(all="ignore"):
-            s = float(np.sum(1.0 / omega**2))
-        if math.isfinite(s):
-            ref = manymode._coupling_fraction(ratio**2 * s)
-            assert same_bytes(np.float64(exact_coupling_1d(m, w0, ratio)),
-                              np.float64(ref))
-        else:
-            with pytest.raises(DomainError):
-                exact_coupling_1d(m, w0, ratio)
+
+        def route(w0, ratio):
+            with np.errstate(all="ignore"):
+                terms = 1.0 / modeset_ladder(m, w0).omega**2
+                g = manymode._coupling_fraction(ratio * ratio * terms.sum())
+            normal = (2.0**-1022 <= terms.min() and terms.max() < math.inf
+                      and g >= 2.0**-1020)
+            return g, normal
+        ref, normal = route(w0, ratio)
+        if not normal:
+            k = math.frexp(0.75 * w0)[1]
+            ref = route(math.ldexp(w0, -k), math.ldexp(ratio, -k))[0]
+        assert same_bytes(np.float64(exact_coupling_1d(m, w0, ratio)),
+                          np.float64(ref))
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("w0", [1e-200, 1e-160])
-    def test_vanishing_fundamental_is_a_domain_error(self, w0):
-        # omega^2 underflows to 0, or 1/omega^2 overflows: no RuntimeWarning
-        with pytest.raises(DomainError, match="omega_fundamental"):
-            exact_coupling_1d(3, w0, 0.5)
+    def test_vanishing_fundamental_keeps_the_ratio(self, w0):
+        # omega^2 would underflow to 0 and 1/omega^2 overflow: g depends on
+        # omega_p/omega_1 alone, and is 1 to rounding past ratio 2^60
+        assert exact_coupling_1d(3, w0, w0) == exact_coupling_1d(3, 1.0, 1.0)
+        assert exact_coupling_1d(3, w0, 0.5) == 1.0
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_ladder_is_a_precondition_error(self):
         # M omega_fundamental past the float range is refused before the
-        # array is built, with ModeSet's message
-        with pytest.raises(PreconditionError, match="must be finite"):
-            exact_coupling_1d(3, 1e308, 0.5)
+        # array is built, with ModeSet's message; the coupling scales the
+        # ladder first, and its ratio 5e-309 gives g = 0 to rounding
+        assert exact_coupling_1d(3, 1e308, 0.5) == 0.0
         with pytest.raises(PreconditionError, match="must be finite"):
             ModeSet.ladder_1d(3, 1e308)
-        # omega^2 overflows but M omega does not: s underflows to 0
+        # omega^2 overflows but M omega does not
         assert exact_coupling_1d(3, 1e200, 0.5) == 0.0
+        assert exact_coupling_1d(3, 1e200, 1e200) == exact_coupling_1d(
+            3, 1.0, 1.0)
 
     def test_mode_count_cap(self):
         # the largest M whose M x M float64 matrix fits in 1 GiB
@@ -1067,13 +1078,12 @@ class TestLadderCoupling:
         assert exact_coupling_1d(3, 1.0, 1.3e154) == 1.0
         assert exact_coupling_1d(3, 1.0, 1e154) == 1.0   # finite, rounds to 1
 
-    def test_overflowing_coupling_rejected(self):
-        # omega_p^2 or sum 1/omega_n^2 overflows to inf, which would give
-        # inf/inf = nan
-        with pytest.raises(DomainError):
-            exact_coupling_1d(5, 1.0, 1e200)
-        with np.errstate(over="ignore"), pytest.raises(DomainError):
-            exact_coupling_1d(5, 1e-160, 0.5)
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_coupling_is_the_limit(self):
+        # omega_p^2 or sum 1/omega_n^2 would overflow to inf, which would
+        # give inf/inf = nan; past ratio 2^60 g is 1 to rounding
+        assert exact_coupling_1d(5, 1.0, 1e200) == 1.0
+        assert exact_coupling_1d(5, 1e-160, 0.5) == 1.0
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_fundamental_rejected(self, bad):

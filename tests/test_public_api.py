@@ -9,8 +9,13 @@ Cavity2degError, never inf, NaN, a bare OverflowError or a RuntimeWarning;
 a result past the float range is a DomainError that names the arguments.
 collective_coupling, whose result is in range for every admitted pair, is
 also held to a 50-digit value over the whole float range, as are
-dressed_frequency and the gamma and omega_t/omega of a Ratio-mode
-DerivedScales.
+dressed_frequency, the gamma and omega_t/omega of a Ratio-mode
+DerivedScales, fermi_wavevector, eigenenergy_no_a2, coupling_1d,
+exact_coupling_1d and eigenenergy at int photon numbers past the float
+range; there a DomainError is allowed only where the true value is past
+the float range.  Three tests parse the package: core._finite holds the
+only np.errstate, core._scaled the only math.frexp, and every import is
+the standard library, numpy or the package itself.
 """
 
 import ast
@@ -42,7 +47,8 @@ from cavity2deg import (BroadenedFrequency, Cavity2degError, ConfigError,
                         coupling_1d, coupling_3d, dc_conductivity,
                         dressed_frequency, drude_effective_mass, eft,
                         eft_chi_aa, eigenenergy, eigenenergy_no_a2,
-                        energy_density, exceptions, fermi_wavevector,
+                        energy_density, exact_coupling_1d, exceptions,
+                        fermi_wavevector,
                         ground_photon_occupation, instability_witness,
                         manymode, manymode_spectrum, mass_3d, normal_modes,
                         optical_conductivity, optimal_origin,
@@ -256,8 +262,6 @@ FINITE_DOUBLES = st.one_of(
 # a DOMAINS row and the leading values of its arguments
 RANGE_HOLES = [
     ("dressed_frequency", (1.6e308, 1.6e308)),
-    ("fermi_wavevector", (8.3e307,)),
-    ("eigenenergy_no_a2", (1.0, 1e160)),
     ("eigenenergy_no_a2", (1e-200, 1e200)),
     ("optimal_origin_at", (1e-250, 1e100)),
     ("OccupancyGrid.disk", (8.76e-161,)),    # the cell area h^2 underflows
@@ -277,7 +281,6 @@ RANGE_HOLES = [
     ("response_table_at", (np.array([1e13, 2e13]),)),
     ("optical_conductivity_at", (7e-158, 5.5e-147)),
     ("quasiparticle_energy", (1.8e244, 1e-65, 8e122)),
-    ("coupling_1d", (1.0, 2.9e-233, 1.6e137)),
     ("casimir_energy_density", (8.2e200,)),
     ("casimir_pressure", (2.15e201,)),
     ("eft_chi_aa_at", (0.0, 7.9e262)),
@@ -337,6 +340,31 @@ def test_range_hole_is_a_named_domain_error(label, values):
     for name in list(ROWS[label][1])[:len(values)]:
         assert re.search(rf"\b{re.escape(name)}\b", str(info.value)), (
             name, str(info.value))
+
+
+# the spectrum's four forms, whose photon or collective term once left the
+# float range outside the one range check: inf, or a bare OverflowError
+SPECTRUM_HOLES = {
+    "eigenenergy-n1=10**400": lambda: eigenenergy(
+        SpectrumIndex(10**400, 0, (0.0, 0.0), 0.0, 1), SCALES),
+    "eigenenergy-omega=1e300": lambda: eigenenergy(
+        SpectrumIndex(10**300, 0, (0.0, 0.0), 0.0, 1),
+        DerivedScales(SystemConfig.si(100_000_000, 1e-8, 1e-6,
+                                      mode_frequency=1e300))),
+    "manymode_spectrum-n=1e300": lambda: manymode_spectrum(
+        [1e300, 0], (0.0,), 0.0,
+        normal_modes(ModeSet.ladder_1d(2, 1e100), 1.0), 1.0, 10),
+    "effective_energy-occupation=10**400": lambda: eft.effective_energy(
+        0.0, (0.0, 0.0), ECFG, ((1.0, 10**400),)),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call", SPECTRUM_HOLES.values(),
+                         ids=SPECTRUM_HOLES.keys())
+def test_spectrum_past_the_float_range_is_a_domain_error(call):
+    with pytest.raises(DomainError, match="energy at .* overflows"):
+        call()
 
 
 def test_overflowing_momentum_fails_cauchy_schwarz():
@@ -442,24 +470,182 @@ def test_dressed_frequency_and_ratio_scales_match_50_digits_property(
         assert ulps(scales.omega_tilde_over_omega, mpmath.sqrt(1 + r * r)) <= 1
 
 
-def test_finite_holds_the_only_errstate():
-    # core._finite is the one range check: no other code in the package
-    # turns numpy's floating-point warnings off
+def _ulps(got, true, unit=None) -> float:
+    """|got - true| in units of the last place of ``unit`` (of true by
+    default), for a 50-digit true value."""
+    mpmath = pytest.importorskip("mpmath")
+    return float(abs(mpmath.mpf(got) - true)
+                 / math.ulp(float(true if unit is None else unit)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ALL_DOUBLES)
+@example(1e308)                  # 2 pi n_2d overflows: k_F ~2.5e154
+@example(8.3e307)
+@example(sys.float_info.max)
+@example(1e-320)                 # 2 pi n_2d is subnormal: k_F ~2.5e-160
+def test_fermi_wavevector_matches_50_digits_property(n_2d):
+    # k_F is in range for every admitted n_2d: a product and a root on
+    # n_2d scaled by an even power of two stay within 1 ulp
+    mpmath = pytest.importorskip("mpmath")
+    if n_2d < 0.0:
+        with pytest.raises(DomainError, match="n_2d"):
+            fermi_wavevector(n_2d)
+        return
+    with mpmath.workdps(50):
+        true = mpmath.sqrt(2 * mpmath.pi * mpmath.mpf(n_2d))
+        assert _ulps(fermi_wavevector(n_2d), true) <= 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(ALL_DOUBLES, ALL_DOUBLES)
+@example(1.0, 1e160)        # gamma' overflows, the energy -6.1e281 does not
+@example(1e-200, 1e200)     # the energy itself overflows
+@example(sys.float_info.max, sys.float_info.max)
+def test_eigenenergy_no_a2_matches_50_digits_property(omega, omega_p):
+    # E = hbar omega + (hbar^2/2 m_e)(1 - gamma') at the DOMAINS index (one
+    # electron at K = (1, 0)); a sum whose terms can cancel, so its rounding
+    # is bounded by the largest term: within 4 ulp of that
+    mpmath = pytest.importorskip("mpmath")
+    idx = SpectrumIndex.from_momenta([(1.0, 0.0)])
+    if omega <= 0.0 or omega_p < 0.0:
+        with pytest.raises(DomainError):
+            eigenenergy_no_a2(idx, omega, omega_p)
+        return
+    with mpmath.workdps(50):
+        hbar = mpmath.mpf(constants.CODATA2018.hbar)
+        kinetic = hbar**2 / (2 * mpmath.mpf(constants.CODATA2018.m_e))
+        r = mpmath.mpf(omega_p) / mpmath.mpf(omega)
+        terms = (hbar * omega, kinetic, kinetic * r * r)
+        true = terms[0] + terms[1] - terms[2]
+        if abs(true) > sys.float_info.max:
+            with pytest.raises(DomainError, match="omega_p"):
+                eigenenergy_no_a2(idx, omega, omega_p)
+            return
+        assert _ulps(eigenenergy_no_a2(idx, omega, omega_p), true,
+                     max(terms)) <= 4
+
+
+@settings(max_examples=300, deadline=None)
+@given(ALL_DOUBLES, ALL_DOUBLES, ALL_DOUBLES)
+@example(1.0, 1e-10, 1e300)        # omega_p/2 omega overflows: 1.5e18
+@example(1.0, 2.9e-233, 1.6e137)   # the same, 5.2e240
+@example(1e300, 1e300, 1e300)      # c kappa_max overflows
+@example(1e-320, 1.0, 1e-310)      # c kappa_max is subnormal
+@example(1e308, 1.0, 1e-300)       # kappa_max/omega_p overflows
+@example(1e-300, 1e-310, 1e20)     # arctan(u) underflows
+def test_coupling_1d_matches_50_digits_property(kappa_max, omega, omega_p):
+    # each quotient on a pair scaled by a power of two, an arctangent and
+    # a product: within 4 ulp; a DomainError only past the float range
+    mpmath = pytest.importorskip("mpmath")
+    if kappa_max < 0.0 or omega <= 0.0 or omega_p < 0.0:
+        with pytest.raises(DomainError):
+            coupling_1d(kappa_max, omega, omega_p)
+        return
+    with mpmath.workdps(50):
+        k, w, w_p = map(mpmath.mpf, (kappa_max, omega, omega_p))
+        true = (w_p / (2 * w) * mpmath.atan(constants.CODATA2018.c * k / w_p)
+                if omega_p else mpmath.mpf(0))
+        if true > sys.float_info.max:
+            with pytest.raises(DomainError, match="omega_p"):
+                coupling_1d(kappa_max, omega, omega_p)
+            return
+        assert _ulps(coupling_1d(kappa_max, omega, omega_p), true) <= 4
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 64), ALL_DOUBLES, ALL_DOUBLES)
+@example(3, 1e-200, 1e-200)     # omega_1^2 underflows: g(3, 1, 1)
+@example(3, 1e200, 1e200)       # omega_p^2 overflows: g(3, 1, 1)
+@example(5, 1.0, 1e200)         # g = 1 to rounding
+@example(5, 1e-160, 0.5)
+@example(3, 1e308, 0.5)         # M omega_1 overflows: g = 0 to rounding
+@example(44, 1.0, 0.95)
+def test_exact_coupling_1d_matches_50_digits_property(m, omega_1, omega_p):
+    # g = x/(1 + x), x = (omega_p/omega_1)^2 sum 1/n^2, is in [0, 1] for
+    # every admitted pair: M sums of scaled squares stay within 8 ulp
+    mpmath = pytest.importorskip("mpmath")
+    if omega_1 <= 0.0:
+        with pytest.raises(PreconditionError, match="omega_fundamental"):
+            exact_coupling_1d(m, omega_1, abs(omega_p))
+        return
+    if omega_p < 0.0:
+        with pytest.raises(DomainError, match="omega_p"):
+            exact_coupling_1d(m, omega_1, omega_p)
+        return
+    with mpmath.workdps(50):
+        x = (mpmath.mpf(omega_p) / omega_1) ** 2 * mpmath.fsum(
+            mpmath.mpf(1) / n**2 for n in range(1, m + 1))
+        assert _ulps(exact_coupling_1d(m, omega_1, omega_p), x / (1 + x)) <= 8
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**400), st.integers(0, 10**400))
+@example(10**400, 0)
+@example(10**300, 10**300)
+def test_int_photon_numbers_match_50_digits_property(n1, n2):
+    # hbar omega_t (n1 + n2 + 1), the int taken as its float: three
+    # roundings, within 2 ulp, or a DomainError past the float range
+    mpmath = pytest.importorskip("mpmath")
+    idx = SpectrumIndex(n1, n2, (0.0, 0.0), 0.0, 1)
+    with mpmath.workdps(50):
+        true = (mpmath.mpf(constants.CODATA2018.hbar) * SCALES.omega_tilde
+                * (n1 + n2 + 1))
+        if true > sys.float_info.max:
+            with pytest.raises(DomainError, match="overflows"):
+                eigenenergy(idx, SCALES)
+            return
+        assert _ulps(eigenenergy(idx, SCALES), true) <= 2
+
+
+PACKAGE_FILES = sorted(Path(core.__file__).parent.glob("*.py"))
+
+
+def _sites(name: str, owner: str) -> tuple[list[str], list[str]]:
+    """The places that name ``name`` (an attribute, a variable or an
+    import), as file:line, inside core.<owner> and elsewhere in the
+    package."""
     inside, outside = [], []
-    for path in sorted(Path(core.__file__).parent.glob("*.py")):
+    for path in PACKAGE_FILES:
         tree = ast.parse(path.read_text())
         allowed = {id(node) for top in tree.body
                    if path.name == "core.py"
-                   and isinstance(top, ast.FunctionDef)
-                   and top.name == "_finite"
+                   and isinstance(top, ast.FunctionDef) and top.name == owner
                    for node in ast.walk(top)}
         for node in ast.walk(tree):
-            if "errstate" in (getattr(node, "attr", None),
-                              getattr(node, "id", None),
-                              getattr(node, "name", None)):
+            if name in (getattr(node, "attr", None), getattr(node, "id", None),
+                        getattr(node, "name", None)):
                 site = f"{path.name}:{node.lineno}"
                 (inside if id(node) in allowed else outside).append(site)
+    return inside, outside
+
+
+def test_finite_holds_the_only_errstate():
+    # core._finite is the one range check: no other code in the package
+    # turns numpy's floating-point warnings off
+    inside, outside = _sites("errstate", "_finite")
     assert inside and not outside, outside
+
+
+def test_scaled_holds_the_only_frexp():
+    # core._scaled is the one power-of-two scaling
+    inside, outside = _sites("frexp", "_scaled")
+    assert inside and not outside, outside
+
+
+def test_imports_are_the_stdlib_numpy_and_the_package():
+    # numpy is the one runtime dependency (README), and the CLI's import
+    # time assumes no scipy
+    found = set()
+    for path in PACKAGE_FILES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                found.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                found.add(node.module)
+    tops = {name.split(".")[0] for name in found}
+    assert "numpy" in tops
+    assert tops - sys.stdlib_module_names <= {"numpy", "cavity2deg"}, tops
 
 
 def test_undefined_result_is_not_called_an_overflow():

@@ -56,11 +56,14 @@ def _disk_cell_overlap(x0: float, x1: float, y0: float, y1: float,
         return 0.0
 
     def phi(x: float) -> float:
-        # antiderivative of sqrt(R^2 - x^2)
-        t = max(radius * radius - x * x, 0.0)
-        s = math.sqrt(t)
-        return 0.5 * (x * s + radius * radius
-                      * math.asin(min(1.0, max(-1.0, x / radius))))
+        # antiderivative of sqrt(R^2 - x^2), with R - |x| exact near the
+        # rim: sqrt(R^2 - x^2) and asin(x/R) written that way lose half
+        # their digits there
+        ax = min(abs(x), radius)
+        s = math.sqrt((radius - ax) * (radius + ax))
+        theta = 2.0 * math.asin(math.sqrt((radius - ax) / (2.0 * radius)))
+        return 0.5 * (x * s + math.copysign(radius * radius
+                                            * (0.5 * math.pi - theta), x))
 
     def chord(t: float, lo: float, hi: float) -> float:
         # integral over [lo, hi] of min(t, sqrt(R^2 - x^2)), t >= 0
@@ -87,6 +90,27 @@ def _disk_cell_overlap(x0: float, x1: float, y0: float, y1: float,
         return math.copysign(chord(abs(y), a, b), y)
 
     return clip_integral(y1) - clip_integral(y0)
+
+
+def _mpmath_cell_area(x0: float, x1: float, y0: float, y1: float,
+                      radius: float):
+    """The area of [x0,x1]x[y0,y1] inside the origin-centered disk to 50
+    digits: mpmath.quad of the chord length over y, with breakpoints where
+    the circle meets x = x0 or x1, so no antiderivative is shared with the
+    code under test."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        x0, x1, y0, y1, r = map(mpmath.mpf, (x0, x1, y0, y1, radius))
+        lo, hi = max(y0, -r), min(y1, r)
+        if hi <= lo:
+            return mpmath.mpf(0)
+
+        def chord(y):
+            c = mpmath.sqrt(r * r - y * y)
+            return max(mpmath.mpf(0), min(x1, c) - max(x0, -c))
+        ys = {lo, hi} | {s * mpmath.sqrt((r - abs(x)) * (r + abs(x)))
+                         for x in (x0, x1) if abs(x) < r for s in (1, -1)}
+        return mpmath.quad(chord, sorted(y for y in ys if lo <= y <= hi))
 
 
 def _reference_disk(radius: float, center: tuple[float, float], fill: float,
@@ -370,9 +394,9 @@ class TestVectorDisk:
 
     It matches the disk built on the full N x N distance matrix to the
     byte, and holds no N x N float array but its f.  Both the array and the
-    scalar overlap cancel in phi(hi) - phi(lo) ~ R^2 for a cell of area
-    h^2, so they agree to a few eps * cpr^2 * fill per cell, not to a fixed
-    relative tolerance.
+    scalar overlap cancel terms ~ R^2 to a cell of area h^2, so they agree
+    to a few eps * cpr^2 * fill per cell, not to a fixed relative
+    tolerance; so does a 50-digit quadrature on the cells at the rim.
     """
 
     def test_matches_reference_disk_to_the_byte(self):
@@ -430,6 +454,23 @@ class TestVectorDisk:
                 expect[i, j] = fill * area / (h * h)
             tol = 8 * np.finfo(float).eps * cpr**2 * fill
             assert np.max(np.abs(g.f - expect)) <= tol
+
+    @pytest.mark.parametrize("cpr", [3, 64, 256])
+    def test_rim_cells_match_50_digit_areas(self, cpr):
+        # a cell edge k ulp inside x = +-R: sqrt(R^2 - x^2) and asin(x/R)
+        # cancel to half the digits there (5e-5 of a cell at cpr 256)
+        for radius in (1.0, 1.3, 0.7):
+            h = radius / cpr
+            for k in range(5):
+                x = radius - k * math.ulp(radius)
+                for x0, x1 in ((x, radius + h), (-radius - h, -x)):
+                    for j in (-2, -1, 0, 1):
+                        y0, y1 = j * h, (j + 1) * h
+                        got = _disk_cell_overlaps(*np.array([[x0], [x1], [y0],
+                                                             [y1]]), radius)
+                        err = abs(got[0] - _mpmath_cell_area(x0, x1, y0, y1,
+                                                             radius))
+                        assert err <= 8 * np.finfo(float).eps * cpr**2 * h * h
 
     def test_random_rectangles_match_scalar(self, rng):
         x0, y0 = rng.uniform(-1.4, 1.3, (2, 400))
@@ -712,7 +753,12 @@ class TestOccupancyGridIO:
         # the file line, the header being line 1
         ("0.0,abc,1.0\n", "'abc'.* line 2, column 2"),
         ("0.0,0.0,1.0\n0.0,1.0\n", "from 3 to 2 .* line 3$"),
-        ("0.0,0.0,1.0\n0.0,1.0,1.0\n0.0,x,1.0\n", "'x'.* line 4, column 2")])
+        ("0.0,0.0,1.0\n0.0,1.0,1.0\n0.0,x,1.0\n", "'x'.* line 4, column 2"),
+        # numpy skips blank and # lines without counting them; the file
+        # line counts them
+        ("0.0,0.0,1.0\n\n0.0,x,1.0\n", "'x'.* line 4, column 2"),
+        ("0.0,0.0,1.0\n# a comment\n0.0,x,1.0\n", "'x'.* line 4, column 2"),
+        ("0.0,0.0,1.0\n\n# a comment\n0.0,1.0\n", "from 3 to 2 .* line 5$")])
     def test_malformed_row_rejected(self, body, match):
         # a typed error, not numpy's ValueError or a grid of NaN moments
         with pytest.raises(DomainError, match=match):
