@@ -250,9 +250,10 @@ def _finite(x, what: str):
 
     x may be a function of no arguments, which is evaluated here with
     numpy's floating-point warnings off; a Python float or int that raises
-    OverflowError there has left the range too.  A NaN, or a Python float
-    division by zero (0/0 once both sides underflow, say), is worded as
-    undefined rather than as an overflow.
+    OverflowError there has left the range too.  A NaN, a Python float
+    division by zero (0/0 once both sides underflow, say) or a ValueError
+    (a NaN made a fractions.Fraction) is worded as undefined rather than as
+    an overflow.
     """
     if callable(x):
         try:
@@ -260,7 +261,7 @@ def _finite(x, what: str):
                 x = x()
         except OverflowError:
             x = math.inf
-        except ZeroDivisionError:
+        except (ZeroDivisionError, ValueError):
             x = math.nan
     # math.isfinite takes a float (numpy's too) ~50x faster than np.isfinite
     if not (math.isfinite(x) if isinstance(x, float)

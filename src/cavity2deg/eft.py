@@ -199,8 +199,8 @@ def effective_energy(kinetic_sum: float, K: tuple[float, float],
     return _spectrum(
         lambda: ecfg.system.area * casimir_energy_density(ecfg)
         + sum(CODATA2018.hbar * om * occ for om, occ in photon_excitations),
-        kinetic_sum, lambda: effective_coupling(ecfg)
-        * (K[0] ** 2 + K[1] ** 2) / ecfg.system.n_electrons,
+        kinetic_sum, (math.sqrt(effective_coupling(ecfg)), 1.0), lambda: K,
+        ecfg.system.n_electrons,
         f"the effective energy at kinetic_sum = {kinetic_sum!r}, K = {K!r}")
 
 

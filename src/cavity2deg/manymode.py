@@ -650,17 +650,14 @@ def manymode_spectrum(n_gamma: Sequence[int], K: Sequence[float],
                                 f"got shape {K.shape}")
     if not np.isfinite(K).all():
         raise DomainError(f"K must be finite, got {K.tolist()}")
-    k3 = np.zeros(3)
-    k3[:K.size] = K
     if n_electrons < 1:
         raise PreconditionError("n_electrons must be at least 1")
     _non_negative(omega_p, "omega_p")
     _non_negative(kinetic_sum, "kinetic_sum")
-    # an overflow, or 0 * inf at omega_p = 0, ends in the one range check
     return _spectrum(
         lambda: CODATA2018.hbar * float(np.sum(normal.omega * (n_gamma + 0.5))),
-        kinetic_sum, lambda: omega_p**2 / n_electrons
-        * float(np.sum((normal.eps_tilde @ k3) ** 2 / normal.omega_sq)),
+        kinetic_sum, (omega_p, 1.0),
+        lambda: normal.eps_tilde[:, :K.size] @ K / normal.omega, n_electrons,
         f"the energy at K = {K.tolist()}, omega_p = {omega_p!r}")
 
 

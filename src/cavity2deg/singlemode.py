@@ -22,7 +22,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from itertools import chain, count, repeat
+from fractions import Fraction
+from itertools import chain, count, dropwhile, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
@@ -108,9 +109,9 @@ class SpectrumIndex:
 def eigenenergy(idx: SpectrumIndex, scales: DerivedScales) -> float:
     """Exact eigenenergy in joules, both polarization zero-points included;
     an energy past the float range, int photon numbers too, raises
-    DomainError."""
-    return _eigenenergy(idx, scales.omega_tilde, lambda: scales.gamma,
-                        f"the energy at omega_t = {scales.omega_tilde!r}")
+    DomainError.  It is eigenenergy_no_a2 at the dressed frequency omega_t,
+    where the coupling (omega_p/omega_t)^2 is gamma."""
+    return eigenenergy_no_a2(idx, scales.omega_tilde, scales.omega_p)
 
 
 def eigenenergy_no_a2(idx: SpectrumIndex, omega: float,
@@ -119,47 +120,42 @@ def eigenenergy_no_a2(idx: SpectrumIndex, omega: float,
 
     The mode keeps its bare frequency and the collective factor becomes
     gamma' = omega_p^2/omega^2, which is unbounded: the witness built on it
-    shows the absence of a ground state.  gamma' |K|^2 can overflow where
-    the energy, hbar^2/2m_e ~ 2^-127 times it, does not: past
-    (omega_p/omega) |K| = 2^512 the ratio is ``_scaled`` below that and the
-    kinetic terms by its square, and the energy scaled back; a kinetic_sum
-    that underflows there lies below the collective term's last bit.
+    shows the absence of a ground state.
     """
     _non_negative(omega_p, "omega_p")
     _positive(omega, "omega")
-    ratio = omega_p / omega
-    s, = _scaled(max(0.5, ratio * math.hypot(*idx.K) * 2.0**-512), 1.0)
-    return _eigenenergy(idx, omega, lambda: (ratio * s) ** 2,
-                        f"the energy at omega = {omega!r}, omega_p = "
-                        f"{omega_p!r}", s * s)
-
-
-def _eigenenergy(idx: SpectrumIndex, omega: float, coupling,
-                 what: str, scale: float = 1.0) -> float:
-    """The single-mode spectrum: coupling is a function of no arguments
-    that gives gamma with the A^2 term, gamma' without."""
     return _spectrum(
         lambda: CODATA2018.hbar * omega * (idx.n1 + idx.n2 + 1),
-        idx.kinetic_sum,
-        lambda: coupling() * (idx.K[0] ** 2 + idx.K[1] ** 2) / idx.n_electrons,
-        what, scale)
+        idx.kinetic_sum, (omega_p, omega), lambda: idx.K, idx.n_electrons,
+        f"the energy at omega = {omega!r}, omega_p = {omega_p!r}")
 
 
-def _spectrum(photon, kinetic_sum, collective, what: str,
-              scale: float = 1.0) -> float:
+def _spectrum(photon, kinetic_sum, r, v, n, what: str) -> float:
     """The one spectrum, E = photon + (hbar^2/2 m_e)(kinetic_sum -
-    collective), of the single-mode, the continuum and the many-mode
-    theory, with its one range check.
+    |r v|^2/n), of the single-mode, the continuum and the many-mode theory,
+    with its one range check.
 
-    photon and collective are functions of no arguments, evaluated with the
-    sum in core._finite: an int past the float range, an overflow or a NaN
-    anywhere is a DomainError naming ``what``.  A collective term that
-    comes multiplied by ``scale``, a power of two, meets kinetic_sum times
-    scale, and their difference is divided by it.
+    r = p/q, the root of the collective coupling, comes as the pair (p, q).
+    The matter term is formed in exact rationals on these floats and
+    rounded once, so only E itself can leave the float range: v is first
+    divided by the power of two that brings its largest component into
+    [1/2, 1) (``core._scaled``, exact), so that |v|^2 is one float sum of
+    squares, and that power comes back exactly.  photon and v are functions
+    of no arguments, evaluated in core._finite: an int past the float range,
+    an overflow or a NaN anywhere is a DomainError naming ``what``.
     """
-    return _finite(lambda: photon() + (
-        CODATA2018.hbar**2 / (2.0 * CODATA2018.m_e)) * (
-            kinetic_sum * scale - collective()) / scale, what)
+    def energy():
+        vec = v()
+        top = float(max(map(abs, vec)))
+        top_s, *v_s = _scaled(top, top, *vec)
+        v2 = Fraction(math.fsum(x * x for x in v_s))
+        # r |v| / |v_s| = (p/q)(top/top_s); top_s is 0 only where v is 0
+        root = (Fraction(r[0]) * Fraction(top)
+                / (Fraction(r[1]) * Fraction(top_s or 1.0)))
+        return photon() + float(Fraction(
+            CODATA2018.hbar**2 / (2.0 * CODATA2018.m_e))
+            * (Fraction(kinetic_sum) - root * root * v2 / n))
+    return _finite(energy, what)
 
 
 def ground_photon_occupation(omega: float, omega_p: float) -> float:
@@ -316,17 +312,18 @@ class OccupancyGrid:
         header = source.readline().split(",")
         if [h.strip() for h in header] != ["kx", "ky", "f"]:
             raise DomainError("expected CSV header kx,ky,f")
-        # loadtxt warns on a body without data, so the first row is read here
-        first = source.readline()
-        if not first.strip():
-            raise DomainError("empty grid")
-        # numbers the lines numpy reads, the header being line 1; numpy
-        # reads one line at a time and stops at the bad one, so the next
-        # number less one is its file line, blank and # lines counted
+        # numbers the lines read, the header being line 1; numpy reads one
+        # line at a time and stops at the bad one, so the next number less
+        # one is its file line, blank and # lines counted.  loadtxt warns on
+        # a body without data, so the first row is found here, past the
+        # blank and # lines that loadtxt skips after it
         numbers = count(2)
+        lines = dropwhile(lambda line: not line.split("#")[0].strip(),
+                          map(itemgetter(1), zip(numbers, source)))
+        if not (first := next(lines, "")):
+            raise DomainError("empty grid")
         try:
-            data = np.loadtxt(map(itemgetter(1), zip(numbers, chain(
-                [first], source))), delimiter=",", ndmin=2)
+            data = np.loadtxt(chain([first], lines), delimiter=",", ndmin=2)
         except ValueError as err:
             msg = str(err).split(";")[0]   # drop the hint to use usecols
             raise DomainError("malformed CSV row: " + re.sub(
@@ -455,17 +452,26 @@ def energy_density(m: DistributionMoments, q: tuple[float, float],
         E = (hbar^2/2 m_e) [ t_d + 2 q.K + q^2 n
                              - (gamma/n) * |K + q n|^2 ].
     """
-    _positive(m.n_2d, "the density m.n_2d")
+    n = _positive(m.n_2d, "the density m.n_2d")
     _non_negative(gamma, "gamma")
     qx, qy = q
     if not (math.isfinite(qx) and math.isfinite(qy)):
         raise DomainError(f"q must be finite, got {q}")
-    kx, ky = m.k_d
-    return CODATA2018.hbar**2 / (2.0 * CODATA2018.m_e) * _finite(
-        lambda: (m.t_d + 2.0 * (qx * kx + qy * ky) + (qx**2 + qy**2) * m.n_2d
-                 - (gamma / m.n_2d) * ((kx + qx * m.n_2d) ** 2
-                                       + (ky + qy * m.n_2d) ** 2)),
-        f"the energy density at q = {q}")
+    # the bracket is homogeneous of degree 2 in (q, k_d, sqrt(t_d)), so it
+    # is formed on q, k_d and t_d times s, s^2, powers of two (exact), and
+    # multiplied once by hbar^2/2m_e/s^2 (exact); root bounds the square
+    # roots of its terms, and s brings it into [1/2, 1) within [2^-448,
+    # 2^574], where that factor stays a normal float.  q and u = k_d +
+    # q n_2d meet n_2d before they are squared
+    root = max(math.sqrt(abs(m.t_d)), math.hypot(qx, qy) * math.sqrt(n),
+               math.hypot(*m.k_d) / math.sqrt(n)) * max(1.0, math.sqrt(gamma))
+    s, = _scaled(min(max(root, 2.0**-448), 2.0**574), 1.0)
+    t, qx, qy, kx, ky = m.t_d * s * s, qx * s, qy * s, *(k * s for k in m.k_d)
+    ux, uy = kx + qx * n, ky + qy * n
+    return _finite(lambda: CODATA2018.hbar**2 / (2.0 * CODATA2018.m_e) / s / s
+                   * (t + 2.0 * (qx * kx + qy * ky) + qx * (qx * n) + qy * (qy * n)
+                      - gamma * (ux * (ux / n) + uy * (uy / n))),
+                   f"the energy density at q = {q}")
 
 
 def optimal_origin(m: DistributionMoments) -> tuple[float, float]:

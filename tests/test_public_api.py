@@ -10,12 +10,15 @@ a result past the float range is a DomainError that names the arguments.
 collective_coupling, whose result is in range for every admitted pair, is
 also held to a 50-digit value over the whole float range, as are
 dressed_frequency, the gamma and omega_t/omega of a Ratio-mode
-DerivedScales, fermi_wavevector, eigenenergy_no_a2, coupling_1d,
-exact_coupling_1d and eigenenergy at int photon numbers past the float
-range; there a DomainError is allowed only where the true value is past
-the float range.  Three tests parse the package: core._finite holds the
-only np.errstate, core._scaled the only math.frexp, and every import is
-the standard library, numpy or the package itself.
+DerivedScales, fermi_wavevector, coupling_1d, exact_coupling_1d and
+eigenenergy at int photon numbers past the float range; so are the
+spectra, sums whose terms can cancel, within a bound in ulp of their
+largest term: eigenenergy_no_a2 (K over the float range), eigenenergy at
+K != 0, eft.effective_energy, manymode_spectrum on ladders and
+energy_density.  A DomainError is allowed only where the true value is
+past the float range.  Three tests parse the package: core._finite holds
+the only np.errstate, core._scaled the only math.frexp, and every import
+is the standard library, numpy or the package itself.
 """
 
 import ast
@@ -367,6 +370,20 @@ def test_spectrum_past_the_float_range_is_a_domain_error(call):
         call()
 
 
+def test_energy_density_bracket_past_the_float_range():
+    # t_d + |q|^2 n - gamma |q n|^2/n = 2e308 overflows; hbar^2/2m_e times
+    # it, 1.22085e270, does not
+    mpmath = pytest.importorskip("mpmath")
+    got = energy_density(DistributionMoments(1.5e308, (0.0, 0.0), 1.0),
+                         (1e154, 0.0), 0.5)
+    with mpmath.workdps(50):
+        kinetic = (mpmath.mpf(constants.CODATA2018.hbar) ** 2
+                   / (2 * mpmath.mpf(constants.CODATA2018.m_e)))
+        t, q2 = mpmath.mpf(1.5e308), mpmath.mpf(1e154) ** 2
+        assert _ulps(got, kinetic * (t + q2 / 2), kinetic * t) <= 4
+    assert f"{got:.6g}" == "1.22085e+270"
+
+
 def test_overflowing_momentum_fails_cauchy_schwarz():
     # |K|^2 overflows to inf, above any finite N kinetic_sum; an int K acts
     # as its float
@@ -497,33 +514,185 @@ def test_fermi_wavevector_matches_50_digits_property(n_2d):
         assert _ulps(fermi_wavevector(n_2d), true) <= 1
 
 
+def _one_electron(K):
+    """The index of one electron at (K, 0), or None where its kinetic_sum
+    K^2 is past the float range, which from_momenta refuses."""
+    try:
+        return SpectrumIndex.from_momenta([(K, 0.0)])
+    except DomainError:
+        assert K * K == math.inf
+        return None
+
+
+def _check_spectrum(call, terms, bound, name):
+    """call() against E = terms[0] + terms[1] - terms[2] (photons, kinetic,
+    collective) at 50 digits: a sum whose terms can cancel, so its rounding
+    is bounded by the largest term, within ``bound`` ulp of that; a
+    DomainError naming ``name`` only where E is past the float range."""
+    true = terms[0] + terms[1] - terms[2]
+    if abs(true) > sys.float_info.max:
+        with pytest.raises(DomainError, match=name):
+            call()
+        return
+    assert _ulps(call(), true, max(map(abs, terms))) <= bound
+
+
+def _single_mode_terms(mpmath, idx, omega, coupling):
+    """The three terms of the single-mode spectrum at mode frequency omega
+    with the collective coupling (gamma or gamma'), at 50 digits."""
+    hbar = mpmath.mpf(constants.CODATA2018.hbar)
+    kinetic = hbar**2 / (2 * mpmath.mpf(constants.CODATA2018.m_e))
+    k2 = mpmath.mpf(idx.K[0]) ** 2 + mpmath.mpf(idx.K[1]) ** 2
+    return (hbar * omega * (idx.n1 + idx.n2 + 1),
+            kinetic * idx.kinetic_sum,
+            kinetic * coupling * k2 / idx.n_electrons)
+
+
 @settings(max_examples=300, deadline=None)
-@given(ALL_DOUBLES, ALL_DOUBLES)
-@example(1.0, 1e160)        # gamma' overflows, the energy -6.1e281 does not
-@example(1e-200, 1e200)     # the energy itself overflows
-@example(sys.float_info.max, sys.float_info.max)
-def test_eigenenergy_no_a2_matches_50_digits_property(omega, omega_p):
-    # E = hbar omega + (hbar^2/2 m_e)(1 - gamma') at the DOMAINS index (one
-    # electron at K = (1, 0)); a sum whose terms can cancel, so its rounding
-    # is bounded by the largest term: within 4 ulp of that
+@given(ALL_DOUBLES, ALL_DOUBLES, ALL_DOUBLES.map(_one_electron))
+@example(1.0, 1e160, _one_electron(1.0))    # gamma' overflows: -6.1e281
+@example(1e-200, 1e200, _one_electron(1.0))   # the energy overflows
+@example(sys.float_info.max, sys.float_info.max, _one_electron(1.0))
+# (omega_p/omega)^2 overflows before |K|^2 < 1 brings it down: -1.80e274
+@example(1.0, 2.0**520, _one_electron(0.5))
+# K[0]**2 underflows to 0 where gamma' |K|^2/N is far above the photons:
+# -3.06e-92
+@example(4.6877119965353915e-73, 4.432858979582752e66,
+         SpectrumIndex(0, 5, (1.2659270478591346e-163, 0.0), 0.0, 285677))
+@example(1e-300, 1e100, _one_electron(1e-250))   # omega_p/omega overflows
+def test_eigenenergy_no_a2_matches_50_digits_property(omega, omega_p, idx):
+    # E = hbar omega (n1 + n2 + 1) + (hbar^2/2 m_e)(kinetic_sum - gamma'
+    # |K|^2/N), gamma' = (omega_p/omega)^2, within 4 ulp of its largest term
     mpmath = pytest.importorskip("mpmath")
-    idx = SpectrumIndex.from_momenta([(1.0, 0.0)])
+    if idx is None:
+        return
     if omega <= 0.0 or omega_p < 0.0:
         with pytest.raises(DomainError):
             eigenenergy_no_a2(idx, omega, omega_p)
         return
     with mpmath.workdps(50):
+        r = mpmath.mpf(omega_p) / mpmath.mpf(omega)
+        _check_spectrum(partial(eigenenergy_no_a2, idx, omega, omega_p),
+                        _single_mode_terms(mpmath, idx, omega, r * r), 4,
+                        "omega_p")
+
+
+@settings(max_examples=300, deadline=None)
+@given(ALL_DOUBLES, ALL_DOUBLES, st.integers(0, 3),
+       FINITE_DOUBLES.map(abs).filter(lambda x: x > 0.0))
+@example(1e7, -3e6, 1, 1e300)       # gamma ~ 0
+@example(1e-170, 2e-170, 0, 1.0)    # |K|^2 underflows
+@example(1.3e154, 0.0, 0, 1e-300)   # gamma near 1
+def test_eigenenergy_matches_50_digits_property(kx, ky, n1, mode_frequency):
+    # gamma = omega_p^2/omega_t^2 at the config's omega and omega_p; the
+    # code's omega_t, which also sets the photons, is within an ulp of the
+    # true one, so E is within 4 ulp of its largest term
+    mpmath = pytest.importorskip("mpmath")
+    try:
+        idx = SpectrumIndex.from_momenta([(kx, ky)], n1)
+    except DomainError:
+        assert kx * kx + ky * ky == math.inf
+        return
+    scales = DerivedScales(SystemConfig.si(
+        100_000_000, 1e-8, 1e-6, mode_frequency=mode_frequency))
+    with mpmath.workdps(50):
+        w, w_p = mpmath.mpf(scales.omega), mpmath.mpf(scales.omega_p)
+        omega_t = mpmath.sqrt(w * w + w_p * w_p)
+        _check_spectrum(partial(eigenenergy, idx, scales),
+                        _single_mode_terms(mpmath, idx, omega_t,
+                                           (w_p / omega_t) ** 2), 4, "omega")
+
+
+@settings(max_examples=300, deadline=None)
+@given(ALL_DOUBLES, ALL_DOUBLES, ALL_DOUBLES)
+@example(1e-300, 1e160, 0.0)     # g |K|^2/N overflows, the energy does not
+@example(0.0, 1e-163, 1e-163)    # |K|^2 underflows
+@example(1e308, 1e300, 0.0)      # the energy overflows
+def test_effective_energy_matches_50_digits_property(kinetic_sum, kx, ky):
+    # the continuum spectrum: the Casimir photons, kinetic_sum and g(Lambda)
+    # |K|^2/N; within 4 ulp of the largest term
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
         hbar = mpmath.mpf(constants.CODATA2018.hbar)
         kinetic = hbar**2 / (2 * mpmath.mpf(constants.CODATA2018.m_e))
-        r = mpmath.mpf(omega_p) / mpmath.mpf(omega)
-        terms = (hbar * omega, kinetic, kinetic * r * r)
-        true = terms[0] + terms[1] - terms[2]
-        if abs(true) > sys.float_info.max:
-            with pytest.raises(DomainError, match="omega_p"):
-                eigenenergy_no_a2(idx, omega, omega_p)
+        g = mpmath.mpf(eft.effective_coupling(ECFG))
+        k2 = mpmath.mpf(kx) ** 2 + mpmath.mpf(ky) ** 2
+        terms = (mpmath.mpf(ECFG.system.area * casimir_energy_density(ECFG)),
+                 kinetic * kinetic_sum,
+                 kinetic * g * k2 / ECFG.system.n_electrons)
+        _check_spectrum(partial(eft.effective_energy, kinetic_sum, (kx, ky),
+                                ECFG), terms, 4, "K")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.floats(-150.0, 150.0).map(lambda e: 10.0**e),
+       ALL_DOUBLES, ALL_DOUBLES.map(abs), st.integers(1, 10**6),
+       st.integers(0, 3))
+@example(2, 0.5, 1e200, 1.0, 10, 1)       # the energy overflows
+@example(3, 1e100, 1e-150, 0.0, 1, 0)     # omega_p^2 |v|^2 overflows alone
+@example(1, 1e-150, 1e-320, 1e-320, 1, 0)
+def test_ladder_spectrum_matches_50_digits_property(m, omega_p, K,
+                                                     kinetic_sum,
+                                                     n_electrons, n):
+    # photons, kinetic_sum and omega_p^2/N sum_g (eps~_g.K)^2/Omega_g^2 on
+    # the normal modes' own omega_sq and eps_tilde; eps~_g.K/Omega_g takes
+    # three roundings (Omega_g a root), so within 8 ulp of the largest term
+    mpmath = pytest.importorskip("mpmath")
+    nm = normal_modes(ModeSet.ladder_1d(m), omega_p)
+    with mpmath.workdps(50):
+        hbar = mpmath.mpf(constants.CODATA2018.hbar)
+        kinetic = hbar**2 / (2 * mpmath.mpf(constants.CODATA2018.m_e))
+        w_sq = [mpmath.mpf(x) for x in nm.omega_sq]
+        coll = mpmath.mpf(omega_p) ** 2 / n_electrons * mpmath.fsum(
+            (mpmath.mpf(e) * K) ** 2 / x
+            for e, x in zip(nm.eps_tilde[:, 0], w_sq))
+        terms = (hbar * (n + mpmath.mpf(1) / 2) * mpmath.fsum(
+                     map(mpmath.sqrt, w_sq)),
+                 kinetic * kinetic_sum, kinetic * coll)
+        _check_spectrum(partial(manymode_spectrum, [n] * m, (K,),
+                                kinetic_sum, nm, omega_p, n_electrons),
+                        terms, 8, "K")
+
+
+@settings(max_examples=300, deadline=None)
+@given(ALL_DOUBLES, ALL_DOUBLES, ALL_DOUBLES.map(abs).filter(lambda x: x > 0),
+       st.floats(0.0, 40.0), ALL_DOUBLES, ALL_DOUBLES, st.floats(0.0, 4.0))
+# the bracket overflows where hbar^2/2m_e times it does not: 1.22085e270
+@example(0.0, 0.0, 1.0, math.log10(1.5e308), 1e154, 0.0, 0.5)
+@example(0.0, 0.0, 1e300, 0.0, 1e10, 0.0, 0.5)        # q^2 n overflows
+@example(1e200, 0.0, 1e100, 0.0, 0.0, 0.0, 1e-10)     # k_d^2 overflows
+@example(0.0, 0.0, 1e-300, 0.0, 1e295, 0.0, 1e-4)     # q^2 overflows
+@example(1e-200, 0.0, 1e-300, 1.0, 1e-10, 0.0, 4.0)   # all below 2^-448
+def test_energy_density_matches_50_digits_property(kx, ky, n_2d, spread,
+                                                   qx, qy, gamma):
+    # the moments of a distribution: t_d n_2d >= |k_d|^2, here t_d = (|k_d|^2
+    # /n_2d + 1) 10^spread.  (hbar^2/2 m_e)[t_d + 2 q.k_d + |q|^2 n - (gamma/
+    # n)|k_d + q n|^2] takes about ten roundings on operands scaled by one
+    # power of two, each within half an ulp of its largest term: within 6
+    # ulp of that, and a DomainError only where it is past the float range
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        hbar = mpmath.mpf(constants.CODATA2018.hbar)
+        kinetic = hbar**2 / (2 * mpmath.mpf(constants.CODATA2018.m_e))
+        k_x, k_y, n, q_x, q_y, g = map(mpmath.mpf, (kx, ky, n_2d, qx, qy,
+                                                   gamma))
+        t_d = float(((k_x**2 + k_y**2) / n + 1) * mpmath.mpf(10) ** spread)
+        if t_d == math.inf:
             return
-        assert _ulps(eigenenergy_no_a2(idx, omega, omega_p), true,
-                     max(terms)) <= 4
+        terms = [kinetic * x for x in (
+            mpmath.mpf(t_d), 2 * q_x * k_x, 2 * q_y * k_y, q_x * q_x * n,
+            q_y * q_y * n, -g / n * (k_x + q_x * n) ** 2,
+            -g / n * (k_y + q_y * n) ** 2)]
+        m = DistributionMoments(t_d, (kx, ky), n_2d)
+        largest = max(map(abs, terms))
+        if largest > sys.float_info.max:
+            try:
+                energy_density(m, (qx, qy), gamma)
+            except DomainError:
+                pass
+            return
+        got = energy_density(m, (qx, qy), gamma)
+        assert _ulps(got, mpmath.fsum(terms), largest) <= 6
 
 
 @settings(max_examples=300, deadline=None)

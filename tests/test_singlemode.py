@@ -729,11 +729,23 @@ class TestOccupancyGridIO:
         assert peak <= 3.0 * path.stat().st_size
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("body", ["", "\r\n", "\n\n"])
+    @pytest.mark.parametrize("body", ["", "\r\n", "\n\n", "\n# a comment\n"])
     def test_empty_grid_rejected(self, body):
         # a typed error, and no numpy warning about a body without data
         with pytest.raises(DomainError, match="empty"):
             OccupancyGrid.from_csv(io.StringIO("kx,ky,f\r\n" + body))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("skipped", ["\n", "# a comment\n",
+                                         "\n# a comment\n  \n"])
+    def test_blank_and_comment_lines_before_the_first_row(self, skipped):
+        # they are skipped as loadtxt skips them after the first row; the
+        # grid is not taken for an empty one
+        body = "0.0,0.0,1.0\n0.0,1.0,1.0\n1.0,0.0,1.0\n1.0,1.0,1.0\n"
+        g = OccupancyGrid.from_csv(io.StringIO("kx,ky,f\n" + skipped + body))
+        assert np.array_equal(g.f, np.ones((2, 2)))
+        assert np.array_equal(g.kx, [0.0, 1.0])
+        assert np.array_equal(g.ky, [0.0, 1.0])
 
     def test_bad_header_rejected(self):
         with pytest.raises(DomainError, match="header"):
@@ -758,7 +770,10 @@ class TestOccupancyGridIO:
         # line counts them
         ("0.0,0.0,1.0\n\n0.0,x,1.0\n", "'x'.* line 4, column 2"),
         ("0.0,0.0,1.0\n# a comment\n0.0,x,1.0\n", "'x'.* line 4, column 2"),
-        ("0.0,0.0,1.0\n\n# a comment\n0.0,1.0\n", "from 3 to 2 .* line 5$")])
+        ("0.0,0.0,1.0\n\n# a comment\n0.0,1.0\n", "from 3 to 2 .* line 5$"),
+        # and before the first row too
+        ("\n# a comment\n0.0,x,1.0\n", "'x'.* line 4, column 2"),
+        ("\n0.0,0.0,1.0\n0.0,1.0\n", "from 3 to 2 .* line 4$")])
     def test_malformed_row_rejected(self, body, match):
         # a typed error, not numpy's ValueError or a grid of NaN moments
         with pytest.raises(DomainError, match=match):
