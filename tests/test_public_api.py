@@ -370,6 +370,16 @@ def test_spectrum_past_the_float_range_is_a_domain_error(call):
         call()
 
 
+@pytest.mark.parametrize("kinetic_sum, K", [(math.nan, (0.0, 0.0)),
+                                             (1.0, (math.nan, 0.0))],
+                         ids=["kinetic_sum=nan", "K=nan"])
+def test_nan_spectrum_input_is_undefined(kinetic_sum, K):
+    # effective_energy does not check its aggregates; the exact matter term
+    # takes no NaN, and the one range check words it as undefined
+    with pytest.raises(DomainError, match="undefined"):
+        eft.effective_energy(kinetic_sum, K, ECFG)
+
+
 def test_energy_density_bracket_past_the_float_range():
     # t_d + |q|^2 n - gamma |q n|^2/n = 2e308 overflows; hbar^2/2m_e times
     # it, 1.22085e270, does not
