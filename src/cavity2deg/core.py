@@ -199,11 +199,6 @@ class DerivedScales:
                        f"the density at area = {area!r}")
 
     @cached_property
-    def n_e(self) -> float:
-        self.config._require_si("n_e")
-        return self.config.n_electrons / self.config.volume
-
-    @cached_property
     def omega_p(self) -> float:
         self.config._require_si("omega_p")
         k = CODATA2018

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -828,6 +828,59 @@ def secular_problems():
     return calls
 
 
+@st.composite
+def secular_inputs(draw):
+    """(d, z, rho, count) for the secular solver: K from 1 to 40; d strictly
+    ascending, graded (a geometric ladder) or clustered (gaps from 1 down to
+    1e-9); z with no zero entry, mixed signs and magnitudes down to 1e-8
+    before normalization; rho log-uniform in [1e-6, 1e6]; count 1, K // 2,
+    K or None."""
+    k = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        d = (10.0 ** draw(st.floats(-3.0, 3.0))
+             * draw(st.floats(1.01, 10.0)) ** np.arange(k))
+    else:
+        gaps = draw(st.lists(st.integers(-9, 0), min_size=k, max_size=k))
+        d = draw(st.floats(-10.0, 10.0)) + np.cumsum(10.0 ** np.array(
+            gaps, dtype=float))
+    assume(np.all(d[1:] > d[:-1]))
+    z = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=k,
+                               max_size=k)))
+    z *= 10.0 ** np.array(draw(st.lists(st.floats(-8.0, 0.0), min_size=k,
+                                        max_size=k)))
+    z /= np.linalg.norm(z)
+    rho = 10.0 ** draw(st.floats(-6.0, 6.0))
+    return d, z, rho, draw(st.sampled_from([1, max(1, k // 2), k, None]))
+
+
+@st.composite
+def deflating_inputs(draw):
+    """(d, z, rho) rank-one problems that deflate: poles on a 0.1 grid, some
+    a rounding apart, exact zeros in z and one entry of 1 before
+    normalization, rho log-uniform in [1e-6, 1e6]."""
+    k = draw(st.integers(2, 30))
+    ints = st.lists(st.integers(0, 30), min_size=k, max_size=k)
+    nudge = st.lists(st.integers(0, 2), min_size=k, max_size=k)
+    d = np.sort(np.array(draw(ints)) / 10.0
+                * (1.0 + manymode.EPS * np.array(draw(nudge))))
+    z = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=k,
+                               max_size=k)))
+    z[np.array(draw(st.lists(st.booleans(), min_size=k, max_size=k)))] = 0.0
+    z[draw(st.integers(0, k - 1))] = 1.0
+    z /= np.linalg.norm(z)
+    return d, z, 10.0 ** draw(st.floats(-6.0, 6.0))
+
+
+def solve_outcome(solve, *args):
+    """The bytes and step count of a solve, or the name of the
+    ConvergenceError it raised."""
+    try:
+        *arrays, steps = solve(*args)
+    except ConvergenceError:
+        return "ConvergenceError"
+    return [None if x is None else x.tobytes() for x in arrays], steps
+
+
 @pytest.mark.filterwarnings("error")
 class TestSecularOracle:
     """``_secular_eig`` and ``_rank_one_update`` against the reference
@@ -856,6 +909,33 @@ class TestSecularOracle:
                 assert (v is None) == (ref[1] is None) == (count is not None)
                 assert v is None or same_bytes(v, ref[1])
 
+    @settings(max_examples=300, deadline=None)
+    @given(secular_inputs())
+    def test_secular_roots_match_reference_property(self, case):
+        assert (solve_outcome(manymode._secular_eig, *case)
+                == solve_outcome(_reference_secular_eig, *case))
+
+    @settings(max_examples=300, deadline=None)
+    @given(deflating_inputs())
+    def test_rank_one_updates_match_reference_property(self, case):
+        d, z, rho = case
+        assert (solve_outcome(manymode._rank_one_update, d.copy(),
+                              np.eye(d.size), z.copy(), rho)
+                == solve_outcome(_reference_rank_one_update, d.copy(),
+                                 np.eye(d.size), z.copy(), rho))
+
+    def test_step_cap_matches_reference(self, monkeypatch):
+        # ConvergenceError alike: with the cap at 2 steps, some problems
+        # settle and some raise, in both solvers
+        problems = secular_problems()
+        monkeypatch.setattr(manymode, "MAX_SECULAR_STEPS", 2)
+        outcomes = []
+        for d, z, rho in problems:
+            got = solve_outcome(manymode._secular_eig, d, z, rho)
+            assert got == solve_outcome(_reference_secular_eig, d, z, rho)
+            outcomes.append(got == "ConvergenceError")
+        assert any(outcomes) and not all(outcomes)
+
     def test_library_results_match_reference(self, monkeypatch):
         # normal_modes (1-D, 2-D and 3-D polarizations, degenerate modes)
         # and mode_ladder's three calls: exact_coupling_1d solves nothing,
@@ -874,7 +954,7 @@ class TestSecularOracle:
                 nm = normal_modes(modes, omega_p)
                 out += [nm.omega_sq.tobytes(), nm.u.tobytes(),
                         nm.eps_tilde.tobytes(), nm.secular_steps]
-            for m in (*range(1, 13), 24, 100, 400):
+            for m in (*range(1, 13), 24, 100, 200, 400):
                 out.append(lowest_mode_scan(ratios, n_modes=m).tobytes())
                 out += [repr(exact_coupling_1d(m, 1.0, r)) for r in ratios]
             return out
