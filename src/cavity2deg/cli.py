@@ -45,8 +45,7 @@ from .manymode import (MAX_MODES, ModeSet, _coupling_fraction,
                        exact_coupling_1d, lowest_mode_scan, normal_modes)
 from .response import (BroadenedFrequency, ResponseKind, _mode_params,
                        chi_aa_freq, chi_ea_freq, chi_jj_freq, chi_mixed_freq,
-                       dc_conductivity, drude_effective_mass,
-                       optical_conductivity, sigma0_dc)
+                       dc_conductivity, optical_conductivity, sigma0_dc)
 
 __all__ = ["SweepSpec", "OutputRecord", "cmd_phase", "cmd_response",
            "cmd_eft", "cmd_manymode", "main"]
@@ -428,7 +427,7 @@ def cmd_response(kind: str, config: SystemConfig | None = None,
     spec = _subcommand("response", kind)
     config = config or _default_config()
     scales = DerivedScales(config)
-    wt = _mode_params(scales)[1]
+    wt = _mode_params(scales)[2]
     if sweep is None:   # linspace takes the span 6 wt
         _finite(6 * wt, f"the span of the default sweep w = -3..3 omega_tilde "
                         f"at omega_tilde = {wt!r}")
@@ -442,12 +441,16 @@ def cmd_response(kind: str, config: SystemConfig | None = None,
     rows = _rows(grid, val.re, val.im)
     summary: dict = {"eta": eta, "omega_tilde": wt, "gamma": scales.gamma}
     if kind == "sigma":
-        s0 = summary["sigma0"] = sigma0_dc(scales, eta)
-        if (gamma := scales.gamma) < 1.0:
-            summary.update(sigma_dc=dc_conductivity(gamma, s0),
-                           sigma_dc_over_sigma0=1.0 - gamma,
-                           effective_mass_over_m_e=(drude_effective_mass(gamma)
-                                                    / CODATA2018.m_e))
+        # 1 - gamma and the Drude mass m/m_e = 1 + ratio^2, neither from a
+        # rounded gamma; a mass past the float range is None
+        ratio = scales.omega_p_over_omega
+        mass = 1.0 + ratio * ratio
+        summary.update(sigma0=sigma0_dc(scales, eta),
+                       sigma_dc=dc_conductivity(scales, eta),
+                       sigma_dc_over_sigma0=(collective_coupling(ratio, 1.0)
+                                             if ratio else 1.0),
+                       effective_mass_over_m_e=(mass if mass < math.inf
+                                                else None))
     return _record("response", kind, config, {"kind": kind, "eta": eta},
                    sweep, rows, summary)
 

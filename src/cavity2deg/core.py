@@ -299,8 +299,12 @@ def dressed_frequency(omega: float, omega_p: float) -> float:
 def _scaled(by: float, *xs: float) -> list[float]:
     """xs divided by the power of two that brings ``by`` into [1/2, 1):
     exact unless one falls below 2^-1022 there (an OverflowError past
-    2^1024)."""
-    e = -math.frexp(by)[1]
+    2^1024).  An ndarray ``by`` scales elementwise, with numpy's frexp."""
+    try:
+        e = -math.frexp(by)[1]
+    except TypeError:   # an ndarray; testing for one first costs the scalars
+        e = -np.frexp(by)[1]
+        return [np.ldexp(x, e) for x in xs]
     return [math.ldexp(x, e) for x in xs]
 
 

@@ -8,14 +8,23 @@ at the dressed frequency, broadened by an explicit eta > 0:
     chi_JJ     = (e^2 N/m_e)^2 chi_AA
     chi_JA     = chi_AJ = -(e^2 N/m_e) chi_AA
 
-Real and imaginary parts are implemented as separate closed forms (not via
-generic complex pole algebra) so each can be tested against the Laplace
-transform of the time-domain kernel independently.
+In the frequency domain, z = w + i eta, each kind is one expression in the
+pole pair P = 1/((z - omega_t)(z + omega_t)):
 
-Sweeps: the frequency-domain closed forms are plain arithmetic on w, so
-``BroadenedFrequency.w`` may be an ndarray.  chi_aa_freq, chi_ea_freq,
-chi_jj_freq, chi_mixed_freq, optical_conductivity and absorption_rate then
-evaluate a whole sweep in one call and return arrays of w's shape (in
+    chi_AA = P/(eps0 V),    chi_EA = i z P/(eps0 V),
+    sigma  = i eps0 omega_p^2 [(1 - gamma)/z + gamma z P],
+
+the last the partial fractions of i/z (e^2 n_e/m_e + chi_JJ/V), a Drude
+term and the polariton, weighted by the f-sum split of omega_p^2.
+``_pole_pair`` forms P in numpy complex arithmetic on the frequencies times
+one power of two, which is put back once, so that no intermediate leaves the
+float range ahead of the value: a response is a DomainError only where its
+value does.
+
+Sweeps: ``BroadenedFrequency.w`` may be an ndarray.  chi_aa_freq,
+chi_ea_freq, chi_jj_freq, chi_mixed_freq, optical_conductivity and
+absorption_rate then evaluate a whole sweep in one call, each probe on its
+own power of two, and return arrays of w's shape (in
 ``ResponseValue.re``/``.im``); eta stays a scalar.
 
 Unit modes: in SI everything is dimensionful.  In Ratio mode the same
@@ -33,8 +42,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import CODATA2018
-from .core import DerivedScales, UnitsMode, _finite, _non_negative, _positive
-from .exceptions import DomainError, InstabilityError, UnitModeError
+from .core import (DerivedScales, UnitsMode, _finite, _non_negative,
+                   _positive, _scaled)
+from .exceptions import DomainError, UnitModeError
 
 __all__ = [
     "ResponseKind",
@@ -94,39 +104,36 @@ class ResponseValue:
         return complex(self.re, self.im)
 
 
-def _mode_params(scales: DerivedScales) -> tuple[float, float, float, float]:
-    """(omega_p, omega_t, eps0, V) in the active unit mode.
+def _mode_params(scales: DerivedScales) -> tuple[float, float, float, float,
+                                               float]:
+    """(omega, omega_p, omega_t, eps0, eps0 V) in the active unit mode.
 
-    Ratio mode measures frequencies in units of the bare mode frequency,
-    sets eps0 = V = 1 and needs a finite ratio^2: each kind squares w +-
-    omega_t, and omega_t > ratio.
+    Ratio mode measures frequencies in units of the bare mode frequency and
+    sets eps0 = V = 1.
     """
     if scales.config.units_mode is UnitsMode.RATIO:
-        r = scales.omega_p_over_omega
-        _finite(r * r, f"the square of ratio = {r!r}")
-        return r, scales.omega_tilde_over_omega, 1.0, 1.0
-    return (scales.omega_p, scales.omega_tilde, CODATA2018.eps0,
-            scales.config.volume)
-
-
-def _require_broadening(f: BroadenedFrequency) -> None:
-    _positive(f.eta, "eta", " (the undamped single-mode kernel is on-pole)")
+        return (1.0, scales.omega_p_over_omega, scales.omega_tilde_over_omega,
+                1.0, 1.0)
+    cfg, eps0 = scales.config, CODATA2018.eps0
+    return (scales.omega, scales.omega_p, scales.omega_tilde, eps0, _finite(
+        eps0 * cfg.volume,
+        f"eps0 V at area = {cfg.area!r}, mirror_gap = {cfg.mirror_gap!r}"))
 
 
 def chi_aa_time(tau: float, scales: DerivedScales) -> float:
     """Field-field response kernel; zero for tau < 0 (causal)."""
-    _, omega_t, eps0, volume = _mode_params(scales)
+    _, _, omega_t, _, eps0_v = _mode_params(scales)
     if tau < 0:
         return 0.0
-    return -math.sin(_phase(omega_t, tau)) / (eps0 * volume * omega_t)
+    return -math.sin(_phase(omega_t, tau)) / (eps0_v * omega_t)
 
 
 def chi_ea_time(tau: float, scales: DerivedScales) -> float:
     """Electric-field/vector-potential cross kernel, -d/dtau of chi_aa_time."""
-    _, omega_t, eps0, volume = _mode_params(scales)
+    _, _, omega_t, _, eps0_v = _mode_params(scales)
     if tau < 0:
         return 0.0
-    return math.cos(_phase(omega_t, tau)) / (eps0 * volume)
+    return math.cos(_phase(omega_t, tau)) / eps0_v
 
 
 def _phase(omega_t: float, tau: float) -> float:
@@ -135,55 +142,83 @@ def _phase(omega_t: float, tau: float) -> float:
     return _finite(lambda: omega_t * tau, f"omega_t tau at tau = {tau!r}")
 
 
-def _pole_denominators(f: BroadenedFrequency, omega_t: float, what: str):
-    """|w + omega_t + i eta|^2 and |w - omega_t + i eta|^2.
+def _near_factor(x, eta: float, omega: float):
+    """(k_u, u'): u = (x - omega) + i eta, x = |w|, times the power of two
+    k_u that brings max(|x - omega|, eta), but at least 2^-1000, into [1/2, 1)
+    at each probe (``core._scaled``).  x - omega cannot overflow and is
+    exact near the pole, and eta is scaled by u's own power, so u' keeps
+    every bit of the probe's distance from the pole."""
+    gap = x - omega
+    k_u, = _scaled(np.maximum(np.abs(gap), max(eta, 2.0**-1000)), 1.0)
+    return k_u, gap * k_u + 1j * (eta * k_u)
 
-    A probe whose square leaves the float range raises DomainError (one
-    check per call, for a scalar and for a whole sweep).  So does a
-    denominator that rounds to 0, w on a pole with eta^2 below the least
-    float: its reciprocal overflows, so ``what`` (the response, naming
-    eta) is said to overflow.
+
+def _pole_pair(f: BroadenedFrequency, omega_t: float):
+    """(k, k_u, z, P') at x = |w|: z = x + i eta and 1/((z - omega_t)(z +
+    omega_t)) = P' k k_u.
+
+    k is the power of two that brings max(x, eta, omega_t), but at least
+    2^-1000, into [1/2, 1), which scales the far factor z + omega_t; the near
+    factor is ``_near_factor``'s.  No operand then exceeds 2 and |P'| stays
+    below 2^75.  The product is formed from its real parts, ((x - omega_t)
+    k_u)((x + omega_t) k) - (eta k_u)(eta k) + 2i (x k)(eta k_u), so its
+    imaginary part has the sign of x; numpy's reciprocal (Smith's
+    algorithm) squares neither part.
     """
-    def square(shift):   # w - omega_t is w + (-omega_t), to the bit
-        w_s = f.w + shift
-        return w_s * w_s + f.eta * f.eta
-    d_plus = _finite(lambda: square(omega_t), "(w + omega_t)^2 + eta^2")
-    d_minus = _finite(lambda: square(-omega_t), "(w - omega_t)^2 + eta^2")
-    if not (np.all(d_plus) and np.all(d_minus)):
-        raise DomainError(f"{what} overflows the float range")
-    return d_plus, d_minus
+    x = np.abs(f.w)
+    k, = _scaled(np.maximum(x, max(f.eta, omega_t, 2.0**-1000)), 1.0)
+    k_u, u = _near_factor(x, f.eta, omega_t)
+    x_k = x * k
+    return k, k_u, x + 1j * f.eta, np.reciprocal(
+        u.real * (x_k + omega_t * k) - u.imag * (f.eta * k)
+        + 2j * x_k * u.imag)
+
+
+def _pole_value(kind: ResponseKind, f: BroadenedFrequency, omega_t: float,
+                form, name: str) -> ResponseValue:
+    """A kind at f from form(k, k_u, z, P') of the ``_pole_pair``: terms
+    (v, c) whose sum of v c is the value, with the last real factor c put
+    on each part, so that a value past the float range is an overflow, not
+    inf times 0.  Forms take x = |w|: each kind is the transform of a real
+    kernel, so its value at -w is the conjugate of that at w.  One range
+    check; Python floats for a scalar w, as ``eft.eft_chi_aa`` gives."""
+    _positive(f.eta, "eta", " (the undamped single-mode kernel is on-pole)")
+
+    def value():
+        terms = form(*_pole_pair(f, omega_t))
+        im = sum(v.imag * c for v, c in terms)
+        return (sum(v.real * c for v, c in terms),
+                np.where(f.w < 0, -im, im))
+    re, im = _finite(value, f"{name}(w) at eta = {f.eta!r}")
+    if np.ndim(f.w) == 0:
+        return ResponseValue(kind, float(re), float(im))
+    return ResponseValue(kind, re, im)
+
+
+def _volume_split(eps0_v: float) -> tuple[float, float]:
+    """(1/s, m) with eps0 V = m s^2: s the power of two that brings
+    sqrt(eps0 V) into [1/2, 1), m in [1/4, 1).  A form puts back k/s on its
+    complex operand and k_u/(s m) as its last real factor, so no factor of
+    k k_u/(eps0 V) leaves the range ahead of the value."""
+    inv_s, = _scaled(math.sqrt(eps0_v), 1.0)
+    return inv_s, eps0_v * inv_s * inv_s
 
 
 def chi_aa_freq(f: BroadenedFrequency, scales: DerivedScales) -> ResponseValue:
-    """chi_AA(w) = -(1/(2 eps0 omega_t V)) [1/(w+omega_t+i eta) - 1/(w-omega_t+i eta)]."""
-    _require_broadening(f)
-    _, omega_t, eps0, volume = _mode_params(scales)
-    w, eta = f.w, f.eta
-    what = f"chi_AA(w) at eta = {eta!r}"
-    d_plus, d_minus = _pole_denominators(f, omega_t, what)
-    pref = 1.0 / (2.0 * eps0 * volume * omega_t)
-    re, im = _finite(lambda: (
-        pref * ((w - omega_t) / d_minus - (w + omega_t) / d_plus),
-        pref * eta * (1.0 / d_plus - 1.0 / d_minus)), what)
-    return ResponseValue(ResponseKind.AA, re, im)
+    """chi_AA(w) = 1/(eps0 V (z - omega_t)(z + omega_t)), z = w + i eta."""
+    _, _, omega_t, _, eps0_v = _mode_params(scales)
+    inv_s, m = _volume_split(eps0_v)
+    return _pole_value(ResponseKind.AA, f, omega_t, lambda k, k_u, z, p: [
+        (p * (k * inv_s), k_u * inv_s / m)], "chi_AA")
 
 
 def chi_ea_freq(f: BroadenedFrequency, scales: DerivedScales) -> ResponseValue:
-    """chi_EA(w) = (i/(2 eps0 V)) [1/(w+omega_t+i eta) + 1/(w-omega_t+i eta)].
-
-    Equivalently i(w+i eta) chi_AA(w): the frequency-domain image of the
-    Maxwell relation chi_EA = -d chi_AA/dtau.
-    """
-    _require_broadening(f)
-    _, omega_t, eps0, volume = _mode_params(scales)
-    w, eta = f.w, f.eta
-    what = f"chi_EA(w) at eta = {eta!r}"
-    d_plus, d_minus = _pole_denominators(f, omega_t, what)
-    pref = 1.0 / (2.0 * eps0 * volume)
-    re, im = _finite(lambda: (
-        pref * eta * (1.0 / d_plus + 1.0 / d_minus),
-        pref * ((w + omega_t) / d_plus + (w - omega_t) / d_minus)), what)
-    return ResponseValue(ResponseKind.EA, re, im)
+    """chi_EA(w) = i z chi_AA(w): the frequency-domain image of the Maxwell
+    relation chi_EA = -d chi_AA/dtau."""
+    _, _, omega_t, _, eps0_v = _mode_params(scales)
+    inv_s, m = _volume_split(eps0_v)
+    return _pole_value(ResponseKind.EA, f, omega_t, lambda k, k_u, z, p: [
+        (1j * (z * (k * inv_s)) * p, k_u * inv_s / m)], "chi_EA")
 
 
 def chi_jj_freq(f: BroadenedFrequency, scales: DerivedScales) -> ResponseValue:
@@ -234,69 +269,75 @@ def _matter_scaled(f: BroadenedFrequency, scales: DerivedScales,
 
 def absorption_rate(f: BroadenedFrequency, scales: DerivedScales,
                     j_ext: float) -> float:
-    """Mean absorbed power -w Im[chi_AA(w)] |J_ext|^2; non-negative."""
+    """Mean absorbed power -w Im[chi_AA(w)] |J_ext|^2; non-negative.
+
+    Formed as ((Im chi_AA |J_ext|)(-w))|J_ext|: |J_ext|^2 is never formed on
+    its own, and a zero current gives zero power even where -w Im chi_AA
+    alone would overflow.
+    """
     val = chi_aa_freq(f, scales)
     j_abs = _non_negative(abs(j_ext), "|j_ext|")
-    return _finite(lambda: -f.w * val.im * j_abs**2,
+    return _finite(lambda: -f.w * (val.im * j_abs) * j_abs,
                    f"the absorbed power at j_ext = {j_ext!r}")
+
+
+def _drude_root(scales: DerivedScales) -> float:
+    """omega omega_p/omega_t, the root of the Drude weight omega_p^2 (1 -
+    gamma): 1 - gamma itself is below 2^-1022 past ratio 2^511, where the
+    weight is not."""
+    omega, omega_p, omega_t, _, _ = _mode_params(scales)
+    return omega * (omega_p / omega_t)
 
 
 def optical_conductivity(f: BroadenedFrequency,
                          scales: DerivedScales) -> ResponseValue:
     """Optical conductivity of the coupled gas (S/m in SI).
 
-    Closed form of i/(w + i eta) (e^2 n_e/m_e + chi_JJ/V), split into real
-    and imaginary parts:
+    i/z (e^2 n_e/m_e + chi_JJ/V), z = w + i eta, in partial fractions, with
+    P = 1/((z - omega_t)(z + omega_t)):
 
-        Re = eps0 eta wp^2/(w^2+eta^2)
-             - eta eps0 wp^4/(2 wt (w^2+eta^2))
-               [ (2w+wt)/D+ - (2w-wt)/D- ]
-        Im = eps0 w wp^2/(w^2+eta^2)
-             - eps0 wp^4/(2 wt (w^2+eta^2))
-               [ (w^2-eta^2+w wt)/D+ - (w^2-eta^2-w wt)/D- ]
+        sigma = i eps0 omega_p^2 [(1 - gamma)/z + gamma z P],
+        Re sigma = eps0 omega_p^2 eta [(1 - gamma)/|z|^2
+                                       + gamma (|z|^2 + omega_t^2) |P|^2],
+
+    a sum of two non-negative terms, and so it stays as computed.  The
+    Drude term takes 1/z as the ``_near_factor`` at omega = 0 and its weight
+    from ``_drude_root``; the polariton term is z P on the ``_pole_pair``,
+    its weight eps0 omega_p^2 gamma put back as its root twice, so that no
+    square of omega_p is formed.
     """
-    _require_broadening(f)
-    omega_p, omega_t, eps0, _ = _mode_params(scales)
-    ratio_mode = scales.config.units_mode is UnitsMode.RATIO
-    field = "ratio" if ratio_mode else "omega_p"
-    omega_p4 = _finite(lambda: omega_p**4,
-                       f"{field}^4 at {field} = {omega_p!r}")
-    w, eta = f.w, f.eta
-    what = f"sigma(w) at eta = {eta!r}"
-    d_plus, d_minus = _pole_denominators(f, omega_t, what)
+    _, omega_p, omega_t, eps0, _ = _mode_params(scales)
+    drude = _drude_root(scales)
+    polariton = math.sqrt(eps0 * scales.gamma) * omega_p
 
-    def parts():
-        lorentz = w**2 + eta**2
-        drude_re = eps0 * eta * omega_p**2 / lorentz
-        drude_im = eps0 * w * omega_p**2 / lorentz
-        pref = eps0 * omega_p4 / (2.0 * omega_t * lorentz)
-        re = drude_re - eta * pref * ((2.0 * w + omega_t) / d_plus
-                                      - (2.0 * w - omega_t) / d_minus)
-        im = drude_im - pref * ((w**2 - eta**2 + w * omega_t) / d_plus
-                                - (w**2 - eta**2 - w * omega_t) / d_minus)
-        return re, im
-    re, im = _finite(parts, what)
-    return ResponseValue(ResponseKind.SIGMA, re, im)
+    def form(k, k_u, z, p):
+        k_0, u_0 = _near_factor(np.abs(f.w), f.eta, 0.0)
+        return [(drude * k_0 * (1j / u_0), eps0 * drude),
+                (1j * (z * k * p), polariton * (polariton * k_u))]
+    return _pole_value(ResponseKind.SIGMA, f, omega_t, form, "sigma")
 
 
 def sigma0_dc(scales: DerivedScales, eta: float) -> float:
     """Free-gas Drude DC value sigma0 = eps0 omega_p^2/eta."""
-    omega_p, _, eps0, _ = _mode_params(scales)
+    _, omega_p, _, eps0, _ = _mode_params(scales)
     _positive(eta, "eta")
-    return _finite(lambda: eps0 * omega_p**2 / eta, f"sigma0 at eta = {eta!r}")
+    return _finite(lambda: eps0 * omega_p * (omega_p / eta),
+                   f"sigma0 at eta = {eta!r}")
 
 
-def dc_conductivity(gamma: float, sigma0: float) -> float:
-    """Drude peak of the coupled gas, sigma0 (1 - gamma); needs gamma < 1."""
-    if _non_negative(gamma, "gamma") >= 1.0:
-        raise InstabilityError(
-            f"no stable ground state at gamma = {gamma}; DC limit undefined")
-    return _non_negative(sigma0, "sigma0") * (1.0 - gamma)
+def dc_conductivity(scales: DerivedScales, eta: float) -> float:
+    """Drude peak of the coupled gas, sigma0 (1 - gamma) = eps0 omega_p^2
+    (1 - gamma)/eta, finite for every stable (finite-ratio) system."""
+    _, _, _, eps0, _ = _mode_params(scales)
+    _positive(eta, "eta")
+    drude = _drude_root(scales)
+    return _finite(lambda: eps0 * drude * (drude / eta),
+                   f"sigma_dc at eta = {eta!r}")
 
 
-def drude_effective_mass(gamma: float) -> float:
-    """Effective mass m_e/(1 - gamma) read off the suppressed Drude peak."""
-    if _non_negative(gamma, "gamma") >= 1.0:
-        raise InstabilityError(
-            f"effective mass diverges at gamma = {gamma}")
-    return CODATA2018.m_e / (1.0 - gamma)
+def drude_effective_mass(scales: DerivedScales) -> float:
+    """Effective mass m_e/(1 - gamma) = m_e (1 + (omega_p/omega)^2) read off
+    the suppressed Drude peak."""
+    m_e, ratio = CODATA2018.m_e, scales.omega_p_over_omega
+    return _finite(lambda: m_e + m_e * ratio * ratio,
+                   f"the Drude mass at ratio = {ratio!r}")

@@ -1,5 +1,7 @@
 """Shared fixtures and hypothesis settings for the test suite."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -13,6 +15,15 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("default")
+
+# On a failing property, hypothesis' pytest plugin first imports this module
+# while it makes the report, and the import raises a DeprecationWarning
+# (mypy_extensions.TypedDict); under a test's filterwarnings("error") mark
+# that ends the run in an INTERNALERROR in place of the falsifying example.
+# Imported once here, it is cached before any mark applies.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 
 @pytest.fixture

@@ -293,9 +293,10 @@ def test_criterion_5_dc_conductivity():
     t0 = time.perf_counter()
 
     # closed form: sigma_dc / sigma0 = 1 - gamma
-    for gamma in (0.0, 0.2, 0.5, 0.9):
-        got = dc_conductivity(gamma, 1.0)
-        assert abs(got - (1.0 - gamma)) <= 1e-12
+    for ratio, gamma in ((0.0, 0.0), (0.5, 0.2), (1.0, 0.5), (3.0, 0.9)):
+        sc = DerivedScales(SystemConfig.from_ratio(ratio))
+        got = dc_conductivity(sc, 1.0)
+        assert abs(got - (1.0 - gamma) * sigma0_dc(sc, 1.0)) <= 1e-12
 
     # numerical zero-frequency limit of the Kubo conductivity at small
     # broadening reproduces the suppressed-but-finite plateau
@@ -304,7 +305,7 @@ def test_criterion_5_dc_conductivity():
         wt = sc.omega_tilde_over_omega
         eta = 1e-4 * wt
         s0 = sigma0_dc(sc, eta)
-        sd = dc_conductivity(sc.gamma, s0)
+        sd = dc_conductivity(sc, eta)
         num = optical_conductivity(BroadenedFrequency(1e-9 * wt, eta), sc)
         if sd > 0.0:
             assert abs(num.re - sd) <= 1e-4 * sd

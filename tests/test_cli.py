@@ -591,24 +591,22 @@ CONFIG_FIELDS = ("n_electrons", "area", "mirror_gap", "cavity_index",
 
 
 # finite config files, the field each names, its exit code and the
-# sub-commands that reach it: m_e eps0 L_z underflows to 0 at the tiny gap,
-# (w +- omega_t)^2 ~ ratio^2 overflows at the huge ratio, (c kappa_z)^2 at the
-# small gap and omega_p^4 at the large ratio; 10**400 electrons are past the
+# sub-commands that reach it: m_e eps0 L_z underflows to 0 at the tiny gap and
+# (c kappa_z)^2 overflows at the small gap; 10**400 electrons are past the
 # float range
 EXTREME_CONFIGS = {
     "tiny_gap": ("n_electrons = 100000000\narea = 1e-8\nmirror_gap = 1e-320\n",
                  "mirror_gap", 3, [("phase",), ("response", "aa"),
                                    ("response", "sigma"), ("eft", "coupling")]),
-    "huge_ratio": ("units_mode = ratio\nratio = 1e200\n", "ratio", 3,
-                   [("response", "aa"), ("response", "sigma")]),
     "small_gap": ("n_electrons = 100000000\narea = 1e-8\nmirror_gap = 1e-200\n",
                   "mirror_gap", 3, [("eft", "chi")]),
-    "large_ratio": ("units_mode = ratio\nratio = 1e150\n", "ratio", 3,
-                    [("response", "sigma")]),
     "huge_count": (f"n_electrons = {10**400}\narea = 1e-8\nmirror_gap = 1e-6\n",
                    "n_electrons", 2, [("phase",), ("response", "aa"),
                                       ("eft", "coupling")]),
 }
+# ratios whose square overflows: every response is still in the float range
+HUGE_RATIO = "units_mode = ratio\nratio = 1e200\n"
+LARGE_RATIO = "units_mode = ratio\nratio = 1e150\n"
 
 ALL_COMMANDS = ([("phase",)]
                 + [("response", kind) for kind in cli._menu("response")]
@@ -678,20 +676,27 @@ class TestNonFiniteInput:
         assert out == ""
         assert err.startswith("error: ")
 
-    def test_on_pole_sweep_names_eta(self, capsys, tmp_path):
-        # eta^2 underflows to 0 at w = +-omega_t: a DomainError from the
-        # response itself, with no numpy warning on the way
+    @pytest.mark.parametrize("eta, code", [("1e-200", 0), ("1e-310", 3)])
+    def test_on_pole_sweep_names_eta(self, capsys, tmp_path, eta, code):
+        # at w = +-omega_t, |chi_AA| = 1/(2 eta omega_t): 4.5e199 is a row,
+        # though eta^2 underflows to 0; 4.5e309 is a DomainError from the
+        # response itself that names eta; no numpy warning on the way
         cfg = tmp_path / "ratio.cfg"
         cfg.write_text("units_mode = ratio\nratio = 0.5\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out, err = run(
+            got, out, err = run(
                 capsys, "response", "aa", "--config", str(cfg), "--eta",
-                "1e-200", "--sweep",
-                "w=-1.118033988749895:1.118033988749895:3")
-        assert code == 3
-        assert out == ""
-        assert err.startswith("error: chi_AA(w) at eta = 1e-200 ")
+                eta, "--sweep", "w=-1.118033988749895:1.118033988749895:3")
+        assert got == code
+        if code:
+            assert out == ""
+            assert err == (f"error: chi_AA(w) at eta = {eta} overflows the "
+                           f"float range\n")
+        else:
+            last = out.splitlines()[-1].split(",")
+            assert float(last[2]) == pytest.approx(
+                -1 / (2 * 1e-200 * 1.118033988749895), rel=1e-14)
 
     @settings(max_examples=40)
     @given(st.sampled_from(FLOAT_FLAG_ARGVS),
@@ -755,10 +760,39 @@ class TestNonFiniteInput:
         assert err.startswith("error: ")
         assert field in err
 
+    @pytest.mark.parametrize("text, kind", [(HUGE_RATIO, "aa"),
+                                            (HUGE_RATIO, "sigma"),
+                                            (LARGE_RATIO, "sigma")],
+                             ids=["huge_ratio-aa", "huge_ratio-sigma",
+                                  "large_ratio-sigma"])
+    def test_huge_ratio_response_is_finite(self, capsys, tmp_path, text,
+                                           kind):
+        # ratio^2 (and omega_p^4) overflow, but no response does: rows and
+        # summary are finite, sigma_dc = eps0 omega^2 gamma/eta is reported,
+        # and a Drude mass m_e (1 + ratio^2) past the float range is null
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "response", kind, "--config",
+                                 str(cfg), "--format", "json")
+        assert (code, err) == (0, "")
+        record = json.loads(out)
+        assert all(map(math.isfinite, np.ravel(record["rows"])))
+        if kind == "sigma":
+            s = record["summary"]
+            assert s["sigma_dc"] == pytest.approx(s["gamma"] / s["eta"],
+                                                  rel=1e-12)
+            mass = s["effective_mass_over_m_e"]
+            if text == HUGE_RATIO:
+                assert mass is None
+            else:
+                assert mass == pytest.approx(1e300, rel=1e-15)
+
     def test_huge_ratio_phase_is_critical(self, capsys, tmp_path):
         # gamma rounds to 1 at ratio 1e200, though ratio^2 overflows
         cfg = tmp_path / "c.txt"
-        cfg.write_text(EXTREME_CONFIGS["huge_ratio"][0])
+        cfg.write_text(HUGE_RATIO)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run(capsys, "phase", "--config", str(cfg))

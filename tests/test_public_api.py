@@ -15,8 +15,10 @@ eigenenergy at int photon numbers past the float range; so are the
 spectra, sums whose terms can cancel, within a bound in ulp of their
 largest term: eigenenergy_no_a2 (K over the float range), eigenenergy at
 K != 0, eft.effective_energy, manymode_spectrum on ladders and
-energy_density.  A DomainError is allowed only where the true value is
-past the float range.  Three tests parse the package: core._finite holds
+energy_density; and so are the responses chi_AA, chi_EA (normwise),
+optical_conductivity (of its larger term) and absorption_rate, at Ratio
+configs over the float range and two SI configs.  A DomainError is allowed
+only where the true value is past the float range.  Three tests parse the package: core._finite holds
 the only np.errstate, core._scaled the only math.frexp, and every import
 is the standard library, numpy or the package itself.
 """
@@ -25,7 +27,9 @@ import ast
 import dataclasses
 import enum
 import math
+import os
 import re
+import subprocess
 import sys
 from functools import partial
 from pathlib import Path
@@ -173,8 +177,7 @@ DOMAINS = [
     (partial(chi_ea_time, scales=SCALES), {"tau": 1e-15}),
     (partial(absorption_rate, PROBE, SCALES), {"j_ext": 1.0}),
     (partial(sigma0_dc, SCALES), {"eta": 1e11}),
-    (dc_conductivity, {"gamma": 0.5, "sigma0": 2.0}),
-    (drude_effective_mass, {"gamma": 0.5}),
+    (partial(dc_conductivity, SCALES), {"eta": 1e11}),
     (partial(chemical_potential, ECFG), {"k_fermi": 1e8}),
     (partial(quasiparticle_energy, ecfg=ECFG),
      {"k": 1e8, "k_fermi": 1e8, "v_fermi": 1e5}),
@@ -271,18 +274,16 @@ RANGE_HOLES = [
     ("chi_aa_time", (7.4e300,)),
     ("chi_ea_time", (7.4e300,)),
     ("sigma0_dc", (2.6e-309,)),
-    # on the pole w = omega_t: 1/eta^2 overflows, or eta^2 underflows to 0
-    ("chi_aa_freq_at", (SCALES.omega_tilde, 1e-160)),
-    ("chi_aa_freq_at", (SCALES.omega_tilde, 1e-200)),
-    ("chi_ea_freq_at", (SCALES.omega_tilde, 1e-160)),
-    ("chi_ea_freq_at", (SCALES.omega_tilde, 1e-200)),
-    ("chi_jj_freq_at", (SCALES.omega_tilde, 1e-160)),
-    ("chi_mixed_freq_at", (SCALES.omega_tilde, 1e-160)),
-    ("response_table_at", (SCALES.omega_tilde, 1e-160)),
+    # on the pole w = omega_t: |chi_AA| = 1/(2 eta omega_t eps0 V) > 1.8e308
+    ("chi_aa_freq_at", (SCALES.omega_tilde, 1e-310)),
+    ("chi_ea_freq_at", (SCALES.omega_tilde, 1e-310)),
+    ("chi_jj_freq_at", (SCALES.omega_tilde, 1e-310)),
+    ("chi_mixed_freq_at", (SCALES.omega_tilde, 1e-310)),
+    ("response_table_at", (SCALES.omega_tilde, 1e-310)),
+    ("optical_conductivity_at", (SCALES.omega_tilde, 1e-310)),
     # the table is one 2x2 matrix: a sweep of w is rejected, not a bare
     # TypeError from complex()
     ("response_table_at", (np.array([1e13, 2e13]),)),
-    ("optical_conductivity_at", (7e-158, 5.5e-147)),
     ("quasiparticle_energy", (1.8e244, 1e-65, 8e122)),
     ("casimir_energy_density", (8.2e200,)),
     ("casimir_pressure", (2.15e201,)),
@@ -322,6 +323,12 @@ def _pin_range_holes(test):
 @given(st.sampled_from(sorted(ROWS)),
        st.lists(FINITE_DOUBLES, min_size=3, max_size=3))
 @_pin_range_holes
+# on the pole, where 1/eta^2 overflows or eta^2 underflows to 0 but no
+# response leaves the float range (the 50-digit values are pinned in
+# test_responses_match_50_digits_property)
+@example("chi_jj_freq_at", [SCALES.omega_tilde, 1e-160, 0.0])
+@example("chi_mixed_freq_at", [SCALES.omega_tilde, 1e-160, 0.0])
+@example("response_table_at", [SCALES.omega_tilde, 1e-160, 0.0])
 def test_finite_arguments_give_finite_results_property(label, values):
     # every float argument of the row at once; a typed error is an answer,
     # inf, NaN, a bare exception or a RuntimeWarning is not
@@ -499,9 +506,9 @@ def test_dressed_frequency_and_ratio_scales_match_50_digits_property(
 
 def _ulps(got, true, unit=None) -> float:
     """|got - true| in units of the last place of ``unit`` (of true by
-    default), for a 50-digit true value."""
+    default), for a 50-digit true value; real or complex."""
     mpmath = pytest.importorskip("mpmath")
-    return float(abs(mpmath.mpf(got) - true)
+    return float(abs(mpmath.mpmathify(got) - true)
                  / math.ulp(float(true if unit is None else unit)))
 
 
@@ -758,6 +765,129 @@ def test_exact_coupling_1d_matches_50_digits_property(m, omega_1, omega_p):
         assert _ulps(exact_coupling_1d(m, omega_1, omega_p), x / (1 + x)) <= 8
 
 
+SI_1E150 = DerivedScales(SystemConfig.si(100, 1e150, 1e150))
+# an SI config by label, or a Ratio-mode ratio
+RESPONSE_CONFIGS = {"si": SCALES, "si(100, 1e150, 1e150)": SI_1E150}
+
+
+def _response_scales(config) -> DerivedScales:
+    if isinstance(config, str):
+        return RESPONSE_CONFIGS[config]
+    return DerivedScales(SystemConfig.from_ratio(config))
+
+
+def _pole_pair_terms(mpmath, scales, w, eta):
+    """chi_AA, chi_EA and the Drude and polariton terms of sigma at 50
+    digits, at the code's omega_t and gamma: P = 1/((z - omega_t)(z +
+    omega_t)) formed from its real parts, as mpmath's complex product would
+    cancel in its imaginary part, and the Drude weight omega_p^2 (1 - gamma)
+    with 1 - gamma = omega^2/omega_t^2 (not 1 minus the rounded gamma)."""
+    if scales.config.units_mode is core.UnitsMode.RATIO:
+        omega, omega_p, omega_t = 1, scales.config.ratio, \
+            scales.omega_tilde_over_omega
+        eps0, volume = 1, 1
+    else:
+        omega, omega_p, omega_t = (scales.omega, scales.omega_p,
+                                   scales.omega_tilde)
+        eps0 = constants.CODATA2018.eps0
+        volume = mpmath.mpf(scales.config.area) * scales.config.mirror_gap
+    omega, omega_p, omega_t, eps0, x, y = map(
+        mpmath.mpf, (omega, omega_p, omega_t, eps0, w, eta))
+    z = mpmath.mpc(x, y)
+    pair = 1 / mpmath.mpc((x - omega_t) * (x + omega_t) - y * y, 2 * x * y)
+    drude = 1j * eps0 * omega_p**2 * omega**2 / omega_t**2 / z
+    polariton = 1j * eps0 * omega_p**2 * scales.gamma * z * pair
+    return pair / (eps0 * volume), 1j * z * pair / (eps0 * volume), drude, \
+        polariton
+
+
+def _past_the_range(value) -> bool:
+    mpmath = pytest.importorskip("mpmath")
+    return max(abs(mpmath.re(value)),
+               abs(mpmath.im(value))) > sys.float_info.max
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.sampled_from(sorted(RESPONSE_CONFIGS)),
+                 ALL_DOUBLES.map(abs)),
+       ALL_DOUBLES, ALL_DOUBLES.map(abs), ALL_DOUBLES.map(abs))
+# the difference form of sigma cancelled: Re sigma = 99.02, not -256
+@example(1e8, 1e-3, 1e-2, 1.0)
+# Re chi_EA = 2.664e-150 (not 0.0), sigma = 1.196e-166 + 5.98e-165 i (not
+# "undefined") and the absorbed power 1.065e170 (|j_ext|^2 overflowed)
+@example("si(100, 1e150, 1e150)", SI_1E150.omega_tilde / 2,
+         SI_1E150.omega_tilde / 100, 1e160)
+# on the pole, where 1/eta^2 overflows or eta^2 underflows to 0
+@example("si", SCALES.omega_tilde, 1e-160, 1.0)
+@example("si", SCALES.omega_tilde, 1e-200, 1.0)
+@example("si", 7e-158, 5.5e-147, 1.0)   # (w^2 + eta^2) omega_t overflowed
+@example(0.0, 1.0, 3e-309, 1.0)         # |chi_AA| = 1.7e308, just in range
+@example(0.5, 5**0.5 / 2, 1e-310, 1.0)  # |chi_AA| = 4.5e309, past it
+@example("si", 1e200, 1.0, 1.0)         # (w + omega_t)^2 overflowed
+@example(1e200, 1e-5, 1e-5, 1.0)        # ratio^2 and omega_p^4 overflowed
+# eta' underflows beside w' > omega_t: Re sigma stays >= 0
+@example(3.1930837980779702e+258, -4.806164579228502e+295,
+         2.20355512089739e-47, 1.0)
+@example(5.757771219531788e-86, 1.7582255937456e-311, 1.080742706e-315,
+         1.0)                           # a subnormal probe
+def test_responses_match_50_digits_property(config, w, eta, j_ext):
+    # chi_AA and chi_EA within 4 ulp of |chi|, sigma within 8 ulp of its
+    # larger term, Re sigma >= 0, and the absorbed power >= 0 and within 2
+    # ulp of -w Im chi_AA |j_ext|^2 (of the returned chi_AA; its products
+    # ((Im chi_AA |j_ext|)(-w))|j_ext| add the subnormal grain 2^-1074
+    # scaled by what follows them); a DomainError only where the value is
+    # past the float range
+    mpmath = pytest.importorskip("mpmath")
+    scales = _response_scales(config)
+    f = BroadenedFrequency(w, eta)
+    if eta == 0.0:
+        with pytest.raises(DomainError, match="eta"):
+            chi_aa_freq(f, scales)
+        return
+    with mpmath.workdps(50):
+        aa, ea, drude, polariton = _pole_pair_terms(mpmath, scales, w, eta)
+        checks = ((chi_aa_freq, aa, abs(aa), 4), (chi_ea_freq, ea, abs(ea), 4),
+                  (optical_conductivity, drude + polariton,
+                   max(abs(drude), abs(polariton)), 8))
+        got = {}
+        for func, true, unit, bound in checks:
+            if _past_the_range(true):
+                with pytest.raises(DomainError, match="eta"):
+                    func(f, scales)
+                continue
+            got[func] = func(f, scales)
+            assert _ulps(got[func].as_complex, true, unit) <= bound, func
+        if optical_conductivity in got:
+            assert got[optical_conductivity].re >= 0.0
+        if chi_aa_freq not in got:
+            return
+        im = mpmath.mpf(got[chi_aa_freq].im)
+        power = -w * im * mpmath.mpf(j_ext) ** 2
+        if power > sys.float_info.max:
+            with pytest.raises(DomainError, match="j_ext"):
+                absorption_rate(f, scales, j_ext)
+            return
+        got = absorption_rate(f, scales, j_ext)
+        assert got >= 0.0
+        grain = (abs(w) * j_ext + j_ext + 1) * mpmath.mpf(2) ** -1074
+        assert abs(got - power) <= 2 * math.ulp(float(power)) + grain
+
+
+def test_quoted_response_values():
+    # the calls that the difference forms got wrong, at 4 digits
+    sigma = optical_conductivity(BroadenedFrequency(1e-3, 1e-2),
+                                 DerivedScales(SystemConfig.from_ratio(1e8)))
+    assert f"{sigma.re:.4g}" == "99.02"
+    w_t = SI_1E150.omega_tilde
+    f = BroadenedFrequency(w_t / 2, w_t / 100)
+    assert f"{chi_ea_freq(f, SI_1E150).re:.4g}" == "2.664e-150"
+    sigma = optical_conductivity(f, SI_1E150)
+    assert (f"{sigma.re:.4g}", f"{sigma.im:.3g}") == ("1.196e-166",
+                                                       "5.98e-165")
+    assert f"{absorption_rate(f, SI_1E150, 1e160):.4g}" == "1.065e+170"
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 10**400), st.integers(0, 10**400))
 @example(10**400, 0)
@@ -810,6 +940,30 @@ def test_scaled_holds_the_only_frexp():
     # core._scaled is the one power-of-two scaling
     inside, outside = _sites("frexp", "_scaled")
     assert inside and not outside, outside
+
+
+def test_failing_property_reports_its_example(tmp_path):
+    # under filterwarnings("error"), hypothesis' report of a failing
+    # property once ended in a pytest INTERNALERROR (a DeprecationWarning
+    # from an import it makes while reporting); conftest.py imports that
+    # module first, so the falsifying example is shown
+    (tmp_path / "test_fails.py").write_text(
+        "import pytest\n"
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@pytest.mark.filterwarnings('error')\n"
+        "@given(st.integers())\n"
+        "def test_fails(n):\n"
+        "    assert n < 5\n")
+    paths = [str(Path(__file__).parent), str(Path(core.__file__).parents[1]),
+             os.environ.get("PYTHONPATH", "")]
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-p", "conftest", "test_fails.py"], cwd=tmp_path,
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)})
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "Falsifying example" in run.stdout
+    assert "INTERNALERROR" not in run.stdout + run.stderr
 
 
 def test_imports_are_the_stdlib_numpy_and_the_package():
