@@ -41,7 +41,7 @@ from .eft import (EftConfig, _edges, casimir_energy_density,
 from .exceptions import (Cavity2degError, ConfigError, ConvergenceError,
                          DomainError, PreconditionError, UnitModeError)
 from .io_utils import FLOAT_DIGITS, format_rows
-from .manymode import (MAX_MODES, ModeSet, _coupling_fraction,
+from .manymode import (_ZETA2, MAX_MODES, ModeSet, _coupling_fraction,
                        exact_coupling_1d, lowest_mode_scan, normal_modes)
 from .response import (BroadenedFrequency, ResponseKind, _mode_params,
                        chi_aa_freq, chi_ea_freq, chi_jj_freq, chi_mixed_freq,
@@ -357,10 +357,10 @@ def _coupling_run(grid, n_modes: int, ratio: float, summary: dict) -> tuple:
     sizes = grid(lambda: np.arange(1, n_modes + 1)).tolist()
     counts = sorted({round(m) for m in sizes if m >= 1})
     g = [exact_coupling_1d(m, 1.0, ratio) for m in counts]
-    # the ladder has omega_n = n, so sum 1/omega_n^2 -> pi^2/6 as M -> inf
+    # the ladder has omega_n = n, so sum 1/omega_n^2 -> zeta(2) as M -> inf
     summary.update(ratio=ratio,
                    single_mode_gamma=collective_coupling(1.0, ratio),
-                   g_limit=_coupling_fraction(ratio**2 * math.pi**2 / 6.0))
+                   g_limit=_coupling_fraction(ratio**2 * _ZETA2))
     return np.array(counts, dtype=int), np.array(g, dtype=float)
 
 

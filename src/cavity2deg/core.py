@@ -326,13 +326,16 @@ def collective_coupling(omega: float, omega_p: float) -> float:
 def single_particle_coupling(config: SystemConfig) -> float:
     """Bilinear coupling constant g = (e hbar/m_e) sqrt(hbar/(2 eps0 V omega_t)).
 
-    Satisfies 2 m_e N g^2 / (hbar^3 omega_t) = gamma.
+    Satisfies 2 m_e N g^2 / (hbar^3 omega_t) = gamma.  1/sqrt(V) is taken
+    as 1/(sqrt(area) sqrt(mirror_gap)), which is in range wherever g is,
+    even where V = area * mirror_gap is not.
     """
     config._require_si("single_particle_coupling")
     k = CODATA2018
     scales = DerivedScales(config)
     return (k.e * k.hbar / k.m_e) * math.sqrt(
-        k.hbar / (2.0 * k.eps0 * config.volume * scales.omega_tilde))
+        k.hbar / (2.0 * k.eps0 * scales.omega_tilde)) / (
+        math.sqrt(config.area) * math.sqrt(config.mirror_gap))
 
 
 def fermi_wavevector(n_2d: float) -> float:

@@ -181,8 +181,11 @@ def per_particle_coupling(ecfg: EftConfig,
 
 
 def landau_pole(ecfg: EftConfig) -> float:
-    """Cutoff (rad^2/s^2) where g reaches 1: omega_t^2(kappa_z) e^{1/(N alpha)}."""
-    return ecfg.omega_tilde_sq_cutoff * ecfg.lambda0_pole
+    """Cutoff (rad^2/s^2) where g reaches 1: omega_t^2(kappa_z) e^{1/(N alpha)};
+    DomainError where it is past the float range."""
+    return _finite(ecfg.omega_tilde_sq_cutoff * ecfg.lambda0_pole,
+                   f"the Landau pole omega_t^2 exp(1/n_alpha) at n_alpha = "
+                   f"{ecfg.n_alpha:g}")
 
 
 def effective_energy(kinetic_sum: float, K: tuple[float, float],
@@ -503,8 +506,14 @@ def appendix_integrals(w: float, eta: float,
 def eft_summary(ecfg: EftConfig) -> dict:
     """Scalar summary of the continuum theory at this cutoff (JSON-friendly).
 
-    Mass-derived entries are None beyond the single-particle pole.
+    Mass-derived entries are None beyond the single-particle pole, and
+    ``landau_pole_freq2`` is None where the Landau pole is past the float
+    range.
     """
+    try:
+        pole = landau_pole(ecfg)
+    except DomainError:
+        pole = None
     out: dict = {
         "lambda0": ecfg.lambda0,
         "alpha": ecfg.alpha,
@@ -514,7 +523,7 @@ def eft_summary(ecfg: EftConfig) -> dict:
         "omega_tilde_sq_cutoff": ecfg.omega_tilde_sq_cutoff,
         "lambda_freq2": ecfg.lambda_freq2,
         "lambda0_pole": ecfg.lambda0_pole,
-        "landau_pole_freq2": landau_pole(ecfg),
+        "landau_pole_freq2": pole,
         "coupling_g": effective_coupling(ecfg),
         "casimir_energy_density": casimir_energy_density(ecfg),
         "casimir_pressure": casimir_pressure(ecfg),

@@ -14,16 +14,18 @@ whose range check covers the photon sum too.
 
 For the parallel-polarization ladder W = diag(omega_n^2) + omega_p^2 1 1^T is
 a rank-one update of a diagonal, and its two scanned quantities use that
-structure instead of a dense solve: the collective coupling is the
-Sherman-Morrison closed form, and the lowest mode is the lowest root of the
-secular equation 1 + omega_p^2 sum_n 1/(omega_n^2 - lam) = 0 (Golub, SIAM
-Rev. 15, 1973; Bunch, Nielsen & Sorensen, Numer. Math. 31, 1978), solved
-alone by the one secular solver that normal_modes also uses.  Both are O(M)
-in the frequencies alone, which they take from the ladder's one checked
-helper without building a ModeSet.  The coupling depends on
-omega_p/omega_1 alone, so it is taken on both scaled by one power of two
-(``core._scaled``, which normal_modes uses as well): in range for every
-admitted pair.
+structure instead of a dense solve.  The collective coupling is the
+Sherman-Morrison closed form, which needs only s(M) = sum_{n <= M} 1/n^2:
+a table entry for small M and zeta(2) - psi'(M + 1) above, so each
+coupling costs O(1) whatever M.  It depends on omega_p/omega_1 alone, so it
+is taken on both scaled by one power of two (``core._scaled``, which
+normal_modes uses as well): in range for every admitted pair.  The lowest
+mode is the lowest root of the secular equation
+1 + omega_p^2 sum_n 1/(omega_n^2 - lam) = 0 (Golub, SIAM Rev. 15, 1973;
+Bunch, Nielsen & Sorensen, Numer. Math. 31, 1978), solved alone by the one
+secular solver that normal_modes also uses, O(M) per step in the
+frequencies alone.  Both pass the ladder's one validation, and neither
+builds a ModeSet.
 
 Every W that build_w makes is also structured: with P the (M, 3) matrix of
 unit polarizations, W = D + omega_p^2 P P^T with D = diag(omega^2 +
@@ -175,12 +177,17 @@ class ModeSet:
 
 
 def _ladder_omega(n_modes: int, omega_fundamental: float) -> np.ndarray:
-    """The ladder's frequencies omega_n = n * omega_fundamental, n = 1..M.
+    """The ladder's frequencies omega_n = n * omega_fundamental, n = 1..M,
+    built once ``_check_ladder`` has passed them."""
+    _check_ladder(n_modes, omega_fundamental)
+    return omega_fundamental * np.arange(1, n_modes + 1, dtype=float)
 
-    PreconditionError unless 1 <= n_modes <= MAX_MODES and
-    omega_fundamental is finite and positive, and for a top frequency past
-    the float range; that is checked on the Python float M omega_fundamental,
-    the last entry to the bit, before the array is built.
+
+def _check_ladder(n_modes: int, omega_fundamental: float) -> None:
+    """The ladder's one validation: PreconditionError unless
+    1 <= n_modes <= MAX_MODES and omega_fundamental is finite and positive,
+    and for a top frequency past the float range; that is checked on the
+    Python float M omega_fundamental, the last entry to the bit.
     """
     if n_modes < 1:
         raise PreconditionError(f"n_modes must be >= 1, got {n_modes}")
@@ -193,7 +200,6 @@ def _ladder_omega(n_modes: int, omega_fundamental: float) -> np.ndarray:
             f"got {omega_fundamental}")
     if not math.isfinite(float(omega_fundamental) * n_modes):
         raise PreconditionError("mode frequencies must be finite")
-    return omega_fundamental * np.arange(1, n_modes + 1, dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -775,12 +781,12 @@ def exact_coupling_1d(n_modes: int, omega_fundamental: float,
     With W = U Omega^2 U^T and eps~ = U^T eps the sum is omega_p^2 p^T W^-1 p,
     p the bare x components.  The ladder's
     W = diag(omega_n^2) + omega_p^2 1 1^T is a rank-one update of a
-    diagonal, so Sherman-Morrison gives
-    g = omega_p^2 s / (1 + omega_p^2 s) with s = sum_n 1/omega_n^2, an O(M)
-    sum over the frequencies alone: no ModeSet is built.  g depends on
-    omega_p/omega_1 alone, so both are first ``core._scaled`` by the power
-    of two that brings 0.75 omega_1 into [1/2, 1), which leaves omega_1 = 1
-    as it is and every square and 1/omega_n^2 a normal float; past
+    diagonal, so Sherman-Morrison gives g = x / (1 + x) with
+    x = (omega_p/omega_1)^2 s(M), s(M) = sum_{n <= M} 1/n^2, which
+    ``_inverse_square_sum`` gives in O(1): no frequency is built.  The
+    ladder is checked by its one validation, ``_check_ladder``, on omega_1
+    ``core._scaled`` with omega_p by the power of two that brings
+    0.75 omega_1 into [1/2, 1), so that M omega_1 never overflows; past
     omega_p/omega_1 = 2^60, where g is 1 to rounding, omega_p is taken as
     2^60 omega_1.
     """
@@ -788,14 +794,49 @@ def exact_coupling_1d(n_modes: int, omega_fundamental: float,
     # a non-positive or NaN omega_1 is left unscaled, for the check to name
     w_1, w_p = _scaled(max(0.75 * omega_fundamental, 0.0), omega_fundamental,
                        w_p)
-    omega = _ladder_omega(n_modes, w_1)
-    return _coupling_fraction(w_p * w_p * float((1.0 / omega**2).sum()))
+    _check_ladder(n_modes, w_1)
+    r = w_p / w_1
+    return _coupling_fraction(r * r * _inverse_square_sum(n_modes))
 
 
 def _coupling_fraction(x: float) -> float:
     """x / (1 + x), the coupling of a rank-one sum x = omega_p^2 s; 1.0
     where x overflowed to inf (the limit, where inf/inf would be NaN)."""
     return 1.0 if x == math.inf else x / (1.0 + x)
+
+
+# zeta(2) = sum_n 1/n^2 = pi^2/6; this float is its correctly rounded value
+_ZETA2 = math.pi**2 / 6.0
+# the largest M whose s(M) is a table entry rather than the series
+_SUM_TABLE_MAX = 24
+# s(M) = sum_{n <= M} 1/n^2 for M = 0.._SUM_TABLE_MAX, the float terms
+# summed exactly and rounded once: within 0.53 ulp of the true sums
+_INVERSE_SQUARE_SUMS = tuple(
+    math.fsum(1.0 / (n * n) for n in range(1, m + 1))
+    for m in range(_SUM_TABLE_MAX + 1))
+
+
+def _inverse_square_sum(m: int) -> float:
+    """s(M) = sum_{n <= M} 1/n^2 in O(1), for every M >= 0.
+
+    Up to ``_SUM_TABLE_MAX`` it is the table entry.  Above, it is
+    s = zeta(2) - psi'(M + 1), as psi'(x) = sum_{k >= 0} 1/(x + k)^2 (DLMF
+    5.15.1), with the trigamma from its asymptotic series (DLMF 5.15.8;
+    Abramowitz & Stegun 6.4.12)
+        psi'(x) ~ 1/x + 1/(2x^2) + 1/(6x^3) - 1/(30x^5) + 1/(42x^7)
+                  - 1/(30x^9) + 5/(66x^11)
+    in Horner form.  At x >= 26 the first omitted term, 691/(2730 x^13),
+    is below 1e-19, and psi' < 0.04 beside s > 1.6, so s is within
+    0.62 ulp of its value (checked on every M <= 200 and at M = 500 to
+    10^6 against 50 digits).
+    """
+    if m <= _SUM_TABLE_MAX:
+        return _INVERSE_SQUARE_SUMS[m]
+    t = 1.0 / (m + 1)
+    t2 = t * t
+    trigamma = t + t2 * (0.5 + t * (1.0 / 6.0 + t2 * (-1.0 / 30.0 + t2 * (
+        1.0 / 42.0 + t2 * (-1.0 / 30.0 + t2 * (5.0 / 66.0))))))
+    return _ZETA2 - trigamma
 
 
 def lowest_mode_scan(ratios: Sequence[float],

@@ -155,6 +155,21 @@ class TestDerivedScales:
                / (CODATA2018.hbar**3 * ds.omega_tilde))
         assert lhs == pytest.approx(ds.gamma, rel=1e-13)
 
+    def test_single_particle_coupling_where_the_volume_overflows(self):
+        # V = 1e400 is past the float range, g = 1.47e-139 is not: 1/sqrt(V)
+        # is taken from sqrt(area) and sqrt(mirror_gap).  The 50-digit value
+        # is the closed form at the config's own float omega_t
+        mpmath = pytest.importorskip("mpmath")
+        config = SystemConfig.si(100, 1e200, 1e200)
+        g = single_particle_coupling(config)
+        with mpmath.workdps(50):
+            e, hbar, m_e, eps0, omega_t = map(mpmath.mpf, (
+                CODATA2018.e, CODATA2018.hbar, CODATA2018.m_e,
+                CODATA2018.eps0, DerivedScales(config).omega_tilde))
+            true = e * hbar / m_e * mpmath.sqrt(
+                hbar / (2 * eps0 * mpmath.mpf(1e200) ** 2 * omega_t))
+            assert abs(g - true) <= 4 * math.ulp(float(true))
+
     def test_fermi_wavevector(self, si_config):
         ds = DerivedScales(si_config)
         assert ds.k_fermi == pytest.approx(math.sqrt(2 * math.pi * 1e16),

@@ -164,6 +164,14 @@ class TestRunningCoupling:
                          lambda0=2.0)
         assert cfg2.lambda0_pole < cfg.lambda0_pole
 
+    def test_landau_pole_past_the_range(self):
+        # a pole factor of 1.55e302 times an edge of 8.87e29
+        cfg = EftConfig(system=SystemConfig.si(510_000, 1e-8, 1e-6),
+                        lambda0=2.0)
+        assert math.isfinite(cfg.lambda0_pole)
+        with pytest.raises(DomainError, match="Landau pole.*overflows"):
+            landau_pole(cfg)
+
 
 class TestRenormalizedMass:
     def test_free_limit(self):
@@ -643,6 +651,15 @@ class TestEftSummary:
         # coupling and casimir stay defined beyond the mass pole
         assert math.isfinite(out["coupling_g"])
         assert math.isfinite(out["casimir_energy_density"])
+
+    def test_landau_pole_past_the_range_is_none(self):
+        cfg = EftConfig(system=SystemConfig.si(510_000, 1e-8, 1e-6),
+                        lambda0=2.0)
+        out = eft_summary(cfg)
+        assert out["landau_pole_freq2"] is None
+        assert out["beyond_pole"] is False
+        assert all(math.isfinite(v) for v in out.values()
+                   if isinstance(v, float))
 
 
 # log-uniform over the positive doubles

@@ -740,16 +740,21 @@ def test_coupling_1d_matches_50_digits_property(kappa_max, omega, omega_p):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 64), ALL_DOUBLES, ALL_DOUBLES)
+@given(st.integers(1, manymode.MAX_MODES), ALL_DOUBLES, ALL_DOUBLES)
 @example(3, 1e-200, 1e-200)     # omega_1^2 underflows: g(3, 1, 1)
 @example(3, 1e200, 1e200)       # omega_p^2 overflows: g(3, 1, 1)
 @example(5, 1.0, 1e200)         # g = 1 to rounding
 @example(5, 1e-160, 0.5)
 @example(3, 1e308, 0.5)         # M omega_1 overflows: g = 0 to rounding
 @example(44, 1.0, 0.95)
+# the last sum from the table, the first from the series, the largest M
+@example(manymode._SUM_TABLE_MAX, 1.0, 0.95)
+@example(manymode._SUM_TABLE_MAX + 1, 1.0, 0.95)
+@example(manymode.MAX_MODES, 1.0, 0.95)
 def test_exact_coupling_1d_matches_50_digits_property(m, omega_1, omega_p):
-    # g = x/(1 + x), x = (omega_p/omega_1)^2 sum 1/n^2, is in [0, 1] for
-    # every admitted pair: M sums of scaled squares stay within 8 ulp
+    # g = x/(1 + x), x = (omega_p/omega_1)^2 s(M), is in [0, 1] for every
+    # admitted pair, and s(M) = sum_{n <= M} 1/n^2 = zeta(2) - psi'(M + 1):
+    # within 8 ulp for every M
     mpmath = pytest.importorskip("mpmath")
     if omega_1 <= 0.0:
         with pytest.raises(PreconditionError, match="omega_fundamental"):
@@ -760,8 +765,8 @@ def test_exact_coupling_1d_matches_50_digits_property(m, omega_1, omega_p):
             exact_coupling_1d(m, omega_1, omega_p)
         return
     with mpmath.workdps(50):
-        x = (mpmath.mpf(omega_p) / omega_1) ** 2 * mpmath.fsum(
-            mpmath.mpf(1) / n**2 for n in range(1, m + 1))
+        x = (mpmath.mpf(omega_p) / omega_1) ** 2 * (
+            mpmath.zeta(2) - mpmath.psi(1, m + 1))
         assert _ulps(exact_coupling_1d(m, omega_1, omega_p), x / (1 + x)) <= 8
 
 
